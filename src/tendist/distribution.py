@@ -329,13 +329,6 @@ def lower_placement(tensor: TensorVar, d: TensorDistribution):
     return with_relations(node, rels)
 
 
-def check_redistributable(from_d: TensorDistribution, to_d: TensorDistribution) -> None:
-    if from_d.tensor_dims != to_d.tensor_dims:
-        raise RankMismatch("redistribute endpoints disagree on tensor dims")
-    if from_d.machine != to_d.machine:
-        raise ConfigError("redistribute endpoints must target the same machine")
-
-
 def parse_distribution(text: str):
     """Parse `A: xy -> xy*` (levels split on `;`) into (tensor, levels).
 

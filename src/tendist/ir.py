@@ -12,6 +12,8 @@ import itertools
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ArityMismatch, ExtentMismatch, MissingInput, TendistError
 from .tensors import DenseTensor
 
@@ -181,25 +183,32 @@ def format_statement(stmt: TensorIndexStmt) -> str:
     return f"{format_expr(stmt.lhs)} = {format_expr(stmt.rhs)}"
 
 
-def _eval_point(expr: Expr, env: dict, store: dict) -> float:
+def _eval_box(expr: Expr, index: dict, store: dict):
+    """Value of `expr` over the whole free-variable box at one reduction point.
+
+    `index` maps each free variable to an arange shaped to broadcast along its
+    own axis and each reduction variable to an int, so an Access is a single
+    gather and a repeated variable reads a diagonal.
+    """
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Access):
-        coord = tuple(env[v.name] for v in expr.indices)
-        return float(store[expr.tensor.name].data[coord])
+        return store[expr.tensor.name].data[tuple(index[v.name] for v in expr.indices)]
     if isinstance(expr, Add):
-        return _eval_point(expr.lhs, env, store) + _eval_point(expr.rhs, env, store)
+        return _eval_box(expr.lhs, index, store) + _eval_box(expr.rhs, index, store)
     if isinstance(expr, Mul):
-        return _eval_point(expr.lhs, env, store) * _eval_point(expr.rhs, env, store)
+        return _eval_box(expr.lhs, index, store) * _eval_box(expr.rhs, index, store)
     raise TendistError(f"cannot evaluate {expr!r}")
 
 
 def sequential_evaluate(stmt: TensorIndexStmt, inputs: dict) -> DenseTensor:
     """Reference evaluation in a single memory.
 
-    Accumulates reductions in lexicographic order of the reduction-variable
-    coordinates (reduction_vars order, each ascending), which fixes the exact
-    float64 result bit for bit.
+    Free variables are vectorized; reduction points are visited one at a time
+    in lexicographic order (reduction_vars order, each ascending), each adding
+    its whole box to an accumulator that starts at 0.0. Every output element
+    thus sees the same float64 operations as a scalar loop, bit for bit (NaN
+    sign and payload aside, which IEEE 754 leaves open).
     """
     for acc in accesses_of(stmt.rhs):
         t = acc.tensor
@@ -210,22 +219,23 @@ def sequential_evaluate(stmt: TensorIndexStmt, inputs: dict) -> DenseTensor:
                 f"{t.name} value has dims {inputs[t.name].dims}, statement needs {t.dims}"
             )
     out = DenseTensor(stmt.lhs.tensor.dims)
-    free_ext = [stmt.extents[v] for v in stmt.free_vars]
-    red_ext = [stmt.extents[v] for v in stmt.reduction_vars]
-    env: dict = {}
-    for free_pt in itertools.product(*[range(e) for e in free_ext]):
-        for name, val in zip(stmt.free_vars, free_pt):
-            env[name] = val
-        coord = tuple(env[v.name] for v in stmt.lhs.indices)
-        if stmt.reduction_vars:
-            acc = 0.0
-            for red_pt in itertools.product(*[range(e) for e in red_ext]):
-                for name, val in zip(stmt.reduction_vars, red_pt):
-                    env[name] = val
-                acc += _eval_point(stmt.rhs, env, inputs)
-            out.data[coord] = acc
-        else:
-            out.data[coord] = _eval_point(stmt.rhs, env, inputs)
+    box = tuple(stmt.extents[v] for v in stmt.free_vars)
+    index: dict = {}
+    for axis, name in enumerate(stmt.free_vars):
+        shape = [1] * len(box)
+        shape[axis] = -1
+        index[name] = np.arange(box[axis]).reshape(shape)
+    if stmt.reduction_vars:
+        # a scalar output accumulates in a float: updating a 0-d array
+        # costs more than the addition itself
+        value = np.zeros(box) if box else 0.0
+        red_ext = [stmt.extents[v] for v in stmt.reduction_vars]
+        for red_pt in itertools.product(*[range(e) for e in red_ext]):
+            index.update(zip(stmt.reduction_vars, red_pt))
+            value += _eval_box(stmt.rhs, index, inputs)
+    else:
+        value = _eval_box(stmt.rhs, index, inputs)
+    out.data[tuple(index[v.name] for v in stmt.lhs.indices)] = value
     return out
 
 

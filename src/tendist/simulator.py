@@ -716,11 +716,20 @@ def run_statement(stmt, machine: Machine, distributions: dict, inputs: dict,
 
 
 def verify_result(stmt, inputs: dict, result: RunResult, atol: float = 1e-9) -> None:
-    """Compare a run against the single-memory reference evaluation."""
+    """Compare a run against the single-memory reference evaluation.
+
+    The output must have NaNs exactly where the reference does; everywhere
+    else, elements that differ (an infinity against anything else included)
+    must lie within `atol`.
+    """
     expected = sequential_evaluate(stmt, inputs)
     got = result.output
     if expected.dims != got.dims:
         raise VerifyFail(f"output dims {got.dims} != reference {expected.dims}")
-    err = float(np.max(np.abs(expected.data - got.data))) if expected.volume else 0.0
+    nan = np.isnan(expected.data)
+    if not np.array_equal(nan, np.isnan(got.data)):
+        raise VerifyFail("output NaNs differ from the reference's")
+    off = ~nan & (expected.data != got.data)
+    err = float(np.max(np.abs(expected.data[off] - got.data[off]))) if off.any() else 0.0
     if err > atol:
         raise VerifyFail(f"max deviation {err} above {atol}")

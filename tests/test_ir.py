@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,64 @@ def test_matches_einsum_on_integer_inputs():
     stmt = parse_statement("C(i, j) = A(i, k) * B(k, j)", {"i": 3, "j": 5, "k": 4})
     out = sequential_evaluate(stmt, {"A": DenseTensor((3, 4), a), "B": DenseTensor((4, 5), b)})
     assert np.array_equal(out.data, np.einsum("ik,kj->ij", a, b))
+
+
+def _scalar_loop(stmt, inputs):
+    """Point by point: free points outside, reduction points inside, ascending."""
+    def value(expr, env):
+        if isinstance(expr, Const):
+            return expr.value
+        if isinstance(expr, Access):
+            coord = tuple(env[v.name] for v in expr.indices)
+            return float(inputs[expr.tensor.name].data[coord])
+        a, b = value(expr.lhs, env), value(expr.rhs, env)
+        return a + b if isinstance(expr, Add) else a * b
+
+    def points(names):
+        return itertools.product(*[range(stmt.extents[v]) for v in names])
+
+    out = np.zeros(stmt.lhs.tensor.dims)
+    for free in points(stmt.free_vars):
+        env = dict(zip(stmt.free_vars, free))
+        coord = tuple(env[v.name] for v in stmt.lhs.indices)
+        if stmt.reduction_vars:
+            acc = 0.0
+            for red in points(stmt.reduction_vars):
+                env.update(zip(stmt.reduction_vars, red))
+                acc += value(stmt.rhs, env)
+            out[coord] = acc
+        else:
+            out[coord] = value(stmt.rhs, env)
+    return out
+
+
+def _wide_floats(rng, dims):
+    """Magnitudes from 1e-8 to 1e8, both signs, about a tenth of them -0.0."""
+    mags = 10.0 ** rng.uniform(-8, 8, dims)
+    vals = np.where(rng.random(dims) < 0.5, -mags, mags)
+    vals[rng.random(dims) < 0.1] = -0.0
+    return DenseTensor(dims, vals)
+
+
+@pytest.mark.parametrize("text", [
+    "A(i, j) = B(i, k) * C(k, j)",
+    "a = B(i, j) * C(i, j)",
+    "A(i, l) = B(i, j, k) * C(j, l) * D(k, l)",
+    "A(i) = B(i, i) + 1",
+    "A(i, i) = B(i, k) * C(k)",
+    "A(i, j) = B(i) + C(j) * 2.5",
+    "A(j, i) = B(i, j)",
+    "A(i, j) = (B(i, k) + C(i, k)) * D(k, j)",
+])
+def test_bit_exact_against_scalar_loop(text):
+    stmt = parse_statement(text, {"i": 3, "j": 4, "k": 5, "l": 2})
+    out_name = stmt.lhs.tensor.name
+    rng = np.random.default_rng(list(text.encode()))
+    for _ in range(5):
+        ins = {name: _wide_floats(rng, var.dims)
+               for name, var in stmt.tensors().items() if name != out_name}
+        got = sequential_evaluate(stmt, ins)
+        assert got.data.tobytes() == _scalar_loop(stmt, ins).tobytes()
 
 
 def test_build_statement_with_operator_sugar():

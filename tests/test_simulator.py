@@ -197,6 +197,24 @@ def test_verify_catches_tampering():
         verify_result(stmt, inputs, res)
 
 
+def test_verify_catches_nan_and_inf():
+    stmt, machine, dists, inputs, sched = _gemm_setup()
+    for bad in (np.nan, np.inf):
+        res = run_statement(stmt, machine, dists, inputs, sched)
+        res.output.data[0, 0] = bad
+        with pytest.raises(VerifyFail):
+            verify_result(stmt, inputs, res)
+
+
+def test_verify_accepts_nan_where_the_reference_has_it():
+    stmt, machine, dists, inputs, sched = _gemm_setup()
+    inputs["A"].data[1, 2] = np.nan
+    inputs["B"].data[0, 3] = np.inf
+    res = run_statement(stmt, machine, dists, inputs, sched)
+    assert np.isnan(res.output.data).any()
+    verify_result(stmt, inputs, res)
+
+
 # placement-phase movement
 
 def _row_then_block():
