@@ -43,11 +43,15 @@ class AlgorithmBundle:
 
     def run(self, inputs: dict = None, *, seed: int = 0, workers: int = 1):
         """Execute the bundle; returns (RunResult, inputs used)."""
+        # Runs are single-threaded. `workers` stays for callers written when a
+        # thread pool existed (the perfbench harness passes workers=1); any
+        # other count is refused rather than silently ignored.
+        if workers != 1:
+            raise ConfigError(f"runs are single-threaded; workers must be 1, got {workers}")
         if inputs is None:
             inputs = random_inputs(self.statement, seed)
         result = run_statement(self.statement, self.machine, self.distributions,
-                               inputs, self.schedule, workers=workers,
-                               label=self.name)
+                               inputs, self.schedule, label=self.name)
         return result, inputs
 
 
@@ -450,6 +454,11 @@ ALGORITHMS = ("summa", "cannon", "pumma", "johnson", "solomonik",
               "cosma-like", "summa-hier", "ttv", "ttm", "innerprod", "mttkrp")
 
 
+def dim_count(name: str) -> int:
+    """How many extents a registry algorithm's dims take, one per index."""
+    return {"ttm": 4, "mttkrp": 4, "innerprod": 2}.get(name, 3)
+
+
 def _flat(machine: Machine, want: int, name: str):
     if machine.num_levels != 1 or len(machine.flat_dims) != want:
         raise ConfigError(f"{name} needs a flat {want}D machine, got {machine}")
@@ -460,6 +469,8 @@ def bundle_from_config(name: str, machine: Machine = None, dims=None,
                        chunk: int = 1) -> AlgorithmBundle:
     """Build a registry algorithm from generic run options."""
     key = name.lower().replace("_", "-")
+    if dims and len(dims) != dim_count(key):
+        raise ConfigError(f"{name} takes {dim_count(key)} extents, got {len(dims)}")
     gemm_dims = tuple(dims) if dims else (8, 8, 8)
     if key == "summa":
         gx, gy = _flat(machine or grid(2, 2), 2, key)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OOBAccess, TendistError, UnboundVariable
-from .ir import Access, Add, Const, Mul, TensorIndexStmt, accesses_of
+from .ir import Access, Add, Const, Mul, TensorIndexStmt, accesses_of, format_expr
 from .tensors import DenseTensor
 
 
@@ -72,11 +72,6 @@ class Communicate:
 class LeafKernel:
     vars: tuple  # tuple[str, ...], outermost first
     kernel: str
-
-
-@dataclass(frozen=True)
-class Parallelize:
-    var: str
 
 
 # statements
@@ -487,20 +482,6 @@ def _leaf_nest(node):
 
 # pretty printing
 
-def _pretty_expr(expr, parent_mul=False) -> str:
-    if isinstance(expr, Const):
-        v = expr.value
-        return str(int(v)) if v == int(v) else repr(v)
-    if isinstance(expr, Access):
-        return f"{expr.tensor.name}({', '.join(expr.var_names)})"
-    if isinstance(expr, Add):
-        s = f"{_pretty_expr(expr.lhs)} + {_pretty_expr(expr.rhs)}"
-        return f"({s})" if parent_mul else s
-    if isinstance(expr, Mul):
-        return f"{_pretty_expr(expr.lhs, True)} * {_pretty_expr(expr.rhs, True)}"
-    raise TendistError(f"cannot print {expr!r}")
-
-
 def _name_set(names) -> str:
     if len(names) == 1:
         return names[0]
@@ -521,8 +502,6 @@ def pretty_relation(rel) -> str:
         return f"communicate({_name_set(rel.tensors)}, {rel.var})"
     if isinstance(rel, LeafKernel):
         return f"leaf({{{', '.join(rel.vars)}}}, {rel.kernel})"
-    if isinstance(rel, Parallelize):
-        return f"parallelize({rel.var})"
     raise TendistError(f"cannot print {rel!r}")
 
 
@@ -536,9 +515,9 @@ def pretty(stmt) -> str:
         head = f"forall({stmt.var}={stmt.lo})" if stmt.lo > 0 and stmt.extent == 1 else f"forall({stmt.var})"
         return f"{head} {pretty(stmt.body)}"
     if isinstance(stmt, Assign):
-        return f"{_pretty_expr(stmt.lhs)} = {_pretty_expr(stmt.rhs)}"
+        return f"{format_expr(stmt.lhs)} = {format_expr(stmt.rhs)}"
     if isinstance(stmt, Reduce):
-        return f"{_pretty_expr(stmt.lhs)} += {_pretty_expr(stmt.rhs)}"
+        return f"{format_expr(stmt.lhs)} += {format_expr(stmt.rhs)}"
     if isinstance(stmt, Place):
-        return _pretty_expr(stmt.access)
+        return format_expr(stmt.access)
     raise TendistError(f"cannot print {stmt!r}")

@@ -17,7 +17,7 @@ import os
 import re
 import sys
 
-from .algorithms import ALGORITHMS, bundle_from_config, random_inputs
+from .algorithms import ALGORITHMS, bundle_from_config, dim_count, random_inputs
 from .cin import lower_to_cin, pretty
 from .distribution import TensorDistribution, lower_placement, parse_distribution
 from .errors import ConfigError, TendistError, VerifyFail
@@ -74,15 +74,14 @@ def _parser() -> argparse.ArgumentParser:
     out.add_argument("--explain", action="store_true",
                      help="print placements and the statement after each "
                           "schedule command instead of running")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: TENDIST_WORKERS or 1)")
     return p
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    return max(1, int(os.environ.get("TENDIST_WORKERS", "1")))
+def _dims(text: str) -> tuple:
+    try:
+        return tuple(int(d) for d in text.split("x"))
+    except ValueError:
+        raise ConfigError(f"--dims wants extents like 8x4x6, got {text!r}") from None
 
 
 def _statement_text(args) -> str:
@@ -106,7 +105,7 @@ def _index_names(text: str) -> list:
 def _extents(args, text: str) -> dict:
     names = _index_names(text)
     if args.dims:
-        sizes = [int(d) for d in args.dims.split("x")]
+        sizes = _dims(args.dims)
         if len(sizes) != len(names):
             raise ConfigError(
                 f"--dims lists {len(sizes)} extents for indices {names}")
@@ -188,13 +187,12 @@ def _run_algorithm(args) -> int:
     machine = parse_machine(args.machine) if args.machine else None
     dims = None
     if args.dims:
-        dims = tuple(int(d) for d in args.dims.split("x"))
+        dims = _dims(args.dims)
     elif args.n is not None:
-        arity = {"ttv": 3, "ttm": 4, "mttkrp": 4, "innerprod": 2}
-        dims = (args.n,) * arity.get(args.algorithm, 3)
+        dims = (args.n,) * dim_count(args.algorithm)
     bundle = bundle_from_config(args.algorithm, machine, dims, args.chunk)
     inputs = random_inputs(bundle.statement, args.seed)
-    result, _ = bundle.run(inputs=inputs, workers=_workers(args))
+    result, _ = bundle.run(inputs=inputs)
     config = {
         "algorithm": bundle.name,
         "machine": str(bundle.machine),
@@ -217,8 +215,7 @@ def _run_custom(args) -> int:
     dists = _parse_dists(args, stmt, machine)
     sched = _load_schedule(args.schedule)
     inputs = random_inputs(stmt, args.seed)
-    result = run_statement(stmt, machine, dists, inputs, sched,
-                           workers=_workers(args))
+    result = run_statement(stmt, machine, dists, inputs, sched)
     config = {
         "machine": str(machine),
         "statement": format_statement(stmt),

@@ -274,15 +274,6 @@ class TensorDistribution:
         return out
 
 
-def validate(d: TensorDistribution, tensor_dims, machine: Machine) -> None:
-    """Re-check a distribution against a shape and machine."""
-    if tuple(tensor_dims) != d.tensor_dims:
-        raise RankMismatch(f"distribution built for dims {d.tensor_dims}, got {tuple(tensor_dims)}")
-    if machine != d.machine:
-        raise RankMismatch(f"distribution built for machine {d.machine}, got {machine}")
-    d._validate()
-
-
 def lower_placement(tensor: TensorVar, d: TensorDistribution):
     """Placement loop nest for one tensor.
 

@@ -69,9 +69,6 @@ class Machine:
             at += len(lvl)
         return out
 
-    def flatten(self) -> "Machine":
-        return Machine((self.flat_dims,))
-
     def __str__(self):
         return "/".join("x".join(str(d) for d in lvl) for lvl in self.levels)
 

@@ -16,7 +16,6 @@ from .cin import (
     Divide,
     Forall,
     LeafKernel,
-    Parallelize,
     Place,
     Reduce,
     Assign,
@@ -162,13 +161,6 @@ def reorder(stmt, order):
     return _checked(with_relations(out, relations_of(stmt)))
 
 
-def parallelize(stmt, i: str):
-    """Recorded for provenance; execution order is unchanged."""
-    if i not in bound_vars(stmt):
-        raise UnknownVar(f"no loop binds {i}")
-    return _checked(add_relations(stmt, Parallelize(i)))
-
-
 def distribute(stmt, i: str):
     """Mark loop i as distributed. Marking only; no reordering."""
     if i not in bound_vars(stmt):
@@ -299,18 +291,35 @@ def substitute_leaf(stmt, vars_, kernel: str):
     return _checked(add_relations(stmt, LeafKernel(vars_, kernel)))
 
 
-# builder
+# the command table
 
+def _names(text: str) -> tuple:
+    return tuple(text.split(","))
+
+
+def _dims(text: str) -> tuple:
+    return tuple(int(d) for d in text.split("x"))
+
+
+# script word -> (command, one parser per argument). Schedule.apply,
+# Schedule.steps and parse_schedule all dispatch through this table; the
+# builder methods push the same words. None: one or more loop names.
 _COMMANDS = {
-    "split": split,
-    "divide": divide,
-    "reorder": lambda s, *a: reorder(s, list(a)),
-    "parallelize": parallelize,
-    "distribute": distribute,
-    "communicate": communicate,
-    "rotate": rotate,
-    "leaf": substitute_leaf,
+    "split": (split, (str, str, str, int)),
+    "divide": (divide, (str, str, str, int)),
+    "reorder": (lambda stmt, *order: reorder(stmt, order), None),
+    "distribute": (distribute, (str,)),
+    "distribute_grid": (distribute_grid, (_names, _names, _names, _dims)),
+    "communicate": (communicate, (_names, str)),
+    "rotate": (rotate, (str, _names, str)),
+    "leaf": (substitute_leaf, (_names, str)),
 }
+
+
+def _lookup(name: str) -> tuple:
+    if name not in _COMMANDS:
+        raise ConfigError(f"unknown command {name!r}")
+    return _COMMANDS[name]
 
 
 @dataclass(frozen=True)
@@ -333,9 +342,6 @@ class Schedule:
             order = tuple(order[0])
         return self._push("reorder", *order)
 
-    def parallelize(self, i):
-        return self._push("parallelize", i)
-
     def distribute(self, i):
         return self._push("distribute", i)
 
@@ -354,22 +360,16 @@ class Schedule:
 
     def apply(self, stmt):
         for name, args in self.commands:
-            stmt = self._run(stmt, name, args)
+            stmt = _lookup(name)[0](stmt, *args)
         return stmt
 
     def steps(self, stmt):
         """(description, statement) after each command, for explain output."""
         out = []
         for name, args in self.commands:
-            stmt = self._run(stmt, name, args)
+            stmt = _lookup(name)[0](stmt, *args)
             out.append((self._describe(name, args), stmt))
         return out
-
-    @staticmethod
-    def _run(stmt, name, args):
-        if name == "distribute_grid":
-            return distribute_grid(stmt, *args)
-        return _COMMANDS[name](stmt, *args)
 
     @staticmethod
     def _describe(name, args) -> str:
@@ -387,48 +387,38 @@ def schedule() -> Schedule:
     return Schedule()
 
 
+def _parse_command(word: str, toks: list) -> tuple:
+    if word == "distribute" and len(toks) == 4:
+        word = "distribute_grid"  # the compound form
+    parsers = _lookup(word)[1]
+    if parsers is None:
+        if not toks:
+            raise ConfigError(f"{word} takes one or more loop names")
+        parsers = (str,) * len(toks)
+    if len(toks) != len(parsers):
+        raise ConfigError(f"{word} takes {len(parsers)} argument(s), got {len(toks)}")
+    return word, tuple(parse(t) for parse, t in zip(parsers, toks))
+
+
 def parse_schedule(text: str) -> Schedule:
     """Line-oriented schedule scripts.
 
-    One command per line: `split k ko ki 2`, `divide i io ii 3`,
-    `reorder io jo ii ji`, `distribute io` (or the compound form
-    `distribute i,j io,jo ii,ji 3x3`), `communicate A,B ko`,
-    `rotate ko io,jo kos`, `parallelize i`, `leaf ii,ji,ki name`.
-    Blank lines and `#` comments are skipped.
+    One command per line, a script word then space-separated arguments:
+    `split k ko ki 2`, `divide i io ii 3`, `reorder io jo ii ji`,
+    `distribute io` (or the compound form `distribute i,j io,jo ii,ji 3x3`,
+    also spelled `distribute_grid`), `communicate A,B ko`,
+    `rotate ko io,jo kos`, `leaf ii,ji,ki name`. Blank lines and `#`
+    comments are skipped. A wrong word, a missing or extra argument, or a
+    malformed number raises ConfigError naming the line.
     """
-    sched = Schedule()
+    commands = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = line.split()
-        cmd, args = toks[0], toks[1:]
+        word, *toks = line.split()
         try:
-            if cmd in ("split", "divide"):
-                sched = sched._push(cmd, args[0], args[1], args[2], int(args[3]))
-            elif cmd == "reorder":
-                sched = sched._push(cmd, *args)
-            elif cmd in ("parallelize",):
-                sched = sched._push(cmd, args[0])
-            elif cmd == "distribute":
-                if len(args) == 1:
-                    sched = sched._push(cmd, args[0])
-                elif len(args) == 4:
-                    dims = tuple(int(d) for d in args[3].split("x"))
-                    sched = sched.distribute_grid(
-                        args[0].split(","), args[1].split(","), args[2].split(","), dims
-                    )
-                else:
-                    raise ConfigError("distribute takes 1 or 4 arguments")
-            elif cmd == "communicate":
-                sched = sched._push(cmd, tuple(args[0].split(",")), args[1])
-            elif cmd == "rotate":
-                sched = sched._push(cmd, args[0], tuple(args[1].split(",")), args[2])
-            elif cmd == "leaf":
-                sched = sched._push(cmd, tuple(args[0].split(",")), args[1])
-            else:
-                raise ConfigError(f"unknown command {cmd!r}")
-        except (IndexError, ValueError) as exc:
+            commands.append(_parse_command(word, toks))
+        except (ConfigError, ValueError) as exc:
             raise ConfigError(f"schedule line {lineno}: {raw.strip()!r}: {exc}") from exc
-    return sched
-
+    return Schedule(tuple(commands))

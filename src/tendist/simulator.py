@@ -5,14 +5,13 @@ replays communication in lockstep timesteps (a data piece can be served from
 whoever received it the step before, which is what makes shifting algorithms
 come out as neighbor traffic), runs the numeric work per task, and commits
 write-backs. Event order is machine enumeration order throughout, so traces
-are identical run to run regardless of the worker count.
+are identical run to run.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,7 +126,6 @@ class CommEvent:
 @dataclass(frozen=True)
 class TaskInfo:
     coord: tuple
-    rank: int
     env: dict = field(hash=False, compare=False, default_factory=dict)
     out_rect: object = None
 
@@ -489,7 +487,7 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
         for v, c in env.items():
             ivals[v] = (c, c + 1)
         rect = access_rect(out_access, ivals, defs)
-        tasks.append(TaskInfo(coord, machine.rank_of(coord), env, rect))
+        tasks.append(TaskInfo(coord, env, rect))
 
     if out_kind == "copy":
         for a, b in itertools.combinations(tasks, 2):
@@ -535,7 +533,7 @@ def _numeric_task(plan: LaunchPlan, task: TaskInfo, read_store: dict) -> DenseTe
 
 
 def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
-            workers: int = 1, label: str = None, record_requirements: bool = True):
+            label: str = None):
     """Run one scheduled statement: communication ledger plus numeric commit.
 
     Phase one replays all transfers step by step in machine enumeration
@@ -600,9 +598,8 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
                     if rect is None or rect in seen:
                         continue
                     seen.append(rect)
-                    if record_requirements:
-                        trace.requirements.append(
-                            Requirement(task.coord, s, tensor, rect, scope))
+                    trace.requirements.append(
+                        Requirement(task.coord, s, tensor, rect, scope))
                     fetch(task, tensor, rect, s, scope, cur_temps)
         for p in order:
             vol = persist[p] + buffers.get(p, 0)
@@ -614,12 +611,7 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
 
     read_store = {n: store[n].tensor for n in (t for t, _, _ in plan.fetch_plan)}
     read_store[plan.out_name] = out_region.tensor
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(
-                lambda t: _numeric_task(plan, t, read_store), plan.tasks))
-    else:
-        partials = [_numeric_task(plan, t, read_store) for t in plan.tasks]
+    partials = [_numeric_task(plan, t, read_store) for t in plan.tasks]
 
     last = plan.num_steps - 1
     canon = out_region.tensor.data
@@ -674,7 +666,7 @@ class RunResult:
 
 
 def run_statement(stmt, machine: Machine, distributions: dict, inputs: dict,
-                  schedule=None, *, workers: int = 1, label: str = None) -> RunResult:
+                  schedule=None, *, label: str = None) -> RunResult:
     """Place inputs, apply the schedule, execute, and return the output.
 
     stmt may be a tensor index statement (lowered first) or an already
@@ -711,7 +703,7 @@ def run_statement(stmt, machine: Machine, distributions: dict, inputs: dict,
     store.place(out_name, DenseTensor(var_dims[out_name]), distributions[out_name])
 
     trace = ExecutionTrace(machine)
-    execute(cin, store, trace=trace, workers=workers, label=label)
+    execute(cin, store, trace=trace, label=label)
     return RunResult(store[out_name].tensor, out_name, trace, store)
 
 

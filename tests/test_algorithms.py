@@ -231,6 +231,10 @@ def test_bundle_from_config():
         bundle_from_config("summa", machine=grid(2, 2, 2))
     with pytest.raises(ConfigError):
         bundle_from_config("summa-hier", machine=grid(2, 2))
+    with pytest.raises(ConfigError):
+        bundle_from_config("ttv", dims=(4, 4))
+    with pytest.raises(ConfigError):
+        bundle_from_config("innerprod", dims=(4, 4, 4))
     assert (bundle_from_config("summa-hier").machine
             == make_machine([(2, 2), (2,)]))
 
@@ -248,12 +252,7 @@ def test_bundle_inputs_and_runs():
     assert used is ins
     want = sequential_evaluate(bundle.statement, ins)
     assert np.array_equal(result.output.data, want.data)
-
-
-def test_worker_pool_is_invisible():
-    bundle = cannon(3, 3, dims=(6, 6, 6))
-    ins = random_inputs(bundle.statement, seed=9)
-    one, _ = bundle.run(ins, workers=1)
-    four, _ = bundle.run(ins, workers=4)
-    assert np.array_equal(one.output.data, four.output.data)
-    assert one.trace.events == four.trace.events
+    # runs are single-threaded: workers=1 is accepted, nothing else
+    assert bundle.run(ins, workers=1)[0].trace.events == result.trace.events
+    with pytest.raises(ConfigError):
+        bundle.run(ins, workers=4)

@@ -32,7 +32,7 @@ from tendist.cin import (
 )
 from tendist.cin import _PHANTOM
 from tendist.errors import TendistError, UnboundVariable
-from tendist.ir import TensorVar
+from tendist.ir import TensorVar, build_statement, format_statement
 
 
 def gemm(n=2):
@@ -177,6 +177,14 @@ def test_pretty_golden():
     assert pretty(placed) == ("forall(xo) forall(xi) forall(y) T(x, y) "
                               "s.t. divide(x, xo, xi, 2), distribute(xo), "
                               "communicate(T, xo)")
+    # an infinite constant prints as the statement printer shows it
+    A, D = TensorVar("A", (3,)), TensorVar("D", (3,))
+    inf = build_statement(D("i"), A("i") * float("inf"))
+    assert pretty(lower_to_cin(inf)) == "forall(i) D(i) = A(i) * inf"
+    # a scalar output prints bare, as in format_statement
+    scalar = parse_statement("a = A(i, j) * B(i, j)", {"i": 2, "j": 2})
+    assert format_statement(scalar) == "a = A(i, j) * B(i, j)"
+    assert pretty(lower_to_cin(scalar)) == "forall(i) forall(j) a += A(i, j) * B(i, j)"
 
 
 def test_pretty_relation_forms():

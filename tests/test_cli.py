@@ -139,6 +139,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
         # unknown tensor in --dist
         ["--kernel", "gemm", "--n", "4", "--machine", "2x2",
          "--dist", "Q: xy -> xy", "--schedule", SUMMA_SCRIPT],
+        # non-numeric extent, for a bundle and for a kernel
+        ["--algorithm", "summa", "--dims", "8xq", "--stats", str(tmp_path / "s.json")],
+        ["--kernel", "gemm", "--dims", "8x8xq", "--machine", "2x2",
+         "--schedule", "divide i io ii 2; distribute io"],
+        # ttv indexes three variables, not two
+        ["--algorithm", "ttv", "--dims", "4x4", "--stats", str(tmp_path / "s.json")],
     ]
     for argv in cases:
         assert run(argv) == 2
@@ -156,19 +162,6 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
                 "--stats", str(tmp_path / "s.json")])
     assert code == 1
     assert "verify: FAIL (forced" in capsys.readouterr().err
-
-
-def test_worker_env_and_flag(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    monkeypatch.setenv("TENDIST_WORKERS", "4")
-    assert run(["--algorithm", "johnson", "--stats", str(a)]) == 0
-    monkeypatch.delenv("TENDIST_WORKERS")
-    assert run(["--algorithm", "johnson", "--workers", "2",
-                "--stats", str(b)]) == 0
-    sa, sb = json.loads(a.read_text()), json.loads(b.read_text())
-    sa.pop("generated_at")
-    sb.pop("generated_at")
-    assert sa == sb
 
 
 def test_kernel_shapes_run(tmp_path):

@@ -13,7 +13,7 @@ from tendist import (
     pretty,
 )
 from tendist.cin import interpret
-from tendist.distribution import full_rect, subtract_rects, validate
+from tendist.distribution import full_rect, subtract_rects
 from tendist.errors import (
     ConfigError,
     DuplicateName,
@@ -273,15 +273,6 @@ def test_color_of_bounds_checked():
         d.color_of((4, 0))
     with pytest.raises(RankMismatch):
         d.color_of((1,))
-
-
-def test_validate_rechecks():
-    d = TensorDistribution((4, 4), grid(2), [(("x", "y"), ("x",))])
-    validate(d, (4, 4), grid(2))
-    with pytest.raises(RankMismatch):
-        validate(d, (4, 5), grid(2))
-    with pytest.raises(RankMismatch):
-        validate(d, (4, 4), grid(3))
 
 
 # placement lowering

@@ -32,9 +32,6 @@ def test_hierarchical_machine():
     assert m.size == 12
     assert str(m) == "2x2/3"
     assert m.level_slices() == [(0, 2), (2, 3)]
-    # flattening keeps the processor set and order
-    assert m.flatten().enumerate() == m.enumerate()
-    assert m.flatten().num_levels == 1
 
 
 def test_empty_machine_rejected():

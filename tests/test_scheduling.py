@@ -38,7 +38,6 @@ from tendist.scheduling import (
     distribute,
     distribute_grid,
     divide,
-    parallelize,
     reorder,
     rotate,
     split,
@@ -162,12 +161,6 @@ def test_distribute_marks():
         distribute(cin, "nope")
 
 
-def test_parallelize_marks():
-    out = parallelize(lower_to_cin(gemm()), "i")
-    assert any(r for r in relations_of(out) if getattr(r, "var", "") == "i")
-    assert unchanged(gemm(), out)
-
-
 def test_distribute_grid_compound():
     stmt = gemm(6)
     out = distribute_grid(lower_to_cin(stmt), ("i", "j"), ("io", "jo"),
@@ -278,6 +271,34 @@ def test_schedule_steps_descriptions():
                                      "communicate({A, B}, io)"]
     assert "s.t. divide(i, io, ii, 2)" in pretty(steps[0][1])
 
+    # every script word and its builder call build the same command
+    cases = [
+        ("split k ko ki 2", schedule().split("k", "ko", "ki", 2),
+         "split(k, ko, ki, 2)"),
+        ("divide i io ii 2", schedule().divide("i", "io", "ii", 2),
+         "divide(i, io, ii, 2)"),
+        ("reorder k i j", schedule().reorder("k", "i", "j"), "reorder(k, i, j)"),
+        ("distribute i", schedule().distribute("i"), "distribute(i)"),
+        ("distribute i,j io,jo ii,ji 2x2",
+         schedule().distribute_grid(["i", "j"], ["io", "jo"], ["ii", "ji"], [2, 2]),
+         "distribute_grid({i, j}, {io, jo}, {ii, ji}, {2, 2})"),
+        ("distribute_grid i,j io,jo ii,ji 2x2",
+         schedule().distribute_grid(["i", "j"], ["io", "jo"], ["ii", "ji"], [2, 2]),
+         "distribute_grid({i, j}, {io, jo}, {ii, ji}, {2, 2})"),
+        ("communicate A,B i", schedule().communicate(("A", "B"), "i"),
+         "communicate({A, B}, i)"),
+        ("rotate k i,j kr", schedule().rotate("k", ("i", "j"), "kr"),
+         "rotate(k, {i, j}, kr)"),
+        ("leaf k interpreter", schedule().substitute_leaf(("k",), "interpreter"),
+         "leaf(k, interpreter)"),
+    ]
+    for text, built, desc in cases:
+        parsed = parse_schedule(text)
+        assert parsed.commands == built.commands, text
+        got = parsed.steps(lower_to_cin(gemm()))
+        assert [d for d, _ in got] == [d for d, _ in built.steps(lower_to_cin(gemm()))]
+        assert got[0][0] == desc
+
 
 def test_schedule_is_immutable():
     base = schedule()
@@ -340,6 +361,27 @@ def test_parse_schedule_errors_carry_line():
         parse_schedule("split k ko ki two")
     with pytest.raises(ConfigError):
         parse_schedule("distribute a b")
+    bad = [
+        # a trailing token after every script word's full argument list
+        "split k ko ki 2 extra",
+        "divide i io ii 2 extra",
+        "distribute io extra",
+        "distribute i,j io,jo ii,ji 2x2 extra",
+        "distribute_grid i,j io,jo ii,ji 2x2 extra",
+        "communicate A,B ko junk",
+        "rotate ko io,jo kos extra",
+        "leaf ii,ji,ki interpreter extra",
+        # reorder takes any number of names, but at least one
+        "reorder",
+        # parallelize is not a command
+        "parallelize i",
+    ]
+    for text in bad:
+        with pytest.raises(ConfigError) as err:
+            parse_schedule("# header\n\n" + text)
+        assert "line 3" in str(err.value), text
+    with pytest.raises(ConfigError, match="unknown command 'parallelize'"):
+        parse_schedule("parallelize i")
 
 
 # randomized equivalence: scheduled loop nests always compute the same values
@@ -360,7 +402,7 @@ def _random_chain(rng, stmt, cin):
         names = [f.var for f in _chain(body_of(cin))]
         if not names:
             break
-        kind = rng.choice(["split", "divide", "reorder", "rotate", "parallelize"])
+        kind = rng.choice(["split", "divide", "reorder", "rotate"])
         try:
             if kind == "split":
                 v = rng.choice(names)
@@ -378,15 +420,13 @@ def _random_chain(rng, stmt, cin):
                 win = names[at:at + take]
                 rng.shuffle(win)
                 cin = reorder(cin, win)
-            elif kind == "rotate":
+            else:
                 if len(names) < 2:
                     continue
                 at = rng.randrange(1, len(names))
                 n = next(fresh)
                 over = tuple(rng.sample(names[:at], rng.randint(1, min(2, at))))
                 cin = rotate(cin, names[at], over, f"r{n}")
-            else:
-                cin = parallelize(cin, rng.choice(names))
         except (NotContiguousNest, ConfigError):
             continue
     return cin

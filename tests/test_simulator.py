@@ -180,15 +180,6 @@ def test_edge_csv(tmp_path):
     assert sum(int(r[3]) for r in rows[1:]) == 32
 
 
-def test_worker_count_changes_nothing():
-    stmt, machine, dists, inputs, sched = _gemm_setup()
-    one = run_statement(stmt, machine, dists, inputs, sched, workers=1)
-    four = run_statement(stmt, machine, dists, inputs, sched, workers=4)
-    assert np.array_equal(one.output.data, four.output.data)
-    assert one.trace.events == four.trace.events
-    assert one.trace.memory == four.trace.memory
-
-
 def test_verify_catches_tampering():
     stmt, machine, dists, inputs, sched = _gemm_setup()
     res = run_statement(stmt, machine, dists, inputs, sched)
