@@ -489,7 +489,7 @@ def bundle_from_config(name: str, machine: Machine = None, dims=None,
         return solomonik(gx, gy, gz, dims=gemm_dims)
     if key == "cosma-like":
         par = _flat(machine or grid(2, 2, 1), 3, key)
-        return cosma_like(par, (1, 1, max(1, chunk)), dims=gemm_dims)
+        return cosma_like(par, (1, 1, chunk), dims=gemm_dims)
     if key == "summa-hier":
         if machine is not None and machine != make_machine([(2, 2), (2,)]):
             raise ConfigError(f"summa-hier runs on the 2x2/2 machine, got {machine}")

@@ -10,14 +10,23 @@ Derived-variable arithmetic:
     divide(i, io, ii, parts): i = io * ceil(extent/parts) + ii, guarded i < extent
     split(i, io, ii, chunk):  i = io * chunk + ii, guarded i < extent
     rotate(t, I, r):          t = (r + sum(I)) mod extent(t)
+
+One resolver, `var_interval`, carries that arithmetic from loop-variable
+intervals to derived-variable intervals; the simulator asks it for the box a
+task touches. The interpreter binds each loop variable to the unit interval
+(v, v + 1), so a derived variable comes out as a unit interval, or empty where
+a divide or split guard fails: that point is phantom and does nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import OOBAccess, TendistError, UnboundVariable
-from .ir import Access, Add, Const, Mul, TensorIndexStmt, accesses_of, format_expr
+from .ir import Access, TensorIndexStmt, accesses_of, eval_expr, format_expr
 from .tensors import DenseTensor
 
 
@@ -213,10 +222,8 @@ def claimed_names(stmt) -> set:
     """Every variable name the statement already uses, loop-bound or derived."""
     names = set(bound_vars(stmt))
     for rel in relations_of(stmt):
-        if isinstance(rel, (Split, Divide)):
-            names.update((rel.var, rel.outer, rel.inner))
-        elif isinstance(rel, Rotate):
-            names.update((rel.target, rel.result, *rel.over))
+        if isinstance(rel, (Split, Divide, Rotate)):
+            names.update(_relation_names(rel))
     for leaf in leaf_statements(stmt):
         for acc in leaf_accesses(leaf):
             names.update(acc.var_names)
@@ -245,6 +252,7 @@ def leaf_accesses(leaf) -> list:
 
 def check_statement(stmt) -> None:
     """Well-formedness: unique binders per path, resolvable access variables."""
+    defs = relation_defs(relations_of(stmt))
 
     def check_path(node, bound):
         if isinstance(node, Suchthat):
@@ -257,83 +265,98 @@ def check_statement(stmt) -> None:
                 raise TendistError(f"{node.var} bound twice on one path")
             check_path(node.body, bound | {node.var})
         else:
-            defs = relation_defs(relations_of(stmt))
-
-            def resolvable(name, seen=frozenset()):
-                if name in bound:
-                    return True
-                if name in seen:
-                    return False
-                rel = defs.get(name)
-                if rel is None:
-                    return False
-                seen = seen | {name}
-                if isinstance(rel, (Split, Divide)):
-                    return resolvable(rel.outer, seen) and resolvable(rel.inner, seen)
-                return resolvable(rel.result, seen) and all(resolvable(v, seen) for v in rel.over)
-
+            env = dict.fromkeys(bound, (0, 1))
             for acc in leaf_accesses(node):
                 for v in acc.var_names:
-                    if not resolvable(v):
-                        raise UnboundVariable(f"{v} is neither loop-bound nor derivable")
+                    var_interval(v, env, defs)
 
     check_path(body_of(stmt), set())
 
 
 # derived-variable resolution
 
+def _relation_names(rel) -> tuple:
+    """Variable a split, divide or rotate defines, then its operands."""
+    if isinstance(rel, Rotate):
+        return (rel.target, rel.result, *rel.over)
+    return (rel.var, rel.outer, rel.inner)
+
+
 def relation_defs(relations) -> dict:
+    """Defining relation of each derived variable; rejects two definitions of
+    one variable and definitions that depend on themselves."""
     defs = {}
     for rel in relations:
-        if isinstance(rel, (Split, Divide)):
-            if rel.var in defs:
-                raise TendistError(f"{rel.var} defined by two relations")
-            defs[rel.var] = rel
-        elif isinstance(rel, Rotate):
-            if rel.target in defs:
-                raise TendistError(f"{rel.target} defined by two relations")
-            defs[rel.target] = rel
+        if isinstance(rel, (Split, Divide, Rotate)):
+            name = _relation_names(rel)[0]
+            if name in defs:
+                raise TendistError(f"{name} defined by two relations")
+            defs[name] = rel
+
+    def visit(name, path):
+        if name in path:
+            raise TendistError(f"relations define {name} in terms of itself")
+        if name in defs:
+            for v in _relation_names(defs[name])[1:]:
+                visit(v, path + (name,))
+
+    for name in defs:
+        visit(name, ())
     return defs
 
 
-_PHANTOM = object()
+def var_interval(name: str, env: dict, defs: dict) -> tuple:
+    """Half-open [lo, hi) of values `name` can take under interval env.
 
-
-def resolve_var(name: str, env: dict, defs: dict):
-    """Value of `name` under env, or _PHANTOM when a divide/split guard fails."""
-    if name in env:
-        return env[name]
+    Loop variables carry their range (a pinned variable is a unit interval);
+    derived variables go through their defining relation, clipped by the
+    guard extent. Intervals can come out empty at ragged edges.
+    """
+    iv = env.get(name)
+    if iv is not None:
+        return iv
     rel = defs.get(name)
     if rel is None:
-        raise UnboundVariable(f"no binding or relation for {name}")
-    if isinstance(rel, (Split, Divide)):
-        o = resolve_var(rel.outer, env, defs)
-        i = resolve_var(rel.inner, env, defs)
-        if o is _PHANTOM or i is _PHANTOM:
-            return _PHANTOM
-        val = o * rel.block + i
-        return val if val < rel.extent else _PHANTOM
-    r = resolve_var(rel.result, env, defs)
-    if r is _PHANTOM:
-        return _PHANTOM
-    off = 0
-    for v in rel.over:
-        x = resolve_var(v, env, defs)
-        if x is _PHANTOM:
-            return _PHANTOM
-        off += x
-    return (r + off) % rel.extent
+        raise UnboundVariable(f"{name} is neither loop-bound nor derivable")
+    if isinstance(rel, Rotate):
+        lo, hi = var_interval(rel.result, env, defs)
+        unit, empty = hi - lo == 1, lo >= hi
+        for v in rel.over:
+            a, b = var_interval(v, env, defs)
+            lo += a
+            unit = unit and b - a == 1
+            empty = empty or a >= b
+        if empty:
+            return (0, 0)
+        if unit:
+            lo %= rel.extent
+            return (lo, lo + 1)
+        return (0, rel.extent)
+    olo, ohi = var_interval(rel.outer, env, defs)
+    ilo, ihi = var_interval(rel.inner, env, defs)
+    if olo >= ohi or ilo >= ihi:
+        return (0, 0)
+    b = rel.block
+    lo = olo * b + ilo
+    hi = (ohi - 1) * b + ihi
+    return (min(lo, rel.extent), min(hi, rel.extent))
 
 
 def resolve_point(names, env: dict, defs: dict):
-    """Resolved values for all names, or None when the point is phantom."""
+    """Integer values of all names under a unit-interval env, or None when
+    the point is phantom (some name's interval is empty)."""
     out = {}
     for n in names:
-        v = resolve_var(n, env, defs)
-        if v is _PHANTOM:
+        lo, hi = var_interval(n, env, defs)
+        if lo >= hi:
             return None
-        out[n] = v
+        out[n] = lo
     return out
+
+
+def unit_env(env: dict) -> dict:
+    """Interval env pinning each variable of an integer env."""
+    return {k: (v, v + 1) for k, v in env.items()}
 
 
 # leaf kernel plugin registry
@@ -367,49 +390,53 @@ class LeafRuntime:
     read_store: dict
     out_store: dict
 
+    @cached_property
+    def _run(self):
+        return _leaf_runner(self.stmt, self.read_store, self.out_store)
+
     def resolve(self, names, env):
-        return resolve_point(names, env, self.defs)
+        return resolve_point(names, unit_env(env), self.defs)
 
     def execute_point(self, env) -> None:
-        _run_leaf(self.stmt, env, self.defs, self.read_store, self.out_store)
+        self._run(unit_env(env), self.defs)
 
 
-def _eval_resolved(expr, resolved: dict, store: dict) -> float:
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Access):
-        coord = tuple(resolved[v] for v in expr.var_names)
-        t = store[expr.tensor.name]
-        for c, d in zip(coord, t.dims):
-            if not 0 <= c < d:
-                raise OOBAccess(f"{expr.tensor.name}{coord} outside dims {t.dims}")
-        return float(t.data[coord])
-    if isinstance(expr, Add):
-        return _eval_resolved(expr.lhs, resolved, store) + _eval_resolved(expr.rhs, resolved, store)
-    if isinstance(expr, Mul):
-        return _eval_resolved(expr.lhs, resolved, store) * _eval_resolved(expr.rhs, resolved, store)
-    raise TendistError(f"cannot evaluate {expr!r}")
-
-
-def _run_leaf(leaf, env, defs, read_store, out_store) -> None:
+def _leaf_runner(leaf, read_store, out_store):
+    """Executor of one leaf at one point of a unit-interval env; the leaf's
+    names and index bounds are gathered once, and a phantom point does nothing.
+    """
     if isinstance(leaf, Place):
-        return
-    names = set(leaf.lhs.var_names)
-    for acc in accesses_of(leaf.rhs):
-        names.update(acc.var_names)
-    resolved = resolve_point(names, env, defs)
-    if resolved is None:
-        return
-    out = out_store[leaf.lhs.tensor.name]
-    coord = tuple(resolved[v] for v in leaf.lhs.var_names)
-    for c, d in zip(coord, out.dims):
-        if not 0 <= c < d:
-            raise OOBAccess(f"{leaf.lhs.tensor.name}{coord} outside dims {out.dims}")
-    val = _eval_resolved(leaf.rhs, resolved, read_store)
-    if isinstance(leaf, Assign):
-        out.data[coord] = val
-    else:
-        out.data[coord] += val
+        return lambda env, defs: None
+    accesses = [(leaf.lhs, out_store)] + [(a, read_store) for a in accesses_of(leaf.rhs)]
+    names = tuple(dict.fromkeys(v for a, _ in accesses for v in a.var_names))
+    shaped = [(a, store[a.tensor.name].dims) for a, store in accesses
+              if a.tensor.name in store]
+    limit: dict = {}
+    for a, dims in shaped:
+        for v, d in zip(a.var_names, dims):
+            limit[v] = min(limit.get(v, d), d)
+    limits = tuple(limit.items())
+    lhs, rhs = leaf.lhs.var_names, leaf.rhs
+    out = out_store[leaf.lhs.tensor.name].data
+    assign = isinstance(leaf, Assign)
+
+    def run(env, defs):
+        at = resolve_point(names, env, defs)
+        if at is None:
+            return
+        for v, d in limits:  # d: the smallest dimension v indexes
+            if not 0 <= at[v] < d:
+                for a, dims in shaped:
+                    coord = tuple(at[n] for n in a.var_names)
+                    if not all(0 <= c < e for c, e in zip(coord, dims)):
+                        raise OOBAccess(f"{a.tensor.name}{coord} outside dims {dims}")
+        coord = tuple(at[v] for v in lhs)
+        if assign:
+            out[coord] = eval_expr(rhs, at, read_store)
+        else:
+            out[coord] += eval_expr(rhs, at, read_store)
+
+    return run
 
 
 def interpret(stmt, store: dict) -> dict:
@@ -423,6 +450,7 @@ def interpret(stmt, store: dict) -> dict:
     produced: dict = {}
     rels = relations_of(stmt)
     kernels = {rel.vars[0]: rel for rel in rels if isinstance(rel, LeafKernel)}
+    runners: dict = {}  # id of a leaf statement -> its _leaf_runner
 
     def kernel_for(node):
         rel = kernels.get(node.var)
@@ -433,12 +461,14 @@ def interpret(stmt, store: dict) -> dict:
             raise TendistError(f"leaf kernel {rel.kernel!r} is not registered")
         return fn
 
-    def ensure_outputs(node, out_store):
+    def prepare(node, out_store):
         for leaf in leaf_statements(node):
             if isinstance(leaf, (Assign, Reduce)):
                 t = leaf.lhs.tensor
                 if t.name not in out_store:
                     out_store[t.name] = DenseTensor(t.dims)
+            if isinstance(leaf, (Assign, Reduce, Place)):
+                runners[id(leaf)] = _leaf_runner(leaf, read_store, out_store)
 
     def walk(node, env, defs, out_store):
         if isinstance(node, Suchthat):
@@ -446,7 +476,7 @@ def interpret(stmt, store: dict) -> dict:
         elif isinstance(node, Seq):
             for s in node.stmts:
                 local_out: dict = {}
-                ensure_outputs(s, local_out)
+                prepare(s, local_out)
                 walk(s, env, defs, local_out)
                 read_store.update(local_out)
                 produced.update(local_out)
@@ -454,20 +484,22 @@ def interpret(stmt, store: dict) -> dict:
             fn = kernel_for(node)
             if fn is not None:
                 loops, leaf = _leaf_nest(node)
-                fn(LeafRuntime(loops, leaf, dict(env), defs, read_store, out_store))
+                ints = {k: lo for k, (lo, _) in env.items()}
+                fn(LeafRuntime(loops, leaf, ints, defs, read_store, out_store))
                 return
             for v in range(node.lo, node.hi):
-                env[node.var] = v
+                env[node.var] = (v, v + 1)
                 walk(node.body, env, defs, out_store)
             env.pop(node.var, None)
         else:
-            _run_leaf(node, env, defs, read_store, out_store)
+            runners[id(node)](env, defs)
 
     top = body_of(stmt)
     out_store: dict = {}
     if not isinstance(top, Seq):
-        ensure_outputs(top, out_store)
-    walk(top, {}, relation_defs(rels), out_store)
+        prepare(top, out_store)
+    with np.errstate(over="ignore", invalid="ignore"):
+        walk(top, {}, relation_defs(rels), out_store)
     produced.update(out_store)
     return {**store, **produced}
 

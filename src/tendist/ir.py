@@ -183,21 +183,19 @@ def format_statement(stmt: TensorIndexStmt) -> str:
     return f"{format_expr(stmt.lhs)} = {format_expr(stmt.rhs)}"
 
 
-def _eval_box(expr: Expr, index: dict, store: dict):
-    """Value of `expr` over the whole free-variable box at one reduction point.
-
-    `index` maps each free variable to an arange shaped to broadcast along its
-    own axis and each reduction variable to an int, so an Access is a single
-    gather and a repeated variable reads a diagonal.
+def eval_expr(expr: Expr, index: dict, store: dict):
+    """Value of `expr` with each variable mapped to an index value: an int
+    (one point) or an arange shaped to broadcast along its own axis (a box),
+    so an Access is a single gather and a repeated variable reads a diagonal.
     """
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Access):
         return store[expr.tensor.name].data[tuple(index[v.name] for v in expr.indices)]
     if isinstance(expr, Add):
-        return _eval_box(expr.lhs, index, store) + _eval_box(expr.rhs, index, store)
+        return eval_expr(expr.lhs, index, store) + eval_expr(expr.rhs, index, store)
     if isinstance(expr, Mul):
-        return _eval_box(expr.lhs, index, store) * _eval_box(expr.rhs, index, store)
+        return eval_expr(expr.lhs, index, store) * eval_expr(expr.rhs, index, store)
     raise TendistError(f"cannot evaluate {expr!r}")
 
 
@@ -232,9 +230,9 @@ def sequential_evaluate(stmt: TensorIndexStmt, inputs: dict) -> DenseTensor:
         red_ext = [stmt.extents[v] for v in stmt.reduction_vars]
         for red_pt in itertools.product(*[range(e) for e in red_ext]):
             index.update(zip(stmt.reduction_vars, red_pt))
-            value += _eval_box(stmt.rhs, index, inputs)
+            value += eval_expr(stmt.rhs, index, inputs)
     else:
-        value = _eval_box(stmt.rhs, index, inputs)
+        value = eval_expr(stmt.rhs, index, inputs)
     out.data[tuple(index[v.name] for v in stmt.lhs.indices)] = value
     return out
 

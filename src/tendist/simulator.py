@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cin import (
-    Assign,
     Communicate,
     Distribute,
     Forall,
@@ -32,6 +31,8 @@ from .cin import (
     lower_to_cin,
     relation_defs,
     relations_of,
+    unit_env,
+    var_interval,
     with_relations,
 )
 from .distribution import HyperRect, TensorDistribution, subtract_rects
@@ -44,7 +45,6 @@ from .errors import (
     NonAffineAccess,
     OOBAccess,
     OverlappingWrites,
-    UnboundVariable,
     VerifyFail,
     WriteToReplica,
 )
@@ -54,39 +54,6 @@ from .tensors import DenseTensor
 
 
 # interval bounds for loop nests
-
-def var_interval(name: str, env: dict, defs: dict) -> tuple:
-    """Half-open [lo, hi) of values `name` can take under interval env.
-
-    Loop variables carry their range (a pinned variable is a unit interval);
-    derived variables go through their defining relation, clipped by the
-    guard extent. Intervals can come out empty at ragged edges.
-    """
-    if name in env:
-        return env[name]
-    rel = defs.get(name)
-    if rel is None:
-        raise UnboundVariable(f"no range for {name}")
-    if hasattr(rel, "outer"):
-        olo, ohi = var_interval(rel.outer, env, defs)
-        ilo, ihi = var_interval(rel.inner, env, defs)
-        if olo >= ohi or ilo >= ihi:
-            return (0, 0)
-        b = rel.block
-        lo = olo * b + ilo
-        hi = (ohi - 1) * b + ihi
-        return (min(lo, rel.extent), min(hi, rel.extent))
-    rlo, rhi = var_interval(rel.result, env, defs)
-    if rlo >= rhi:
-        return (0, 0)
-    offsets = [var_interval(v, env, defs) for v in rel.over]
-    if any(a >= b for a, b in offsets):
-        return (0, 0)
-    if rhi - rlo == 1 and all(b - a == 1 for a, b in offsets):
-        v = (rlo + sum(a for a, _ in offsets)) % rel.extent
-        return (v, v + 1)
-    return (0, rel.extent)
-
 
 def access_rect(access: Access, env: dict, defs: dict):
     """Index box one access touches under interval env; None when empty."""
@@ -483,10 +450,7 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
     tasks = []
     for coord in itertools.product(*(range(f.lo, f.hi) for f in group)):
         env = {f.var: c for f, c in zip(group, coord)}
-        ivals = dict(intervals)
-        for v, c in env.items():
-            ivals[v] = (c, c + 1)
-        rect = access_rect(out_access, ivals, defs)
+        rect = access_rect(out_access, {**intervals, **unit_env(env)}, defs)
         tasks.append(TaskInfo(coord, env, rect))
 
     if out_kind == "copy":
@@ -581,9 +545,7 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
     for s in range(plan.num_steps):
         cur_temps: dict = {}
         for task in plan.tasks:
-            launch_ivals = dict(plan.intervals)
-            for v, c in task.env.items():
-                launch_ivals[v] = (c, c + 1)
+            launch_ivals = {**plan.intervals, **unit_env(task.env)}
             step_ivals = dict(launch_ivals)
             if plan.step_var is not None:
                 step_ivals[plan.step_var.var] = (s, s + 1)

@@ -10,7 +10,6 @@ import random
 import numpy as np
 
 from tendist import (
-    DenseTensor,
     TensorDistribution,
     cannon,
     cosma_like,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from tendist.cin import (
     Suchthat,
     add_relations,
     check_statement,
-    forall,
     interpret,
     leaf_kernel_registered,
     pretty,
@@ -27,11 +28,10 @@ from tendist.cin import (
     register_leaf_kernel,
     relation_defs,
     resolve_point,
-    resolve_var,
+    var_interval,
     with_relations,
 )
-from tendist.cin import _PHANTOM
-from tendist.errors import TendistError, UnboundVariable
+from tendist.errors import OOBAccess, TendistError, UnboundVariable
 from tendist.ir import TensorVar, build_statement, format_statement
 
 
@@ -100,24 +100,36 @@ def test_divide_guard_skips_phantom_points():
     assert out["D"].data.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
+def units(**values):
+    """Interpreter env: each loop variable pinned to a unit interval."""
+    return {k: (v, v + 1) for k, v in values.items()}
+
+
+def empty(interval):
+    return interval[0] >= interval[1]
+
+
 def test_resolve_split_divide():
     defs = relation_defs((Split("k", "ko", "ki", 2, 5),))
-    assert resolve_var("k", {"ko": 1, "ki": 1}, defs) == 3
-    assert resolve_var("k", {"ko": 2, "ki": 0}, defs) == 4
-    assert resolve_var("k", {"ko": 2, "ki": 1}, defs) is _PHANTOM
+    assert var_interval("k", units(ko=1, ki=1), defs) == (3, 4)
+    assert var_interval("k", units(ko=2, ki=0), defs) == (4, 5)
+    assert empty(var_interval("k", units(ko=2, ki=1), defs))  # phantom
     defs = relation_defs((Divide("k", "ko", "ki", 2, 5),))
     # divide of 5 in 2 parts uses block ceil(5/2) == 3
-    assert resolve_var("k", {"ko": 1, "ki": 0}, defs) == 3
-    assert resolve_var("k", {"ko": 1, "ki": 2}, defs) is _PHANTOM
+    assert var_interval("k", units(ko=1, ki=0), defs) == (3, 4)
+    assert empty(var_interval("k", units(ko=1, ki=2), defs))
 
 
 def test_resolve_rotate():
     defs = relation_defs((Rotate("ko", ("io", "jo"), "kos", 3),))
-    assert resolve_var("ko", {"kos": 0, "io": 1, "jo": 1}, defs) == 2
-    assert resolve_var("ko", {"kos": 2, "io": 2, "jo": 2}, defs) == 0
+    assert var_interval("ko", units(kos=0, io=1, jo=1), defs) == (2, 3)
+    assert var_interval("ko", units(kos=2, io=2, jo=2), defs) == (0, 1)
     # rotation covers every value exactly once as kos sweeps
-    seen = {resolve_var("ko", {"kos": s, "io": 1, "jo": 0}, defs) for s in range(3)}
-    assert seen == {0, 1, 2}
+    seen = {var_interval("ko", units(kos=s, io=1, jo=0), defs) for s in range(3)}
+    assert seen == {(0, 1), (1, 2), (2, 3)}
+    # every operand is resolved, even when an earlier one is already empty
+    with pytest.raises(UnboundVariable):
+        var_interval("ko", {"kos": (0, 0), "io": (0, 1)}, defs)
 
 
 def test_resolve_chains_through_relations():
@@ -126,13 +138,28 @@ def test_resolve_chains_through_relations():
         Divide("ki", "kio", "kii", 2, 4),
     ))
     # k = ko*4 + kio*2 + kii
-    assert resolve_var("k", {"ko": 1, "kio": 1, "kii": 1}, defs) == 7
-    assert resolve_point(["k"], {"ko": 1, "kio": 1, "kii": 1}, defs) == {"k": 7}
+    assert var_interval("k", units(ko=1, kio=1, kii=1), defs) == (7, 8)
+    assert resolve_point(["k"], units(ko=1, kio=1, kii=1), defs) == {"k": 7}
+    # ki = 2*2 + 0 fails its guard, so the point is phantom
+    assert resolve_point(["k"], units(ko=1, kio=2, kii=0), defs) is None
 
 
 def test_resolve_unbound_raises():
     with pytest.raises(UnboundVariable):
-        resolve_var("q", {}, {})
+        var_interval("q", {}, {})
+
+
+def test_relation_cycle_rejected():
+    # x is defined from y and y from x
+    cycle = (Divide("x", "xo", "y", 2, 2), Divide("y", "x", "xi", 2, 2))
+    with pytest.raises(TendistError, match="itself"):
+        relation_defs(cycle)
+    D, A = TensorVar("D", (2,)), TensorVar("A", (2,))
+    stmt = Suchthat(Forall("xo", 0, 2, Forall("xi", 0, 2, Assign(D("x"), A("x")))), cycle)
+    with pytest.raises(TendistError, match="itself"):
+        check_statement(stmt)
+    with pytest.raises(TendistError, match="itself"):
+        interpret(stmt, {"A": DenseTensor((2,), [1.0, 2.0])})
 
 
 def test_duplicate_definition_rejected():
@@ -153,6 +180,37 @@ def test_check_statement_rejects_unresolvable():
     with pytest.raises(UnboundVariable):
         check_statement(body)  # x never derivable without the divide relation
     check_statement(with_relations(body, (Divide("x", "xo", "xi", 2, 4),)))
+
+
+def test_interpret_oob_access_raises():
+    # lhs: D has 3 elements, the loop reaches x == 3
+    D3, A4 = TensorVar("D", (3,)), TensorVar("A", (4,))
+    a = DenseTensor((4,), [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(OOBAccess, match=r"D\(3,\) outside dims \(3,\)"):
+        interpret(Forall("x", 0, 4, Assign(D3("x"), A4("x"))), {"A": a})
+    # rhs: A has 3 elements, the loop reaches x == 3
+    D4, A3 = TensorVar("D", (4,)), TensorVar("A", (3,))
+    a = DenseTensor((3,), [1.0, 2.0, 3.0])
+    with pytest.raises(OOBAccess, match=r"A\(3,\) outside dims \(3,\)"):
+        interpret(Forall("x", 0, 4, Assign(D4("x"), A3("x"))), {"A": a})
+    # a negative coordinate is out of bounds too, not a wrapped numpy index
+    with pytest.raises(OOBAccess, match=r"D\(-1,\)"):
+        interpret(Forall("x", -1, 2, Reduce(D4("x"), A3("x"))), {"A": a})
+
+
+def test_interpret_inf_nan_inputs_are_silent():
+    # 1e308 * 1e308 overflows and inf * 0 is NaN; neither may warn
+    stmt = gemm(2)
+    ins = {"A": DenseTensor((2, 2), [[1e308, 1.0], [np.inf, 2.0]]),
+           "B": DenseTensor((2, 2), [[1e308, 0.0], [3.0, 1.0]])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = interpret(lower_to_cin(stmt), ins)
+    with np.errstate(all="ignore"):
+        expected = sequential_evaluate(stmt, ins)
+    np.testing.assert_array_equal(out["C"].data, expected.data)
+    assert out["C"].data.tolist()[0] == [np.inf, 1.0]
+    assert np.isnan(out["C"].data[1, 1])
 
 
 def test_with_relations_flattens_nesting():

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from tendist.cli import main
 from tendist.errors import VerifyFail
 
@@ -145,6 +143,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "--schedule", "divide i io ii 2; distribute io"],
         # ttv indexes three variables, not two
         ["--algorithm", "ttv", "--dims", "4x4", "--stats", str(tmp_path / "s.json")],
+        # cosma-like takes the chunk as its sequential k factor
+        ["--algorithm", "cosma-like", "--chunk", "0", "--stats", str(tmp_path / "s.json")],
+        ["--algorithm", "cosma-like", "--chunk", "-3", "--stats", str(tmp_path / "s.json")],
     ]
     for argv in cases:
         assert run(argv) == 2

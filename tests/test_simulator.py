@@ -12,7 +12,6 @@ from tendist import (
     TensorDistribution,
     access_rect,
     grid,
-    lower_to_cin,
     parse_statement,
     redistribute,
     run_statement,
