@@ -1,10 +1,11 @@
 """Concrete index notation: explicit loop nests plus side relations.
 
-Statements are trees of Forall / Assign / Reduce / Place / Seq with an
-optional Suchthat wrapper carrying relations (divide, split, distribute,
-rotate, communicate, leaf kernels). Relations name the variables they govern,
-so the package canonicalizes them onto a single root Suchthat; nested
-Suchthat nodes are flattened on construction.
+A statement is one chain of Foralls over one leaf (Assign, Reduce or Place),
+with an optional root Suchthat carrying the relations (divide, split,
+distribute, rotate, communicate, leaf kernels). Relations name the variables
+they govern, so they all live on that root: with_relations flattens nested
+Suchthats on construction, and forall_chain, the one walker every pass uses,
+rejects any other shape.
 
 Derived-variable arithmetic:
     divide(i, io, ii, parts): i = io * ceil(extent/parts) + ii, guarded i < extent
@@ -115,17 +116,12 @@ class Place:
 
 
 @dataclass(frozen=True)
-class Seq:
-    stmts: tuple
-
-
-@dataclass(frozen=True)
 class Suchthat:
     body: "CinStmt"
     relations: tuple
 
 
-CinStmt = object  # union of the six node classes
+CinStmt = object  # union of the five node classes
 
 
 def forall(var: str, extent: int, body) -> Forall:
@@ -156,121 +152,70 @@ def lower_to_cin(stmt: TensorIndexStmt):
     """One Forall per variable (free vars then reduction vars), reduction
     statements become `+=` over a zero-initialized output."""
     leaf = Reduce(stmt.lhs, stmt.rhs) if stmt.reduction_vars else Assign(stmt.lhs, stmt.rhs)
-    node = leaf
-    for name in reversed(stmt.var_order):
-        node = forall(name, stmt.extents[name], node)
-    return node
+    return rebuild_chain([forall(n, stmt.extents[n], None) for n in stmt.var_order], leaf)
 
 
 # structure helpers
 
 def forall_chain(stmt):
-    """Directly nested Foralls from the root (after any Suchthat), plus the
-    statement below them."""
+    """The Foralls from the root (after its Suchthat), outermost first, and
+    the leaf below them; any other shape raises TendistError."""
     node = body_of(stmt)
     chain = []
     while isinstance(node, Forall):
         chain.append(node)
         node = node.body
+    if not isinstance(node, (Assign, Reduce, Place)):
+        raise TendistError(
+            f"a {type(node).__name__} sits below the loops; a statement is one "
+            "chain of Foralls over one leaf, with relations on the root only")
     return chain, node
 
 
-def rebuild_chain(chain, innermost):
-    node = innermost
+def rebuild_chain(chain, leaf):
+    """Nest the chain's loops, outermost first, over leaf; the loops' own
+    bodies are ignored, so a new loop may be built with body None."""
+    node = leaf
     for f in reversed(chain):
         node = Forall(f.var, f.lo, f.hi, node)
     return node
 
 
-def loop_nest_order(stmt) -> list:
-    """Forall variables outermost to innermost along the single nest."""
-    if isinstance(body_of(stmt), Seq):
-        raise TendistError("statement is a sequence; use loop_nests for per-branch lists")
-    chain, below = forall_chain(stmt)
-    out = [f.var for f in chain]
-    node = below
-    while isinstance(node, Forall):  # non-straight trees cannot occur today
-        out.append(node.var)
-        node = node.body
-    return out
-
-
-def loop_nests(stmt) -> list:
-    """Per-branch loop orders; one list per Seq element."""
-    node = body_of(stmt)
-    if isinstance(node, Seq):
-        out = []
-        for s in node.stmts:
-            out.extend(loop_nests(s))
-        return out
-    return [loop_nest_order(node)]
-
-
 def bound_vars(stmt) -> list:
-    node = body_of(stmt)
-    if isinstance(node, Seq):
-        out = []
-        for s in node.stmts:
-            out.extend(bound_vars(s))
-        return out
-    if isinstance(node, Forall):
-        return [node.var] + bound_vars(node.body)
-    return []
+    return [f.var for f in forall_chain(stmt)[0]]
 
 
 def claimed_names(stmt) -> set:
     """Every variable name the statement already uses, loop-bound or derived."""
-    names = set(bound_vars(stmt))
+    chain, leaf = forall_chain(stmt)
+    names = {f.var for f in chain}
     for rel in relations_of(stmt):
         if isinstance(rel, (Split, Divide, Rotate)):
             names.update(_relation_names(rel))
-    for leaf in leaf_statements(stmt):
-        for acc in leaf_accesses(leaf):
-            names.update(acc.var_names)
+    for acc in leaf_accesses(leaf):
+        names.update(acc.var_names)
     return names
 
 
-def leaf_statements(stmt) -> list:
-    node = body_of(stmt)
-    if isinstance(node, Seq):
-        out = []
-        for s in node.stmts:
-            out.extend(leaf_statements(s))
-        return out
-    while isinstance(node, Forall):
-        node = body_of(node.body)
-    return [node]
-
-
 def leaf_accesses(leaf) -> list:
-    if isinstance(leaf, (Assign, Reduce)):
-        return [leaf.lhs] + accesses_of(leaf.rhs)
     if isinstance(leaf, Place):
         return [leaf.access]
-    raise TendistError(f"not a leaf statement: {leaf!r}")
+    return [leaf.lhs] + accesses_of(leaf.rhs)
 
 
 def check_statement(stmt) -> None:
-    """Well-formedness: unique binders per path, resolvable access variables."""
+    """Well-formedness: one loop chain binding each variable once, and every
+    access variable resolvable."""
     defs = relation_defs(relations_of(stmt))
-
-    def check_path(node, bound):
-        if isinstance(node, Suchthat):
-            check_path(node.body, bound)
-        elif isinstance(node, Seq):
-            for s in node.stmts:
-                check_path(s, set(bound))
-        elif isinstance(node, Forall):
-            if node.var in bound:
-                raise TendistError(f"{node.var} bound twice on one path")
-            check_path(node.body, bound | {node.var})
-        else:
-            env = dict.fromkeys(bound, (0, 1))
-            for acc in leaf_accesses(node):
-                for v in acc.var_names:
-                    var_interval(v, env, defs)
-
-    check_path(body_of(stmt), set())
+    chain, leaf = forall_chain(stmt)
+    env: dict = {}
+    for f in chain:
+        if f.var in env:
+            raise TendistError(f"{f.var} bound twice in the loop chain")
+        env[f.var] = (0, 1)
+    for acc in leaf_accesses(leaf):
+        for v in acc.var_names:
+            var_interval(v, env, defs)
 
 
 # derived-variable resolution
@@ -442,74 +387,45 @@ def _leaf_runner(leaf, read_store, out_store):
 def interpret(stmt, store: dict) -> dict:
     """Execute a CIN statement against a single shared memory.
 
-    Returns the store extended with freshly created outputs; input tensors are
-    never mutated. Within one leaf statement the rhs reads the pre-statement
-    values; across Seq elements outputs become visible to later elements.
+    Returns the store extended with the freshly created output; input tensors
+    are never mutated, and the rhs reads the pre-statement values. The loops
+    from the outermost one a registered leaf kernel claims inward go to that
+    kernel instead of the point walk.
     """
+    chain, leaf = forall_chain(stmt)
+    defs = relation_defs(relations_of(stmt))
     read_store = dict(store)
-    produced: dict = {}
-    rels = relations_of(stmt)
-    kernels = {rel.vars[0]: rel for rel in rels if isinstance(rel, LeafKernel)}
-    runners: dict = {}  # id of a leaf statement -> its _leaf_runner
-
-    def kernel_for(node):
-        rel = kernels.get(node.var)
-        if rel is None or rel.kernel == INTERPRETER_KERNEL:
-            return None
-        fn = _LEAF_KERNELS.get(rel.kernel)
-        if fn is None:
-            raise TendistError(f"leaf kernel {rel.kernel!r} is not registered")
-        return fn
-
-    def prepare(node, out_store):
-        for leaf in leaf_statements(node):
-            if isinstance(leaf, (Assign, Reduce)):
-                t = leaf.lhs.tensor
-                if t.name not in out_store:
-                    out_store[t.name] = DenseTensor(t.dims)
-            if isinstance(leaf, (Assign, Reduce, Place)):
-                runners[id(leaf)] = _leaf_runner(leaf, read_store, out_store)
-
-    def walk(node, env, defs, out_store):
-        if isinstance(node, Suchthat):
-            walk(node.body, env, relation_defs(node.relations) | defs, out_store)
-        elif isinstance(node, Seq):
-            for s in node.stmts:
-                local_out: dict = {}
-                prepare(s, local_out)
-                walk(s, env, defs, local_out)
-                read_store.update(local_out)
-                produced.update(local_out)
-        elif isinstance(node, Forall):
-            fn = kernel_for(node)
-            if fn is not None:
-                loops, leaf = _leaf_nest(node)
-                ints = {k: lo for k, (lo, _) in env.items()}
-                fn(LeafRuntime(loops, leaf, ints, defs, read_store, out_store))
-                return
-            for v in range(node.lo, node.hi):
-                env[node.var] = (v, v + 1)
-                walk(node.body, env, defs, out_store)
-            env.pop(node.var, None)
-        else:
-            runners[id(node)](env, defs)
-
-    top = body_of(stmt)
     out_store: dict = {}
-    if not isinstance(top, Seq):
-        prepare(top, out_store)
+    if not isinstance(leaf, Place):
+        out_store[leaf.lhs.tensor.name] = DenseTensor(leaf.lhs.tensor.dims)
+    run = _leaf_runner(leaf, read_store, out_store)
+    kernels = {rel.vars[0]: rel.kernel for rel in relations_of(stmt)
+               if isinstance(rel, LeafKernel)}
+    cut = next((at for at, f in enumerate(chain)
+                if kernels.get(f.var, INTERPRETER_KERNEL) != INTERPRETER_KERNEL), None)
+    if cut is not None:
+        name = kernels[chain[cut].var]
+        kernel = _LEAF_KERNELS.get(name)
+        if kernel is None:
+            raise TendistError(f"leaf kernel {name!r} is not registered")
+    env: dict = {}  # loop var -> unit interval, one entry per level, set in place
+
+    def walk(depth):
+        if depth == cut:
+            loops = [(f.var, f.lo, f.hi) for f in chain[cut:]]
+            ints = {k: lo for k, (lo, _) in env.items()}
+            kernel(LeafRuntime(loops, leaf, ints, defs, read_store, out_store))
+        elif depth == len(chain):
+            run(env, defs)
+        else:
+            f = chain[depth]
+            for v in range(f.lo, f.hi):
+                env[f.var] = (v, v + 1)
+                walk(depth + 1)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        walk(top, {}, relation_defs(rels), out_store)
-    produced.update(out_store)
-    return {**store, **produced}
-
-
-def _leaf_nest(node):
-    loops = []
-    while isinstance(node, Forall):
-        loops.append((node.var, node.lo, node.hi))
-        node = body_of(node.body) if isinstance(node.body, Suchthat) else node.body
-    return loops, node
+        walk(0)
+    return {**store, **out_store}
 
 
 # pretty printing
@@ -541,8 +457,6 @@ def pretty(stmt) -> str:
     if isinstance(stmt, Suchthat):
         rels = ", ".join(pretty_relation(r) for r in stmt.relations)
         return f"{pretty(stmt.body)} s.t. {rels}" if rels else pretty(stmt.body)
-    if isinstance(stmt, Seq):
-        return " ; ".join(pretty(s) for s in stmt.stmts)
     if isinstance(stmt, Forall):
         head = f"forall({stmt.var}={stmt.lo})" if stmt.lo > 0 and stmt.extent == 1 else f"forall({stmt.var})"
         return f"{head} {pretty(stmt.body)}"

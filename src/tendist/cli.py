@@ -5,7 +5,8 @@ statement (--kernel gemm / --expr "C(i, j) = A(i, k) * B(k, j)" plus
 --machine, --dist per tensor, and a --schedule script). Runs write a stats
 JSON; --verify checks the result against the single-memory reference.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration errors.
+Exit codes: 0 success, 1 verification failure, 2 configuration errors
+(unreadable or unwritable paths included).
 """
 
 from __future__ import annotations
@@ -128,6 +129,8 @@ def _parse_dists(args, stmt, machine) -> dict:
         name, levels = parse_distribution(spec)
         if name not in tensors:
             raise ConfigError(f"--dist names {name}, statement uses {sorted(tensors)}")
+        if name in out:
+            raise ConfigError(f"--dist given twice for {name}")
         out[name] = TensorDistribution(tensors[name].dims, machine, levels)
     missing = sorted(set(tensors) - set(out))
     if missing:
@@ -184,7 +187,7 @@ def _finish(args, result, stmt, inputs, config) -> int:
 
 
 def _run_algorithm(args) -> int:
-    machine = parse_machine(args.machine) if args.machine else None
+    machine = parse_machine(args.machine) if args.machine is not None else None
     dims = None
     if args.dims:
         dims = _dims(args.dims)
@@ -239,7 +242,7 @@ def main(argv=None) -> int:
     except VerifyFail as exc:
         print(f"verify: FAIL ({exc})", file=sys.stderr)
         return 1
-    except TendistError as exc:
+    except (TendistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cin import Communicate, Distribute, Divide, Forall, Place, with_relations
+from .cin import Communicate, Distribute, Divide, Forall, Place, rebuild_chain, with_relations
 from .errors import (
     ConfigError,
     DuplicateName,
@@ -312,9 +312,8 @@ def lower_placement(tensor: TensorVar, d: TensorDistribution):
     names += [dv.var for dv in divides]
     if len(set(names)) != len(names):
         raise DuplicateName(f"placement loop names collide: {names}")
-    node = Place(tensor(*d.levels[0][0]))
-    for v, lo, hi in reversed(dist_loops + local_loops):
-        node = Forall(v, lo, hi, node)
+    loops = [Forall(v, lo, hi, None) for v, lo, hi in dist_loops + local_loops]
+    node = rebuild_chain(loops, Place(tensor(*d.levels[0][0])))
     rels = divides + [Distribute(v) for v, _, _ in dist_loops]
     rels.append(Communicate((tensor.name,), dist_loops[-1][0]))
     return with_relations(node, rels)

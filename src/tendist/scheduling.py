@@ -16,21 +16,16 @@ from .cin import (
     Divide,
     Forall,
     LeafKernel,
-    Place,
-    Reduce,
-    Assign,
     Rotate,
-    Seq,
     Split,
-    Suchthat,
     add_relations,
-    body_of,
     bound_vars,
     check_statement,
     claimed_names,
+    forall_chain,
     leaf_accesses,
-    leaf_statements,
     leaf_kernel_registered,
+    rebuild_chain,
     relations_of,
     with_relations,
 )
@@ -47,27 +42,6 @@ from .errors import (
 )
 
 
-def _map_forall(body, var, fn):
-    hits = []
-
-    def walk(node):
-        if isinstance(node, Forall):
-            if node.var == var:
-                hits.append(node)
-                return fn(node)
-            return Forall(node.var, node.lo, node.hi, walk(node.body))
-        if isinstance(node, Seq):
-            return Seq(tuple(walk(s) for s in node.stmts))
-        if isinstance(node, Suchthat):
-            return Suchthat(walk(node.body), node.relations)
-        return node
-
-    out = walk(body)
-    if not hits:
-        raise UnknownVar(f"no loop binds {var}")
-    return out
-
-
 def _require_fresh(stmt, *names):
     used = claimed_names(stmt)
     for n in names:
@@ -82,23 +56,36 @@ def _checked(stmt):
     return stmt
 
 
+def _loop_at(chain, var: str) -> int:
+    for at, f in enumerate(chain):
+        if f.var == var:
+            return at
+    raise UnknownVar(f"no loop binds {var}")
+
+
+def _replace_loop(stmt, var: str, verb: str, rewrite, relations=None):
+    """Swap the chain's loop var for the (name, extent) loops that
+    `rewrite(extent)` returns along with the relation defining var by them.
+    The relation joins `relations`, by default the statement's own."""
+    chain, leaf = forall_chain(stmt)
+    at = _loop_at(chain, var)
+    if chain[at].lo != 0:
+        raise ConfigError(f"cannot {verb} pinned loop {var}")
+    loops, rel = rewrite(chain[at].extent)
+    new = [Forall(name, 0, extent, None) for name, extent in loops]
+    body = rebuild_chain(chain[:at] + new + chain[at + 1:], leaf)
+    if relations is None:
+        relations = relations_of(stmt)
+    return _checked(with_relations(body, relations + (rel,)))
+
+
 def split(stmt, i: str, io: str, ii: str, chunk: int):
     """i -> io (count ceil(extent/chunk)) over ii (size chunk), guarded i < extent."""
     if chunk < 1:
         raise ConfigError(f"split chunk must be positive, got {chunk}")
     _require_fresh(stmt, io, ii)
-
-    rel = []
-
-    def rewrite(node):
-        if node.lo != 0:
-            raise ConfigError(f"cannot split pinned loop {node.var}")
-        e = node.extent
-        rel.append(Split(i, io, ii, chunk, e))
-        return Forall(io, 0, -(-e // chunk), Forall(ii, 0, chunk, node.body))
-
-    out = _map_forall(body_of(stmt), i, rewrite)
-    return _checked(with_relations(out, relations_of(stmt) + tuple(rel)))
+    return _replace_loop(stmt, i, "split", lambda e: (
+        ((io, -(-e // chunk)), (ii, chunk)), Split(i, io, ii, chunk, e)))
 
 
 def divide(stmt, i: str, io: str, ii: str, parts: int):
@@ -106,59 +93,29 @@ def divide(stmt, i: str, io: str, ii: str, parts: int):
     if parts < 1:
         raise ConfigError(f"divide parts must be positive, got {parts}")
     _require_fresh(stmt, io, ii)
-
-    rel = []
-
-    def rewrite(node):
-        if node.lo != 0:
-            raise ConfigError(f"cannot divide pinned loop {node.var}")
-        e = node.extent
-        rel.append(Divide(i, io, ii, parts, e))
-        return Forall(io, 0, parts, Forall(ii, 0, -(-e // parts), node.body))
-
-    out = _map_forall(body_of(stmt), i, rewrite)
-    return _checked(with_relations(out, relations_of(stmt) + tuple(rel)))
+    return _replace_loop(stmt, i, "divide", lambda e: (
+        ((io, parts), (ii, -(-e // parts))), Divide(i, io, ii, parts, e)))
 
 
 def reorder(stmt, order):
-    """Permute a directly nested loop chain; order lists the new arrangement."""
+    """Permute a contiguous slice of the loop chain; order lists the new
+    arrangement of its loops."""
     order = list(order)
     want = set(order)
     if len(want) != len(order):
         raise NotPermutation(f"duplicate names in reorder {order}")
-    done = []
-
-    def walk(node):
-        if isinstance(node, Forall):
-            if node.var in want:
-                seg, cur = [], node
-                while isinstance(cur, Forall) and cur.var in want:
-                    seg.append(cur)
-                    cur = cur.body
-                names = {f.var for f in seg}
-                if names != want:
-                    missing = want - names
-                    if missing & set(bound_vars(stmt)):
-                        raise NotContiguousNest(
-                            f"reorder targets {sorted(want)} are not directly nested"
-                        )
-                    raise UnknownVar(f"no loop binds {sorted(missing)}")
-                by = {f.var: f for f in seg}
-                inner = walk(cur)
-                for v in reversed(order):
-                    f = by[v]
-                    inner = Forall(f.var, f.lo, f.hi, inner)
-                done.append(True)
-                return inner
-            return Forall(node.var, node.lo, node.hi, walk(node.body))
-        if isinstance(node, Seq):
-            return Seq(tuple(walk(s) for s in node.stmts))
-        return node
-
-    out = walk(body_of(stmt))
-    if not done:
-        raise UnknownVar(f"no loop binds any of {order}")
-    return _checked(with_relations(out, relations_of(stmt)))
+    chain, leaf = forall_chain(stmt)
+    names = [f.var for f in chain]
+    missing = want - set(names)
+    if missing:
+        raise UnknownVar(f"no loop binds {sorted(missing)}")
+    at = min(names.index(v) for v in order)
+    end = at + len(order)
+    if set(names[at:end]) != want:
+        raise NotContiguousNest(f"reorder targets {sorted(want)} are not directly nested")
+    by = {f.var: f for f in chain[at:end]}
+    body = rebuild_chain(chain[:at] + [by[v] for v in order] + chain[end:], leaf)
+    return _checked(with_relations(body, relations_of(stmt)))
 
 
 def distribute(stmt, i: str):
@@ -192,38 +149,14 @@ def communicate(stmt, tensors, i: str):
     if isinstance(tensors, str):
         tensors = (tensors,)
     tensors = tuple(tensors)
-    if i not in bound_vars(stmt):
+    chain, leaf = forall_chain(stmt)
+    if i not in {f.var for f in chain}:
         raise UnknownVar(f"no loop binds {i}")
-    seen = set()
-    for leaf in leaf_statements(stmt):
-        for acc in leaf_accesses(leaf):
-            seen.add(acc.tensor.name)
+    seen = {acc.tensor.name for acc in leaf_accesses(leaf)}
     for t in tensors:
         if t not in seen:
             raise UnknownTensor(f"{t} is not accessed by the statement")
     return _checked(add_relations(stmt, Communicate(tensors, i)))
-
-
-def _enclosing(body, var):
-    """Loop variables bound strictly above var's loop."""
-    out = []
-
-    def walk(node, stack):
-        if isinstance(node, Forall):
-            if node.var == var:
-                out.append(list(stack))
-                return
-            walk(node.body, stack + [node.var])
-        elif isinstance(node, Seq):
-            for s in node.stmts:
-                walk(s, stack)
-        elif isinstance(node, Suchthat):
-            walk(node.body, stack)
-
-    walk(body, [])
-    if not out:
-        raise UnknownVar(f"no loop binds {var}")
-    return out[0]
 
 
 def rotate(stmt, t: str, over, r: str):
@@ -231,25 +164,16 @@ def rotate(stmt, t: str, over, r: str):
     extent(t). Communicate relations naming t now aggregate on r."""
     over = tuple(over)
     _require_fresh(stmt, r)
-    above = _enclosing(body_of(stmt), t)
+    chain, _ = forall_chain(stmt)
+    above = {f.var for f in chain[:_loop_at(chain, t)]}
     for v in over:
         if v not in above:
             raise IBelowT(f"rotate offset {v} does not enclose {t}")
-
-    rel = []
-
-    def rewrite(node):
-        if node.lo != 0:
-            raise ConfigError(f"cannot rotate pinned loop {node.var}")
-        rel.append(Rotate(t, over, r, node.extent))
-        return Forall(r, 0, node.extent, node.body)
-
-    out = _map_forall(body_of(stmt), t, rewrite)
     rels = tuple(
         Communicate(x.tensors, r) if isinstance(x, Communicate) and x.var == t else x
         for x in relations_of(stmt)
     )
-    return _checked(with_relations(out, rels + tuple(rel)))
+    return _replace_loop(stmt, t, "rotate", lambda e: (((r, e),), Rotate(t, over, r, e)), rels)
 
 
 def substitute_leaf(stmt, vars_, kernel: str):
@@ -259,35 +183,12 @@ def substitute_leaf(stmt, vars_, kernel: str):
         raise ConfigError("substitute_leaf needs at least one loop")
     if not leaf_kernel_registered(kernel):
         raise ConfigError(f"leaf kernel {kernel!r} is not registered")
-
-    def check(node):
-        for v in vars_:
-            if not isinstance(node, Forall) or node.var != v:
-                raise NotInnermost(f"{list(vars_)} is not the innermost nest")
-            node = node.body
-        if isinstance(node, Forall):
-            raise NotInnermost(f"loops remain under {vars_[-1]}")
-        if not isinstance(node, (Assign, Reduce, Place)):
-            raise NotInnermost(f"{vars_[-1]} does not wrap the leaf statement")
-
-    found = []
-
-    def walk(node):
-        if isinstance(node, Forall):
-            if node.var == vars_[0]:
-                check(node)
-                found.append(True)
-                return
-            walk(node.body)
-        elif isinstance(node, Seq):
-            for s in node.stmts:
-                walk(s)
-        elif isinstance(node, Suchthat):
-            walk(node.body)
-
-    walk(body_of(stmt))
-    if not found:
-        raise UnknownVar(f"no loop binds {vars_[0]}")
+    chain, _ = forall_chain(stmt)
+    below = tuple(f.var for f in chain[_loop_at(chain, vars_[0]):])
+    if below[:len(vars_)] != vars_:
+        raise NotInnermost(f"{list(vars_)} is not the innermost nest")
+    if len(below) > len(vars_):
+        raise NotInnermost(f"loops remain under {vars_[-1]}")
     return _checked(add_relations(stmt, LeafKernel(vars_, kernel)))
 
 

@@ -22,13 +22,11 @@ from .cin import (
     Forall,
     Place,
     Reduce,
-    Seq,
-    Suchthat,
-    body_of,
+    forall_chain,
     interpret,
     leaf_accesses,
-    leaf_statements,
     lower_to_cin,
+    rebuild_chain,
     relation_defs,
     relations_of,
     unit_env,
@@ -336,7 +334,8 @@ def check_redistributable(old: TensorDistribution, new: TensorDistribution) -> N
 class LaunchPlan:
     machine: Machine
     launch_vars: list       # leading distributed Foralls, outermost first
-    task_body: object
+    task_loops: list        # the Foralls below them, outermost first
+    leaf: object            # Assign | Reduce
     relations: tuple
     defs: dict
     intervals: dict         # loop var -> (lo, hi)
@@ -349,35 +348,18 @@ class LaunchPlan:
     tasks: list             # TaskInfo, machine enumeration order
 
 
-def _collect_intervals(node, out: dict) -> None:
-    if isinstance(node, Forall):
-        out[node.var] = (node.lo, node.hi)
-        _collect_intervals(node.body, out)
-    elif isinstance(node, Seq):
-        for s in node.stmts:
-            _collect_intervals(s, out)
-    elif isinstance(node, Suchthat):
-        _collect_intervals(node.body, out)
-
-
 def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
     machine = store.machine
     rels = relations_of(stmt)
     defs = relation_defs(rels)
-    body = body_of(stmt)
+    chain, leaf = forall_chain(stmt)
     dist_names = {r.var for r in rels if isinstance(r, Distribute)}
 
-    group = []
-    node = body
-    while isinstance(node, Forall) and node.var in dist_names:
-        group.append(node)
-        node = node.body
-    task_body = node
+    group = list(itertools.takewhile(lambda f: f.var in dist_names, chain))
+    task_loops = chain[len(group):]
     if not group:
         raise GridMismatch("statement has no leading distributed loops")
-    below: dict = {}
-    _collect_intervals(task_body, below)
-    stray = dist_names & set(below)
+    stray = dist_names & {f.var for f in task_loops}
     if stray:
         raise GridMismatch(f"distributed loops {sorted(stray)} are not outermost")
     flat = machine.flat_dims
@@ -393,19 +375,14 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
                 f"loop {f.var} spans [{f.lo},{f.hi}) over a machine dimension "
                 f"of extent {d}")
 
-    leaves = leaf_statements(stmt)
-    if any(isinstance(l, Place) for l in leaves):
+    if isinstance(leaf, Place):
         raise ConfigError("placement statements run through place()/redistribute()")
-    if isinstance(task_body, Seq):
-        raise ConfigError("tasks must be single loop nests")
-    out_names = {l.lhs.tensor.name for l in leaves}
-    if len(out_names) != 1:
-        raise ConfigError(f"one output tensor per launch, got {sorted(out_names)}")
-    out_name = next(iter(out_names))
-    out_kind = "reduce" if any(isinstance(l, Reduce) for l in leaves) else "copy"
-    out_access = leaves[0].lhs
+    out_access = leaf.lhs
+    out_name = out_access.tensor.name
+    out_kind = "reduce" if isinstance(leaf, Reduce) else "copy"
 
-    names = sorted({a.tensor.name for l in leaves for a in leaf_accesses(l)})
+    accesses = leaf_accesses(leaf)
+    names = sorted({a.tensor.name for a in accesses})
     for n in names:
         if n not in store:
             raise MissingDistribution(f"tensor {n} has no placed region")
@@ -416,24 +393,16 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
 
     comms = [r for r in rels if isinstance(r, Communicate)]
     seq_comm_vars = {c.var for c in comms} - dist_names
-    step_var = None
-    cur = task_body
-    while isinstance(cur, Forall):
-        if cur.var in seq_comm_vars:
-            step_var = cur
-            break
-        cur = cur.body
+    step_var = next((f for f in task_loops if f.var in seq_comm_vars), None)
     num_steps = step_var.extent if step_var is not None else 1
 
-    intervals: dict = {}
-    _collect_intervals(body, intervals)
+    intervals = {f.var: (f.lo, f.hi) for f in chain}
 
     accs_by_name: dict = {}
-    for leaf in leaves:
-        for acc in leaf_accesses(leaf):
-            lst = accs_by_name.setdefault(acc.tensor.name, [])
-            if acc.var_names not in [a.var_names for a in lst]:
-                lst.append(acc)
+    for acc in accesses:
+        lst = accs_by_name.setdefault(acc.tensor.name, [])
+        if acc.var_names not in [a.var_names for a in lst]:
+            lst.append(acc)
     fetch_plan = []
     for n in names:
         if n == out_name:
@@ -462,7 +431,7 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
                     f"tasks {a.coord} and {b.coord} both write "
                     f"{a.out_rect.intersect(b.out_rect)} of {out_name}")
 
-    return LaunchPlan(machine, group, task_body, rels, defs, intervals,
+    return LaunchPlan(machine, group, task_loops, leaf, rels, defs, intervals,
                       step_var, num_steps, fetch_plan, out_name, out_kind,
                       out_access, tasks)
 
@@ -488,11 +457,9 @@ def _pick_source(tensor, piece, p, procs_home, prev_temps, launch_temps, order):
 
 
 def _numeric_task(plan: LaunchPlan, task: TaskInfo, read_store: dict) -> DenseTensor:
-    pinned = plan.task_body
-    for f in reversed(plan.launch_vars):
-        c = task.env[f.var]
-        pinned = Forall(f.var, c, c + 1, pinned)
-    result = interpret(with_relations(pinned, plan.relations), read_store)
+    pinned = [Forall(f.var, c, c + 1, None) for f, c in zip(plan.launch_vars, task.coord)]
+    body = rebuild_chain(pinned + plan.task_loops, plan.leaf)
+    result = interpret(with_relations(body, plan.relations), read_store)
     return result[plan.out_name]
 
 
@@ -642,12 +609,9 @@ def run_statement(stmt, machine: Machine, distributions: dict, inputs: dict,
     if schedule is not None:
         cin = schedule.apply(cin)
 
-    leaves = leaf_statements(cin)
-    out_name = leaves[0].lhs.tensor.name
-    var_dims = {}
-    for leaf in leaves:
-        for acc in leaf_accesses(leaf):
-            var_dims[acc.tensor.name] = acc.tensor.dims
+    accesses = leaf_accesses(forall_chain(cin)[1])
+    out_name = accesses[0].tensor.name  # a Place leaf is refused by lower_to_tasks
+    var_dims = {acc.tensor.name: acc.tensor.dims for acc in accesses}
 
     store = RegionStore(machine)
     for name in sorted(var_dims):

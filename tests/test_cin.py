@@ -3,7 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
-from tendist import DenseTensor, lower_to_cin, parse_statement, sequential_evaluate
+from tendist import (
+    DenseTensor,
+    TensorDistribution,
+    grid,
+    lower_to_cin,
+    parse_statement,
+    run_statement,
+    sequential_evaluate,
+    split,
+)
 from tendist.cin import (
     Assign,
     Communicate,
@@ -16,7 +25,6 @@ from tendist.cin import (
     Place,
     Reduce,
     Rotate,
-    Seq,
     Split,
     Suchthat,
     add_relations,
@@ -76,14 +84,23 @@ def test_interpret_rhs_reads_pre_statement_values():
     assert a.data.tolist() == [1.0, 2.0, 3.0]
 
 
-def test_interpret_seq_chains_outputs():
-    # second statement consumes the first one's output
-    s1 = lower_to_cin(parse_statement("T(i) = A(i) * 2", {"i": 3}))
-    s2 = lower_to_cin(parse_statement("U(i) = T(i) + 1", {"i": 3}))
-    out = interpret(Seq((s1, s2)), {"A": DenseTensor((3,), [1.0, 2.0, 3.0]),
-                                    "T": DenseTensor((3,))})
-    assert out["T"].data.tolist() == [2.0, 4.0, 6.0]
-    assert out["U"].data.tolist() == [3.0, 5.0, 7.0]
+def test_non_chain_statement_rejected():
+    # relations live on the root Suchthat only; a nested one is not a statement
+    D, A = TensorVar("D", (4,)), TensorVar("A", (4,))
+    inner = Suchthat(Forall("xi", 0, 2, Assign(D("x"), A("x"))),
+                     (Divide("x", "xo", "xi", 2, 4),))
+    nested = Suchthat(Forall("xo", 0, 2, inner), (Distribute("xo"),))
+    a = DenseTensor((4,), [1.0, 2.0, 3.0, 4.0])
+    machine = grid(2)
+    dists = {n: TensorDistribution((4,), machine, [(("x",), ("x",))]) for n in "AD"}
+    with pytest.raises(TendistError, match="Suchthat sits below the loops"):
+        check_statement(nested)
+    with pytest.raises(TendistError, match="Suchthat sits below the loops"):
+        interpret(nested, {"A": a})
+    with pytest.raises(TendistError, match="Suchthat sits below the loops"):
+        run_statement(nested, machine, dists, {"A": a})
+    with pytest.raises(TendistError, match="Suchthat sits below the loops"):
+        split(nested, "xi", "xio", "xii", 1)
 
 
 def test_divide_guard_skips_phantom_points():

@@ -146,6 +146,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
         # cosma-like takes the chunk as its sequential k factor
         ["--algorithm", "cosma-like", "--chunk", "0", "--stats", str(tmp_path / "s.json")],
         ["--algorithm", "cosma-like", "--chunk", "-3", "--stats", str(tmp_path / "s.json")],
+        # a second --dist for one tensor
+        ["--kernel", "gemm", "--n", "4", "--machine", "2x2",
+         "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy",
+         "--dist", "A: xy -> x*", "--schedule", SUMMA_SCRIPT,
+         "--stats", str(tmp_path / "s.json")],
+        # a directory as the schedule script, paths in missing directories
+        ["--kernel", "gemm", "--n", "4", "--machine", "2x2",
+         "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy",
+         "--schedule", str(tmp_path)],
+        ["--algorithm", "summa", "--stats", str(tmp_path / "missing" / "s.json")],
+        ["--algorithm", "summa", "--stats", str(tmp_path / "s.json"),
+         "--edges-csv", str(tmp_path / "missing" / "e.csv")],
+        # an empty machine text is an error, not the bundle's default grid
+        ["--algorithm", "summa", "--machine", "", "--stats", str(tmp_path / "s.json")],
     ]
     for argv in cases:
         assert run(argv) == 2

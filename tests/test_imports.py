@@ -1,6 +1,7 @@
 """Every imported name is used: a stdlib-ast check, since no linter is a
 dependency. Package `__init__.py` files are skipped (they re-export), and so
-are `from __future__` imports."""
+are `from __future__` imports; instead, every name the package exports in
+`__all__` must resolve."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,10 @@ def test_scanner_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_public_names_resolve():
+    # the scan above skips __init__.py, so a stale __all__ entry shows only here
+    import tendist
+    assert [n for n in tendist.__all__ if not hasattr(tendist, n)] == []
+    assert len(set(tendist.__all__)) == len(tendist.__all__)

@@ -12,6 +12,7 @@ from tendist import (
     TensorDistribution,
     access_rect,
     grid,
+    lower_placement,
     parse_statement,
     redistribute,
     run_statement,
@@ -332,6 +333,14 @@ def test_missing_pieces_rejected():
     bad["B"] = DenseTensor((2, 2))
     with pytest.raises(ExtentMismatch):
         run_statement(stmt, machine, dists, bad, sched)
+
+
+def test_placement_statement_rejected():
+    machine = grid(2, 2)
+    block = _block((4, 4), machine)
+    placement = lower_placement(TensorVar("A", (4, 4)), block)
+    with pytest.raises(ConfigError, match="place"):
+        run_statement(placement, machine, {"A": block}, {"A": DenseTensor((4, 4))})
 
 
 # degenerate grid
