@@ -14,13 +14,19 @@ Derived-variable arithmetic:
 
 One resolver, `var_interval`, carries that arithmetic from loop-variable
 intervals to derived-variable intervals; the simulator asks it for the box a
-task touches. The interpreter binds each loop variable to the unit interval
-(v, v + 1), so a derived variable comes out as a unit interval, or empty where
-a divide or split guard fails: that point is phantom and does nothing.
+task touches. The interpreter resolves a loop box at once: it binds each loop
+variable to the unit intervals (v, v + 1) of a whole arange, so a derived
+variable comes out as one unit interval per point, or empty where a divide or
+split guard fails: that point is phantom and does nothing. A box is resolved
+in passes of at most 4,096 points; each live point then runs the leaf's
+scalar arithmetic, in chain order, so values and accumulation order are those
+of a plain loop nest.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -250,12 +256,22 @@ def relation_defs(relations) -> dict:
     return defs
 
 
+def _pick(cond, a, b):
+    """a where cond holds, else b: a branch on Python ints, lane by lane on
+    arrays (so integer input keeps Python ints)."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
 def var_interval(name: str, env: dict, defs: dict) -> tuple:
     """Half-open [lo, hi) of values `name` can take under interval env.
 
     Loop variables carry their range (a pinned variable is a unit interval);
     derived variables go through their defining relation, clipped by the
-    guard extent. Intervals can come out empty at ragged edges.
+    guard extent. Intervals can come out empty at ragged edges, as (0, 0).
+    A unit interval may also hold integer arrays, one lane per point of a
+    box; then lo and hi come back as arrays, (0, 0) in the phantom lanes.
     """
     iv = env.get(name)
     if iv is not None:
@@ -268,23 +284,20 @@ def var_interval(name: str, env: dict, defs: dict) -> tuple:
         unit, empty = hi - lo == 1, lo >= hi
         for v in rel.over:
             a, b = var_interval(v, env, defs)
-            lo += a
-            unit = unit and b - a == 1
-            empty = empty or a >= b
-        if empty:
-            return (0, 0)
-        if unit:
-            lo %= rel.extent
-            return (lo, lo + 1)
-        return (0, rel.extent)
+            lo = lo + a
+            unit = unit & (b - a == 1)
+            empty = empty | (a >= b)
+        lo = lo % rel.extent
+        lo, hi = _pick(unit, lo, 0), _pick(unit, lo + 1, rel.extent)
+        return _pick(empty, 0, lo), _pick(empty, 0, hi)
     olo, ohi = var_interval(rel.outer, env, defs)
     ilo, ihi = var_interval(rel.inner, env, defs)
-    if olo >= ohi or ilo >= ihi:
-        return (0, 0)
+    empty = (olo >= ohi) | (ilo >= ihi)
     b = rel.block
     lo = olo * b + ilo
     hi = (ohi - 1) * b + ihi
-    return (min(lo, rel.extent), min(hi, rel.extent))
+    lo, hi = _pick(lo < rel.extent, lo, rel.extent), _pick(hi < rel.extent, hi, rel.extent)
+    return _pick(empty, 0, lo), _pick(empty, 0, hi)
 
 
 def resolve_point(names, env: dict, defs: dict):
@@ -336,22 +349,32 @@ class LeafRuntime:
     out_store: dict
 
     @cached_property
-    def _run(self):
-        return _leaf_runner(self.stmt, self.read_store, self.out_store)
+    def _walk(self):
+        return _box_walker(self.stmt, self.defs, self.read_store, self.out_store)
 
     def resolve(self, names, env):
         return resolve_point(names, unit_env(env), self.defs)
 
     def execute_point(self, env) -> None:
-        self._run(unit_env(env), self.defs)
+        self._walk([], unit_env(env))
 
 
-def _leaf_runner(leaf, read_store, out_store):
-    """Executor of one leaf at one point of a unit-interval env; the leaf's
-    names and index bounds are gathered once, and a phantom point does nothing.
+_PASS_POINTS = 4096  # most points one vectorised resolution covers
+
+
+def _box_walker(leaf, defs, read_store, out_store):
+    """Executor of one leaf over a box of loops (var, lo, hi), outermost
+    first, under an env of unit intervals for the loops around the box.
+
+    The box is resolved in passes of at most _PASS_POINTS points. A pass
+    binds its loops to aranges, resolves every name with one var_interval
+    call, masks the phantom points and checks bounds before any write; then
+    it walks the live points in chain order, each with scalar arithmetic.
+    Loops outside a pass are walked one value at a time, setting the env in
+    place; the outermost loop of a pass may be cut into chunks.
     """
     if isinstance(leaf, Place):
-        return lambda env, defs: None
+        return lambda loops, env: None
     accesses = [(leaf.lhs, out_store)] + [(a, read_store) for a in accesses_of(leaf.rhs)]
     names = tuple(dict.fromkeys(v for a, _ in accesses for v in a.var_names))
     shaped = [(a, store[a.tensor.name].dims) for a, store in accesses
@@ -360,28 +383,62 @@ def _leaf_runner(leaf, read_store, out_store):
     for a, dims in shaped:
         for v, d in zip(a.var_names, dims):
             limit[v] = min(limit.get(v, d), d)
-    limits = tuple(limit.items())
-    lhs, rhs = leaf.lhs.var_names, leaf.rhs
+    limits = tuple((names.index(v), d) for v, d in limit.items())
+    lhs = tuple(names.index(v) for v in leaf.lhs.var_names)
+    rhs = leaf.rhs
     out = out_store[leaf.lhs.tensor.name].data
     assign = isinstance(leaf, Assign)
 
-    def run(env, defs):
-        at = resolve_point(names, env, defs)
-        if at is None:
-            return
-        for v, d in limits:  # d: the smallest dimension v indexes
-            if not 0 <= at[v] < d:
-                for a, dims in shaped:
-                    coord = tuple(at[n] for n in a.var_names)
-                    if not all(0 <= c < e for c, e in zip(coord, dims)):
-                        raise OOBAccess(f"{a.tensor.name}{coord} outside dims {dims}")
-        coord = tuple(at[v] for v in lhs)
-        if assign:
-            out[coord] = eval_expr(rhs, at, read_store)
-        else:
-            out[coord] += eval_expr(rhs, at, read_store)
+    def run_pass(loops, env):
+        shape = tuple(hi - lo for _, lo, hi in loops)
+        for axis, (var, lo, hi) in enumerate(loops):
+            lanes = np.arange(lo, hi).reshape([-1 if k == axis else 1 for k in range(len(loops))])
+            env[var] = (lanes, lanes + 1)
+        values, live = [], True
+        for n in names:
+            lo, hi = var_interval(n, env, defs)
+            values.append(lo)
+            live = live & (lo < hi)
+        live = np.broadcast_to(live, shape)
+        values = [np.broadcast_to(v, shape)[live] for v in values]
+        bad = False
+        for k, d in limits:  # d: the smallest dimension names[k] indexes
+            bad = bad | (values[k] < 0) | (values[k] >= d)
+        if np.any(bad):
+            first = int(np.argmax(bad))  # the first live point out of range
+            at = {n: int(v[first]) for n, v in zip(names, values)}
+            for a, dims in shaped:
+                coord = tuple(at[n] for n in a.var_names)
+                if not all(0 <= c < e for c, e in zip(coord, dims)):
+                    raise OOBAccess(f"{a.tensor.name}{coord} outside dims {dims}")
+        rows = zip(*(v.tolist() for v in values)) if names else [()] * int(live.sum())
+        for row in rows:
+            at = dict(zip(names, row))
+            coord = tuple([row[k] for k in lhs])
+            if assign:
+                out[coord] = eval_expr(rhs, at, read_store)
+            else:
+                out[coord] += eval_expr(rhs, at, read_store)
 
-    return run
+    def walk(loops, env):
+        sizes = [hi - lo for _, lo, hi in loops]
+        if any(size <= 0 for size in sizes):
+            return
+        depth = 0  # loops above depth are walked a value at a time
+        while math.prod(sizes[depth + 1:]) > _PASS_POINTS:
+            depth += 1
+        passes = [[]]
+        if loops:  # loop depth is cut into chunks that fill a pass
+            var, lo, hi = loops[depth]
+            step = _PASS_POINTS // math.prod(sizes[depth + 1:])
+            passes = [[(var, start, min(start + step, hi))] + loops[depth + 1:]
+                      for start in range(lo, hi, step)]
+        for outer in itertools.product(*(range(lo, hi) for _, lo, hi in loops[:depth])):
+            env.update((var, (v, v + 1)) for (var, _, _), v in zip(loops, outer))
+            for box in passes:
+                run_pass(box, env)
+
+    return walk
 
 
 def interpret(stmt, store: dict) -> dict:
@@ -390,7 +447,7 @@ def interpret(stmt, store: dict) -> dict:
     Returns the store extended with the freshly created output; input tensors
     are never mutated, and the rhs reads the pre-statement values. The loops
     from the outermost one a registered leaf kernel claims inward go to that
-    kernel instead of the point walk.
+    kernel instead of the box walker.
     """
     chain, leaf = forall_chain(stmt)
     defs = relation_defs(relations_of(stmt))
@@ -398,33 +455,22 @@ def interpret(stmt, store: dict) -> dict:
     out_store: dict = {}
     if not isinstance(leaf, Place):
         out_store[leaf.lhs.tensor.name] = DenseTensor(leaf.lhs.tensor.dims)
-    run = _leaf_runner(leaf, read_store, out_store)
+    loops = [(f.var, f.lo, f.hi) for f in chain]
     kernels = {rel.vars[0]: rel.kernel for rel in relations_of(stmt)
                if isinstance(rel, LeafKernel)}
     cut = next((at for at, f in enumerate(chain)
                 if kernels.get(f.var, INTERPRETER_KERNEL) != INTERPRETER_KERNEL), None)
-    if cut is not None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cut is None:
+            _box_walker(leaf, defs, read_store, out_store)(loops, {})
+            return {**store, **out_store}
         name = kernels[chain[cut].var]
         kernel = _LEAF_KERNELS.get(name)
         if kernel is None:
             raise TendistError(f"leaf kernel {name!r} is not registered")
-    env: dict = {}  # loop var -> unit interval, one entry per level, set in place
-
-    def walk(depth):
-        if depth == cut:
-            loops = [(f.var, f.lo, f.hi) for f in chain[cut:]]
-            ints = {k: lo for k, (lo, _) in env.items()}
-            kernel(LeafRuntime(loops, leaf, ints, defs, read_store, out_store))
-        elif depth == len(chain):
-            run(env, defs)
-        else:
-            f = chain[depth]
-            for v in range(f.lo, f.hi):
-                env[f.var] = (v, v + 1)
-                walk(depth + 1)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        walk(0)
+        for outer in itertools.product(*(range(lo, hi) for _, lo, hi in loops[:cut])):
+            ints = {var: v for (var, _, _), v in zip(loops, outer)}
+            kernel(LeafRuntime(loops[cut:], leaf, ints, defs, read_store, out_store))
     return {**store, **out_store}
 
 

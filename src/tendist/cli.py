@@ -144,7 +144,7 @@ def _explain(args) -> int:
     print(f"statement: {format_statement(stmt)}")
     cin = lower_to_cin(stmt)
     print(f"loops:     {pretty(cin)}")
-    if args.machine and args.dist:
+    if args.machine is not None and args.dist:
         machine = parse_machine(args.machine)
         dists = _parse_dists(args, stmt, machine)
         tensors = stmt.tensors()
@@ -156,6 +156,18 @@ def _explain(args) -> int:
             print(f"after {desc}:")
             print(f"  {pretty(staged)}")
     return 0
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before the run, an output path its end could not write."""
+    for flag, path in (("--stats", args.stats), ("--edges-csv", args.edges_csv)):
+        if not path:
+            continue
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag} {path} is a directory")
+        if not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+            raise ConfigError(f"{flag} {path}: {folder} is not a writable directory")
 
 
 def _print_trace(trace) -> None:
@@ -236,6 +248,7 @@ def main(argv=None) -> int:
             if args.algorithm:
                 raise ConfigError("--explain works with --kernel/--expr runs")
             return _explain(args)
+        _check_outputs(args)
         if args.algorithm:
             return _run_algorithm(args)
         return _run_custom(args)

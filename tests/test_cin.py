@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 import warnings
 
 import numpy as np
@@ -6,9 +9,11 @@ import pytest
 from tendist import (
     DenseTensor,
     TensorDistribution,
+    divide,
     grid,
     lower_to_cin,
     parse_statement,
+    rotate,
     run_statement,
     sequential_evaluate,
     split,
@@ -29,18 +34,22 @@ from tendist.cin import (
     Suchthat,
     add_relations,
     check_statement,
+    forall_chain,
     interpret,
+    leaf_accesses,
     leaf_kernel_registered,
     pretty,
     pretty_relation,
     register_leaf_kernel,
     relation_defs,
+    relations_of,
     resolve_point,
     var_interval,
     with_relations,
 )
+from tendist import cin as cin_module
 from tendist.errors import OOBAccess, TendistError, UnboundVariable
-from tendist.ir import TensorVar, build_statement, format_statement
+from tendist.ir import Const, TensorVar, build_statement, eval_expr, format_statement
 
 
 def gemm(n=2):
@@ -213,6 +222,19 @@ def test_interpret_oob_access_raises():
     # a negative coordinate is out of bounds too, not a wrapped numpy index
     with pytest.raises(OOBAccess, match=r"D\(-1,\)"):
         interpret(Forall("x", -1, 2, Reduce(D4("x"), A3("x"))), {"A": a})
+    # k = ko*2 + (kr + ko) mod 2: at ko == 1 the point kr == 0 (k == 3) is
+    # phantom and comes before kr == 1 (k == 2), which B's store lacks
+    stmt = parse_statement("C(i, j) = A(i, k) * B(k, j)", {"i": 2, "j": 3, "k": 3})
+    cin = rotate(split(lower_to_cin(stmt), "k", "ko", "ki", 2), "ki", ("ko",), "kr")
+    ins = {"A": DenseTensor((2, 3)), "B": DenseTensor((2, 3))}
+    with pytest.raises(OOBAccess) as err:
+        interpret(cin, ins)
+    assert str(err.value) == "B(2, 0) outside dims (2, 3)"
+    # out of range in the second pass only
+    stmt = parse_statement("D(i) = A(i)", {"i": 5000})
+    with pytest.raises(OOBAccess) as err:
+        interpret(lower_to_cin(stmt), {"A": DenseTensor((4500,))})
+    assert str(err.value) == "A(4500,) outside dims (4500,)"
 
 
 def test_interpret_inf_nan_inputs_are_silent():
@@ -302,3 +324,153 @@ def test_unregistered_kernel_rejected():
     cin = with_relations(lower_to_cin(stmt), (LeafKernel(("x",), "missing-kernel"),))
     with pytest.raises(TendistError):
         interpret(cin, {"A": DenseTensor((4,))})
+
+
+# box resolution: array lanes against the integer resolver, the box walker
+# against a per-point loop
+
+def _random_relations(rng):
+    """Relations deriving "v" through random split/divide/rotate chains with
+    ragged extents, and the loops (var, lo, hi) they leave to be bound."""
+    relations, loops, fresh = [], [], itertools.count()
+
+    def define(name, extent, depth):
+        kind = rng.choice(["loop", "split", "divide", "rotate"] if depth else ["loop"])
+        if kind == "loop":
+            loops.append((name, 0, extent + rng.randint(0, 1)))  # may overshoot
+            return
+        n = next(fresh)
+        outer, inner = f"o{n}", f"i{n}"
+        if kind == "rotate":
+            over = tuple(f"w{n}_{k}" for k in range(rng.randint(1, 2)))
+            loops.extend((w, 0, rng.randint(1, 3)) for w in over)
+            relations.append(Rotate(name, over, inner, extent))
+            define(inner, extent, depth - 1)
+            return
+        if kind == "split":
+            chunk = rng.randint(1, extent)
+            rel, counts = Split(name, outer, inner, chunk, extent), (-(-extent // chunk), chunk)
+        else:
+            parts = rng.randint(1, extent)
+            rel = Divide(name, outer, inner, parts, extent)
+            counts = (parts, rel.block)
+        relations.append(rel)
+        define(outer, counts[0], depth - 1)
+        define(inner, counts[1], depth - 1)
+
+    define("v", rng.randint(1, 9), 3)
+    return relations, loops
+
+
+def test_array_resolution_matches_integer_lanes():
+    rng = random.Random(6061)
+    cases = phantom = 0
+    while cases < 150:
+        relations, loops = _random_relations(rng)
+        if math.prod(hi - lo for _, lo, hi in loops) > 400:
+            continue
+        cases += 1
+        defs = relation_defs(relations)
+        # each loop becomes an arange axis of the box, or stays a Python int
+        axes = [f for f in loops if rng.random() < 0.8]
+        pinned = {var: rng.randrange(lo, hi) for var, lo, hi in loops if (var, lo, hi) not in axes}
+        box: dict = {var: (v, v + 1) for var, v in pinned.items()}
+        for k, (var, lo, hi) in enumerate(axes):
+            lanes = np.arange(lo, hi).reshape([-1 if a == k else 1 for a in range(len(axes))])
+            box[var] = (lanes, lanes + 1)
+        shape = tuple(hi - lo for _, lo, hi in axes)
+        resolved = {n: [np.broadcast_to(x, shape) for x in var_interval(n, box, defs)]
+                    for n in defs}
+        for point in itertools.product(*(range(lo, hi) for _, lo, hi in axes)):
+            env = units(**pinned, **{var: v for (var, _, _), v in zip(axes, point)})
+            lane = tuple(v - lo for (_, lo, _), v in zip(axes, point))
+            for n, (lo, hi) in resolved.items():
+                want = var_interval(n, env, defs)
+                assert [type(x) for x in want] == [int, int], (relations, n)
+                assert want == (lo[lane], hi[lane]), (relations, n, env)
+                phantom += empty(want)
+    assert phantom > 0  # the ragged chains did produce phantom lanes
+
+
+def per_point(stmt, store):
+    """The output a scalar loop writes: every point of the chain in order,
+    each name resolved on its own, phantom points skipped."""
+    chain, leaf = forall_chain(stmt)
+    defs = relation_defs(relations_of(stmt))
+    names = [v for a in leaf_accesses(leaf) for v in a.var_names]
+    out = DenseTensor(leaf.lhs.tensor.dims).data
+    for point in itertools.product(*(range(f.lo, f.hi) for f in chain)):
+        at = resolve_point(names, {f.var: (v, v + 1) for f, v in zip(chain, point)}, defs)
+        if at is None:
+            continue
+        coord = tuple(at[v] for v in leaf.lhs.var_names)
+        if isinstance(leaf, Assign):
+            out[coord] = eval_expr(leaf.rhs, at, store)
+        else:
+            out[coord] += eval_expr(leaf.rhs, at, store)
+    return out
+
+
+def special_inputs(stmt, seed):
+    """Normal draws salted with NaN, +inf, -inf and -0.0."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name, var in stmt.tensors().items():
+        if name != stmt.lhs.tensor.name:
+            vals, pick = rng.standard_normal(var.dims), rng.random(var.dims)
+            for at, special in enumerate((np.nan, np.inf, -np.inf, -0.0)):
+                vals[(pick >= 0.04 * at) & (pick < 0.04 * (at + 1))] = special
+            out[name] = DenseTensor(var.dims, vals)
+    return out
+
+
+def test_box_walker_matches_per_point_loop_bytes():
+    gemm_ragged = parse_statement("C(i, j) = A(i, k) * B(k, j)", {"i": 5, "j": 4, "k": 7})
+    cases = [
+        # ragged divide and split (phantom points), k rotated over the i blocks
+        (gemm_ragged, lambda c: rotate(split(divide(c, "i", "io", "ii", 2),
+                                             "k", "ko", "ki", 3), "ko", ("io",), "kr")),
+        # an Assign leaf, ragged on both loops
+        (parse_statement("D(i, j) = A(i, j) * 2 + B(j, i)", {"i": 5, "j": 5}),
+         lambda c: divide(split(c, "i", "io", "ii", 2), "j", "jo", "ji", 3)),
+        # a scalar output, its reduction rotated
+        (parse_statement("a = A(i, j) * B(i, j)", {"i": 6, "j": 5}),
+         lambda c: rotate(split(c, "j", "jo", "ji", 2), "ji", ("i",), "jr")),
+        # a diagonal access
+        (parse_statement("d(i) = A(i, i) + 1", {"i": 7}),
+         lambda c: split(c, "i", "io", "ii", 3)),
+        # more points than one pass: chunked passes below a walked loop
+        (parse_statement("D(i, j, k) = A(i, j) * B(j, k)", {"i": 2, "j": 71, "k": 70}),
+         lambda c: split(c, "k", "ko", "ki", 8)),
+        (parse_statement("D(i) = A(i) + B(i)", {"i": 5003}), lambda c: c),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed, (stmt, sched) in enumerate(cases):
+            cin = sched(lower_to_cin(stmt))
+            ins = special_inputs(stmt, seed)
+            got = interpret(cin, ins)[stmt.lhs.tensor.name].data
+            with np.errstate(all="ignore"):
+                want = per_point(cin, ins)
+            assert got.tobytes() == want.tobytes(), pretty(cin)
+    assert math.prod(stmt.extents.values()) > cin_module._PASS_POINTS
+    # a leaf without variables still runs once per point of its loops
+    scalar = TensorVar("a", ())
+    assert interpret(Forall("x", 0, 3, Reduce(scalar(), Const(1.0))), {})["a"].data == 3.0
+
+
+def test_passes_stay_within_the_point_limit(monkeypatch):
+    boxes = []
+    resolve = cin_module.var_interval
+
+    def recording(name, env, defs):
+        shapes = [lo.shape for lo, _ in env.values() if isinstance(lo, np.ndarray)]
+        boxes.append(math.prod(np.broadcast_shapes(*shapes)) if shapes else 1)
+        return resolve(name, env, defs)
+
+    stmt = parse_statement("D(i, j, k) = A(i, j) * B(j, k)", {"i": 2, "j": 71, "k": 70})
+    cin = split(lower_to_cin(stmt), "k", "ko", "ki", 8)
+    monkeypatch.setattr(cin_module, "var_interval", recording)
+    interpret(cin, special_inputs(stmt, 0))
+    # i is walked; j goes in chunks of 4096 // 72 == 56 rows: 56 and 15
+    assert sorted(set(boxes)) == [15 * 72, 56 * 72]

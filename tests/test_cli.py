@@ -118,7 +118,15 @@ def test_explain_rejects_algorithm_mode(capsys):
     assert "error: --explain works with" in err
 
 
-def test_config_errors_exit_2(tmp_path, capsys):
+def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
+    import tendist.cli as cli
+    from tendist.algorithms import AlgorithmBundle
+
+    def ran(*args, **kwargs):
+        raise AssertionError("every case must fail before the run starts")
+
+    monkeypatch.setattr(AlgorithmBundle, "run", ran)
+    monkeypatch.setattr(cli, "run_statement", ran)
     cases = [
         # nothing to run
         ["--stats", str(tmp_path / "s.json")],
@@ -158,8 +166,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ["--algorithm", "summa", "--stats", str(tmp_path / "missing" / "s.json")],
         ["--algorithm", "summa", "--stats", str(tmp_path / "s.json"),
          "--edges-csv", str(tmp_path / "missing" / "e.csv")],
+        ["--algorithm", "summa", "--stats", str(tmp_path)],
+        ["--kernel", "gemm", "--n", "4", "--machine", "2x2",
+         "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy",
+         "--schedule", SUMMA_SCRIPT, "--stats", str(tmp_path / "missing" / "s.json")],
         # an empty machine text is an error, not the bundle's default grid
         ["--algorithm", "summa", "--machine", "", "--stats", str(tmp_path / "s.json")],
+        ["--explain", "--kernel", "gemm", "--n", "4", "--machine", "",
+         "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy"],
     ]
     for argv in cases:
         assert run(argv) == 2
