@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import OOBAccess, TendistError, UnboundVariable
+from .errors import ExtentMismatch, MissingInput, OOBAccess, TendistError, UnboundVariable
 from .ir import Access, TensorIndexStmt, accesses_of, eval_expr, format_expr
 from .tensors import DenseTensor
 
@@ -445,9 +445,10 @@ def interpret(stmt, store: dict) -> dict:
     """Execute a CIN statement against a single shared memory.
 
     Returns the store extended with the freshly created output; input tensors
-    are never mutated, and the rhs reads the pre-statement values. The loops
-    from the outermost one a registered leaf kernel claims inward go to that
-    kernel instead of the box walker.
+    are never mutated, and the rhs reads the pre-statement values. An input
+    of another order is an ExtentMismatch; other extents are bounds-checked.
+    The loops from the outermost one a registered leaf kernel claims inward
+    go to that kernel instead of the box walker.
     """
     chain, leaf = forall_chain(stmt)
     defs = relation_defs(relations_of(stmt))
@@ -455,6 +456,12 @@ def interpret(stmt, store: dict) -> dict:
     out_store: dict = {}
     if not isinstance(leaf, Place):
         out_store[leaf.lhs.tensor.name] = DenseTensor(leaf.lhs.tensor.dims)
+        for t in (a.tensor for a in accesses_of(leaf.rhs)):
+            if t.name not in store:
+                raise MissingInput(f"no value supplied for {t.name}")
+            if len(store[t.name].dims) != len(t.dims):
+                raise ExtentMismatch(
+                    f"{t.name} value has dims {store[t.name].dims}, statement needs {t.dims}")
     loops = [(f.var, f.lo, f.hi) for f in chain]
     kernels = {rel.vars[0]: rel.kernel for rel in relations_of(stmt)
                if isinstance(rel, LeafKernel)}

@@ -281,8 +281,9 @@ def lower_placement(tensor: TensorVar, d: TensorDistribution):
     dimension, divides each partitioned dimension by its machine extent,
     brings the distributed loops outermost in machine-dim order, distributes
     them, and communicates the tensor under the innermost distributed loop.
-    Fixed machine dimensions become single-iteration loops pinned to their
-    coordinate.
+    A divide names its loops after what it divides: x into xo, xi, then xi
+    into xio, xii. Fixed machine dimensions become single-iteration loops
+    pinned to their coordinate.
     """
     if tensor.dims != d.tensor_dims:
         raise RankMismatch(f"{tensor.name} has dims {tensor.dims}, distribution {d.tensor_dims}")
@@ -297,7 +298,7 @@ def lower_placement(tensor: TensorVar, d: TensorDistribution):
             dim_ext = flat_dims[at]
             if _is_var(v):
                 j = x.index(v)
-                outer, inner = v + "o", v + "i"
+                outer, inner = cur_var[j] + "o", cur_var[j] + "i"
                 divides.append(Divide(cur_var[j], outer, inner, dim_ext, cur_ext[j]))
                 dist_loops.append((outer, 0, dim_ext))
                 cur_var[j] = inner

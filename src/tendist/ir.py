@@ -191,7 +191,7 @@ def eval_expr(expr: Expr, index: dict, store: dict):
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Access):
-        return store[expr.tensor.name].data[tuple(index[v.name] for v in expr.indices)]
+        return store[expr.tensor.name].data[tuple([index[v.name] for v in expr.indices])]
     if isinstance(expr, Add):
         return eval_expr(expr.lhs, index, store) + eval_expr(expr.rhs, index, store)
     if isinstance(expr, Mul):

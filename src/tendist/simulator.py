@@ -1,11 +1,13 @@
 """Deterministic execution of distributed statements: tasks, events, memory.
 
 execute() launches one task per processor from the leading distributed loops,
-replays communication in lockstep timesteps (a data piece can be served from
-whoever received it the step before, which is what makes shifting algorithms
-come out as neighbor traffic), runs the numeric work per task, and commits
-write-backs. Event order is machine enumeration order throughout, so traces
-are identical run to run.
+replays communication in lockstep timesteps, runs the numeric work per task,
+and commits write-backs. The replay takes each missing piece from last step's
+temporary holder (so shifting algorithms come out as neighbor traffic), then
+a launch temporary holder, then the first home that is not the receiver.
+redistribute() replays a placement statement the same way, so later
+receivers of a replicated piece get it from an earlier one. Event order is
+machine enumeration order throughout, so traces are identical run to run.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .cin import (
     var_interval,
     with_relations,
 )
-from .distribution import HyperRect, TensorDistribution, subtract_rects
+from .distribution import HyperRect, TensorDistribution, lower_placement, subtract_rects
 from .errors import (
     ConfigError,
     ExtentMismatch,
@@ -46,7 +48,7 @@ from .errors import (
     VerifyFail,
     WriteToReplica,
 )
-from .ir import Access, IndexVar, TensorIndexStmt, sequential_evaluate
+from .ir import Access, IndexVar, TensorIndexStmt, TensorVar, sequential_evaluate
 from .machine import Machine
 from .tensors import DenseTensor
 
@@ -246,9 +248,6 @@ class Region:
     def held_at(self, coord) -> list:
         return self.residency.get(coord, [])
 
-    def volume_at(self, coord) -> int:
-        return sum(r.volume for r in self.held_at(coord))
-
 
 class RegionStore:
     """All regions on one machine."""
@@ -268,12 +267,14 @@ class RegionStore:
         return region
 
     def persistent_volume(self, coord) -> int:
-        return sum(r.volume_at(coord) for r in self.regions.values())
+        return sum(r.volume for reg in self.regions.values() for r in reg.held_at(coord))
 
     def __contains__(self, name) -> bool:
         return name in self.regions
 
     def __getitem__(self, name) -> Region:
+        if name not in self.regions:
+            raise MissingDistribution(f"tensor {name} has no placed region")
         return self.regions[name]
 
 
@@ -281,51 +282,26 @@ def redistribute(store: RegionStore, name: str, new_dist: TensorDistribution,
                  trace: ExecutionTrace) -> None:
     """Move a region to a new distribution, recording placement-phase events.
 
-    Every piece a processor must hold under the new distribution but does not
-    hold yet is fetched from the lowest-enumeration current holder. Old copies
-    are dropped afterwards; the transfer moment (old plus fetched pieces live
-    together) sets the memory high-water.
+    Replays the new distribution's placement statement against the current
+    holders. Old copies are dropped afterwards; the transfer moment (old plus
+    fetched pieces live together) sets the memory high-water.
     """
-    region = store.regions[name]
-    check_redistributable(region.dist, new_dist)
-    old = region.residency
-    new = new_dist.residency()
-    old_colors = [
-        (region.dist.piece_bounds(c), region.dist.processors_of(c))
-        for c in region.dist.colors()
-    ]
-    moved = 0
-    fetched_vol = {p: 0 for p in store.machine.enumerate()}
-    for p in store.machine.enumerate():
-        for rect in new.get(p, []):
-            for piece in subtract_rects([rect], old.get(p, [])):
-                for bounds, procs in old_colors:
-                    part = piece.intersect(bounds)
-                    if part is None:
-                        continue
-                    src = next((q for q in procs if q != p), None)
-                    if src is None:
-                        continue
-                    trace.events.append(CommEvent(
-                        0, src, p, name, part, part.volume, "copy", "placement"))
-                    moved += part.volume
-                    fetched_vol[p] += part.volume
-    for p in store.machine.enumerate():
-        trace.bump_memory(p, store.persistent_volume(p) + fetched_vol[p])
+    region = store[name]
+    if region.dist.tensor_dims != new_dist.tensor_dims:
+        raise ConfigError(f"redistribution changes dims {region.dist.tensor_dims} "
+                          f"-> {new_dist.tensor_dims}")
+    if new_dist.machine != store.machine:
+        raise ConfigError("redistribution must stay on one machine")
+    placement = lower_placement(TensorVar(name, new_dist.tensor_dims), new_dist)
+    first = len(trace.events)
+    _replay(lower_to_tasks(placement, store), store, trace)
     region.dist = new_dist
-    region.residency = new
+    region.residency = new_dist.residency()
     trace.launches.append({
         "phase": "placement", "kind": "redistribute", "tensor": name,
-        "elements": moved, "to": new_dist.describe(),
+        "elements": sum(e.elements for e in trace.events[first:]),
+        "to": new_dist.describe(),
     })
-
-
-def check_redistributable(old: TensorDistribution, new: TensorDistribution) -> None:
-    if old.tensor_dims != new.tensor_dims:
-        raise ConfigError(
-            f"redistribution changes dims {old.tensor_dims} -> {new.tensor_dims}")
-    if old.machine != new.machine:
-        raise ConfigError("redistribution must stay on one machine")
 
 
 # lowering a scheduled statement to a task launch
@@ -342,7 +318,7 @@ class LaunchPlan:
     step_var: object        # Forall | None
     num_steps: int
     fetch_plan: list        # (tensor name, accesses tuple, scope)
-    out_name: str
+    out_name: str           # None for a Place leaf, as are the two below
     out_kind: str           # "copy" | "reduce"
     out_access: Access
     tasks: list             # TaskInfo, machine enumeration order
@@ -375,19 +351,19 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
                 f"loop {f.var} spans [{f.lo},{f.hi}) over a machine dimension "
                 f"of extent {d}")
 
-    if isinstance(leaf, Place):
-        raise ConfigError("placement statements run through place()/redistribute()")
-    out_access = leaf.lhs
-    out_name = out_access.tensor.name
-    out_kind = "reduce" if isinstance(leaf, Reduce) else "copy"
+    if isinstance(leaf, Place):  # no output: the placed tensor is fetched
+        out_access = out_name = out_kind = None
+    else:
+        out_access = leaf.lhs
+        out_name = out_access.tensor.name
+        out_kind = "reduce" if isinstance(leaf, Reduce) else "copy"
 
     accesses = leaf_accesses(leaf)
     names = sorted({a.tensor.name for a in accesses})
     for n in names:
         if n not in store:
             raise MissingDistribution(f"tensor {n} has no placed region")
-    out_dist = store[out_name].dist
-    if out_kind == "copy" and out_dist.replicated:
+    if out_kind == "copy" and store[out_name].dist.replicated:
         raise WriteToReplica(
             f"{out_name} is replicated; plain writes would diverge the copies")
 
@@ -419,7 +395,7 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
     tasks = []
     for coord in itertools.product(*(range(f.lo, f.hi) for f in group)):
         env = {f.var: c for f, c in zip(group, coord)}
-        rect = access_rect(out_access, {**intervals, **unit_env(env)}, defs)
+        rect = out_access and access_rect(out_access, {**intervals, **unit_env(env)}, defs)
         tasks.append(TaskInfo(coord, env, rect))
 
     if out_kind == "copy":
@@ -463,26 +439,16 @@ def _numeric_task(plan: LaunchPlan, task: TaskInfo, read_store: dict) -> DenseTe
     return result[plan.out_name]
 
 
-def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
-            label: str = None):
-    """Run one scheduled statement: communication ledger plus numeric commit.
+def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None:
+    """Ledger every transfer of one launch and bump memory, step by step.
 
-    Phase one replays all transfers step by step in machine enumeration
-    order: each task's needs are cut down by what it already holds, split
-    along the owning distribution's pieces, and sourced with the preference
-    previous-step holder, then launch-scope holder, then lowest-enumeration
-    home. Phase two computes every task's numeric contribution and commits
-    assignments and reductions to the canonical tensors, recording write-back
-    events where the executor is not the home.
+    Each task's needs are cut down by what it already holds, split along the
+    owning distribution's pieces, and sourced by _pick_source. Memory at each
+    step counts resident pieces, the output buffer and every live temporary.
     """
-    if trace is None:
-        trace = ExecutionTrace(store.machine)
-    plan = lower_to_tasks(stmt, store)
-    machine = store.machine
-    order = list(machine.enumerate())
-    out_region = store[plan.out_name]
+    order = list(store.machine.enumerate())
     events = trace.events
-
+    phase = "placement" if isinstance(plan.leaf, Place) else "compute"
     launch_temps: dict = {}
     prev_temps: dict = {}
     persist = {p: store.persistent_volume(p) for p in order}
@@ -506,7 +472,7 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
                                    prev_temps, launch_temps, order)
                 if src is not None:
                     events.append(CommEvent(step, src, p, tensor, part,
-                                            part.volume, "copy", "compute"))
+                                            part.volume, "copy", phase))
                 sink.setdefault(p, []).append((tensor, part))
 
     for s in range(plan.num_steps):
@@ -537,6 +503,26 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
             vol += sum(r.volume for (_, r) in cur_temps.get(p, []))
             trace.bump_memory(p, vol)
         prev_temps = cur_temps
+
+
+def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
+            label: str = None):
+    """Run one scheduled statement: communication ledger plus numeric commit.
+
+    Phase one replays all transfers (`_replay`). Phase two computes every
+    task's numeric contribution and commits assignments and reductions to
+    the canonical tensors, recording write-back events where the executor is
+    not the home. A placement statement is refused: it runs through
+    `redistribute`.
+    """
+    if trace is None:
+        trace = ExecutionTrace(store.machine)
+    plan = lower_to_tasks(stmt, store)
+    if isinstance(plan.leaf, Place):
+        raise ConfigError("placement statements run through place()/redistribute()")
+    _replay(plan, store, trace)
+    out_region = store[plan.out_name]
+    events = trace.events
 
     read_store = {n: store[n].tensor for n in (t for t, _, _ in plan.fetch_plan)}
     read_store[plan.out_name] = out_region.tensor
@@ -610,7 +596,7 @@ def run_statement(stmt, machine: Machine, distributions: dict, inputs: dict,
         cin = schedule.apply(cin)
 
     accesses = leaf_accesses(forall_chain(cin)[1])
-    out_name = accesses[0].tensor.name  # a Place leaf is refused by lower_to_tasks
+    out_name = accesses[0].tensor.name  # a Place leaf is refused by execute
     var_dims = {acc.tensor.name: acc.tensor.dims for acc in accesses}
 
     store = RegionStore(machine)

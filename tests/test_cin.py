@@ -48,7 +48,13 @@ from tendist.cin import (
     with_relations,
 )
 from tendist import cin as cin_module
-from tendist.errors import OOBAccess, TendistError, UnboundVariable
+from tendist.errors import (
+    ExtentMismatch,
+    MissingInput,
+    OOBAccess,
+    TendistError,
+    UnboundVariable,
+)
 from tendist.ir import Const, TensorVar, build_statement, eval_expr, format_statement
 
 
@@ -235,6 +241,18 @@ def test_interpret_oob_access_raises():
     with pytest.raises(OOBAccess) as err:
         interpret(lower_to_cin(stmt), {"A": DenseTensor((4500,))})
     assert str(err.value) == "A(4500,) outside dims (4500,)"
+
+
+def test_interpret_missing_input_raises():
+    with pytest.raises(MissingInput, match="no value supplied for B"):
+        interpret(lower_to_cin(gemm(2)), {"A": DenseTensor((2, 2))})
+
+
+def test_interpret_input_of_wrong_order_raises():
+    ins = {"A": DenseTensor((2, 2)), "B": DenseTensor((2,))}
+    with pytest.raises(ExtentMismatch,
+                       match=r"B value has dims \(2,\), statement needs \(2, 2\)"):
+        interpret(lower_to_cin(gemm(2)), ins)
 
 
 def test_interpret_inf_nan_inputs_are_silent():

@@ -111,6 +111,20 @@ def test_explain(tmp_path, capsys):
     assert "s.t. divide(i, io, ii, 2), distribute(io)" in out
 
 
+def test_explain_two_level_placements(capsys):
+    code = run(["--explain", "--kernel", "gemm", "--n", "8", "--machine", "2x2/2",
+                "--dist", "A: xy -> xy; xy -> x", "--dist", "B: xy -> xy; xy -> y",
+                "--dist", "C: xy -> xy; xy -> *"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "placement A: xy -> xy ; xy -> x" in out
+    assert "divide(xi, xio, xii, 2)" in out and "communicate(A, xio)" in out
+    assert "placement B: xy -> xy ; xy -> y" in out
+    assert "divide(yi, yio, yii, 2)" in out and "communicate(B, yio)" in out
+    assert "placement C: xy -> xy ; xy -> *" in out
+    assert "communicate(C, m2)" in out
+
+
 def test_explain_rejects_algorithm_mode(capsys):
     code = run(["--algorithm", "summa", "--explain"])
     err = capsys.readouterr().err

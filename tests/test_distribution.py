@@ -11,6 +11,7 @@ from tendist import (
     make_machine,
     parse_distribution,
     pretty,
+    summa_hier,
 )
 from tendist.cin import interpret
 from tendist.distribution import full_rect, subtract_rects
@@ -283,6 +284,21 @@ def test_lower_placement_golden():
     assert pretty(lower_placement(T, d)) == (
         "forall(xo) forall(xi) forall(y) T(x, y) "
         "s.t. divide(x, xo, xi, 2), distribute(xo), communicate(T, xo)")
+
+
+def test_lower_placement_two_level_golden():
+    # a dimension divided at two levels names its loops after the divided
+    # variable: x into xo and xi, then xi into xio and xii
+    T = TensorVar("T", (8, 4))
+    d = TensorDistribution((8, 4), make_machine([(2, 2), (2,)]),
+                           [(("x", "y"), ("x", "y")), (("x", "y"), ("x",))])
+    assert pretty(lower_placement(T, d)) == (
+        "forall(xo) forall(yo) forall(xio) forall(xii) forall(yi) T(x, y) "
+        "s.t. divide(x, xo, xi, 2), divide(y, yo, yi, 2), divide(xi, xio, xii, 2), "
+        "distribute(xo), distribute(yo), distribute(xio), communicate(T, xio)")
+    bundle = summa_hier()
+    for name, dist in bundle.distributions.items():
+        lower_placement(bundle.statement.tensors()[name], dist)
 
 
 def test_lower_placement_fixed_and_broadcast():

@@ -13,6 +13,8 @@ from tendist import (
     access_rect,
     grid,
     lower_placement,
+    parse_distribution,
+    parse_machine,
     parse_statement,
     redistribute,
     run_statement,
@@ -251,6 +253,98 @@ def test_redistribute_rejects_shape_or_machine_change():
     bad_machine = TensorDistribution((4, 4), other, [(("x", "y"), ("x",))])
     with pytest.raises(ConfigError):
         redistribute(store, "T", bad_machine, trace)
+
+
+# Ledgers of redistribute, one event per "src>dst rect" (processor
+# coordinates as digits), then the per-processor memory high-water in
+# machine order. The relay cases serve a piece that two processors lack to
+# the second from the first one's launch temporary.
+REDISTRIBUTIONS = {
+    "row-to-block": ((4, 4), "2x2", "xy -> x0", "xy -> xy",
+                     ["00>01 [0,2)x[2,4)", "10>11 [2,4)x[2,4)"], [8, 4, 8, 4]),
+    "block-to-row": ((4, 4), "2x2", "xy -> xy", "xy -> x0",
+                     ["01>00 [0,2)x[2,4)", "11>10 [2,4)x[2,4)"], [8, 4, 8, 4]),
+    "transposed": ((4, 4), "2x2", "xy -> xy", "xy -> yx",
+                   ["10>01 [2,4)x[0,2)", "01>10 [0,2)x[2,4)"], [4, 8, 8, 4]),
+    "fixed-to-partition": (
+        (4, 4), "2x2", "xy -> 11", "xy -> xy",
+        ["11>00 [0,2)x[0,2)", "11>01 [0,2)x[2,4)", "11>10 [2,4)x[0,2)"],
+        [4, 4, 4, 16]),
+    "partition-to-fixed": (
+        (4, 4), "2x2", "xy -> xy", "xy -> 10",
+        ["00>10 [0,2)x[0,2)", "01>10 [0,2)x[2,4)", "11>10 [2,4)x[2,4)"],
+        [4, 4, 16, 4]),
+    "ragged": (
+        (5, 7), "2x3", "xy -> xy", "xy -> yx",
+        ["01>00 [0,2)x[3,4)", "10>01 [3,4)x[0,3)", "11>01 [3,4)x[3,4)",
+         "00>01 [2,3)x[0,3)", "10>02 [4,5)x[0,3)", "11>02 [4,5)x[3,4)",
+         "01>10 [0,2)x[4,6)", "02>10 [0,2)x[6,7)", "01>11 [2,3)x[4,6)",
+         "02>11 [2,3)x[6,7)", "12>11 [3,4)x[6,7)", "11>12 [4,5)x[4,6)"],
+        [11, 16, 7, 12, 10, 4]),
+    "two-level": (
+        (8, 8), "2x2/2", "xy -> xy; xy -> x", "xy -> yx; xy -> y",
+        ["001>000 [2,4)x[0,2)", "000>001 [0,2)x[2,4)", "100>010 [4,6)x[0,2)",
+         "101>010 [6,8)x[0,2)", "100>011 [4,6)x[2,4)", "101>011 [6,8)x[2,4)",
+         "010>100 [0,2)x[4,6)", "011>100 [2,4)x[4,6)", "010>101 [0,2)x[6,8)",
+         "011>101 [2,4)x[6,8)", "111>110 [6,8)x[4,6)", "110>111 [4,6)x[6,8)"],
+        [12, 12, 16, 16, 16, 16, 12, 12]),
+    "two-level-ragged": (
+        (5, 7), "2x2/2", "xy -> xy; xy -> y", "xy -> xy; xy -> x",
+        ["001>000 [0,2)x[2,4)", "000>001 [2,3)x[0,2)", "011>010 [0,2)x[6,7)",
+         "010>011 [2,3)x[4,6)", "101>100 [3,5)x[2,4)", "111>110 [3,5)x[6,7)"],
+        [10, 8, 8, 5, 8, 4, 6, 2]),
+    "two-level-node-replica": (
+        (8, 8), "2x2/2", "xy -> xy; xy -> x", "xy -> xy; xy -> *",
+        ["001>000 [2,4)x[0,4)", "000>001 [0,2)x[0,4)", "011>010 [2,4)x[4,8)",
+         "010>011 [0,2)x[4,8)", "101>100 [6,8)x[0,4)", "100>101 [4,6)x[0,4)",
+         "111>110 [6,8)x[4,8)", "110>111 [4,6)x[4,8)"],
+        [16] * 8),
+    "relay-block-to-replica": (
+        (4, 4), "2x2", "xy -> xy", "xy -> **",
+        ["10>00 [2,4)x[0,2)", "11>00 [2,4)x[2,4)", "01>00 [0,2)x[2,4)",
+         "00>01 [2,4)x[0,2)", "00>01 [2,4)x[2,4)", "00>01 [0,2)x[0,2)",
+         "01>10 [0,2)x[0,2)", "00>10 [0,2)x[2,4)", "00>10 [2,4)x[2,4)",
+         "01>11 [0,2)x[0,2)", "00>11 [0,2)x[2,4)", "00>11 [2,4)x[0,2)"],
+        [16, 16, 16, 16]),
+    "relay-ragged": (
+        (5, 7), "2x3", "xy -> x0", "xy -> *y",
+        ["10>00 [3,5)x[0,3)", "00>01 [0,3)x[3,6)", "10>01 [3,5)x[3,6)",
+         "00>02 [0,3)x[6,7)", "10>02 [3,5)x[6,7)", "00>10 [0,3)x[0,3)",
+         "01>11 [0,3)x[3,6)", "01>11 [3,5)x[3,6)", "02>12 [0,3)x[6,7)",
+         "02>12 [3,5)x[6,7)"],
+        [27, 15, 5, 23, 15, 5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REDISTRIBUTIONS))
+def test_redistribute_ledger(case):
+    shape, machine_text, old_text, new_text, ledger, memory = REDISTRIBUTIONS[case]
+    machine = parse_machine(machine_text)
+    old, new = (TensorDistribution(shape, machine, parse_distribution(t)[1])
+                for t in (old_text, new_text))
+    store = RegionStore(machine)
+    data = DenseTensor(shape, np.arange(np.prod(shape), dtype=float).reshape(shape))
+    store.place("T", data, old)
+    trace = ExecutionTrace(machine)
+    redistribute(store, "T", new, trace)
+
+    def digits(p):
+        return "".join(map(str, p))
+
+    assert [f"{digits(e.src)}>{digits(e.dst)} {e.rect}" for e in trace.events] == ledger
+    assert {(e.timestep, e.tensor, e.kind, e.phase) for e in trace.events} == {
+        (0, "T", "copy", "placement")}
+    assert all(e.elements == e.rect.volume for e in trace.events)
+    assert [trace.memory[p] for p in machine.enumerate()] == memory
+    assert trace.launches == [{
+        "phase": "placement", "kind": "redistribute", "tensor": "T",
+        "elements": sum(e.elements for e in trace.events), "to": new.describe()}]
+    assert trace.num_steps == 0
+    assert store["T"].dist is new
+    assert store["T"].residency == new.residency()
+    assert np.array_equal(store["T"].tensor.data, data.data)
+    with pytest.raises(MissingDistribution):
+        redistribute(store, "U", new, trace)
 
 
 def test_store_rejects_mismatches():
