@@ -19,8 +19,8 @@ variable to the unit intervals (v, v + 1) of a whole arange, so a derived
 variable comes out as one unit interval per point, or empty where a divide or
 split guard fails: that point is phantom and does nothing. A box is resolved
 in passes of at most 4,096 points; each live point then runs the leaf's
-scalar arithmetic, in chain order, so values and accumulation order are those
-of a plain loop nest.
+scalar arithmetic, compiled once (`ir.compile_expr`), in chain order, so
+values and accumulation order are those of a plain loop nest.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ExtentMismatch, MissingInput, OOBAccess, TendistError, UnboundVariable
-from .ir import Access, TensorIndexStmt, accesses_of, eval_expr, format_expr
+from .ir import Access, TensorIndexStmt, accesses_of, compile_expr, format_expr, index_getter
 from .tensors import DenseTensor
 
 
@@ -369,7 +369,8 @@ def _box_walker(leaf, defs, read_store, out_store):
     The box is resolved in passes of at most _PASS_POINTS points. A pass
     binds its loops to aranges, resolves every name with one var_interval
     call, masks the phantom points and checks bounds before any write; then
-    it walks the live points in chain order, each with scalar arithmetic.
+    it walks the live points in chain order, each writing the leaf's rhs,
+    compiled once per walker, at its lhs coordinate.
     Loops outside a pass are walked one value at a time, setting the env in
     place; the outermost loop of a pass may be cut into chunks.
     """
@@ -384,8 +385,8 @@ def _box_walker(leaf, defs, read_store, out_store):
         for v, d in zip(a.var_names, dims):
             limit[v] = min(limit.get(v, d), d)
     limits = tuple((names.index(v), d) for v, d in limit.items())
-    lhs = tuple(names.index(v) for v in leaf.lhs.var_names)
-    rhs = leaf.rhs
+    lget = index_getter(leaf.lhs, names)
+    rhs = compile_expr(leaf.rhs, names, read_store)
     out = out_store[leaf.lhs.tensor.name].data
     assign = isinstance(leaf, Assign)
 
@@ -412,13 +413,12 @@ def _box_walker(leaf, defs, read_store, out_store):
                 if not all(0 <= c < e for c, e in zip(coord, dims)):
                     raise OOBAccess(f"{a.tensor.name}{coord} outside dims {dims}")
         rows = zip(*(v.tolist() for v in values)) if names else [()] * int(live.sum())
-        for row in rows:
-            at = dict(zip(names, row))
-            coord = tuple([row[k] for k in lhs])
-            if assign:
-                out[coord] = eval_expr(rhs, at, read_store)
-            else:
-                out[coord] += eval_expr(rhs, at, read_store)
+        if assign:
+            for row in rows:
+                out[lget(row)] = rhs(row)
+        else:
+            for row in rows:
+                out[lget(row)] += rhs(row)
 
     def walk(loops, env):
         sizes = [hi - lo for _, lo, hi in loops]

@@ -9,6 +9,7 @@ they index and must agree across all uses.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -183,19 +184,35 @@ def format_statement(stmt: TensorIndexStmt) -> str:
     return f"{format_expr(stmt.lhs)} = {format_expr(stmt.rhs)}"
 
 
-def eval_expr(expr: Expr, index: dict, store: dict):
-    """Value of `expr` with each variable mapped to an index value: an int
-    (one point) or an arange shaped to broadcast along its own axis (a box),
-    so an Access is a single gather and a repeated variable reads a diagonal.
+def index_getter(access: Access, names):
+    """Function from a row (row[k] the value of names[k]) to the index that
+    `access` reads at it: a tuple, a bare value for one index, () for none."""
+    at = [names.index(v) for v in access.var_names]
+    if not at:
+        return lambda row: ()
+    return operator.itemgetter(*at)
+
+
+def compile_expr(expr: Expr, names, store: dict):
+    """`expr` as a function of one row, where row[k] is the value of
+    names[k]: an int (one point) or an arange shaped to broadcast along its
+    own axis (a box), so an Access is a single gather and a repeated
+    variable reads a diagonal. The tree is walked here, once: each Access
+    binds its tensor's data and index getter, each operator its operands.
     """
     if isinstance(expr, Const):
-        return expr.value
+        value = expr.value
+        return lambda row: value
     if isinstance(expr, Access):
-        return store[expr.tensor.name].data[tuple([index[v.name] for v in expr.indices])]
-    if isinstance(expr, Add):
-        return eval_expr(expr.lhs, index, store) + eval_expr(expr.rhs, index, store)
-    if isinstance(expr, Mul):
-        return eval_expr(expr.lhs, index, store) * eval_expr(expr.rhs, index, store)
+        data = store[expr.tensor.name].data
+        get = index_getter(expr, names)
+        return lambda row: data[get(row)]
+    if isinstance(expr, (Add, Mul)):
+        lhs = compile_expr(expr.lhs, names, store)
+        rhs = compile_expr(expr.rhs, names, store)
+        if isinstance(expr, Add):
+            return lambda row: lhs(row) + rhs(row)
+        return lambda row: lhs(row) * rhs(row)
     raise TendistError(f"cannot evaluate {expr!r}")
 
 
@@ -218,22 +235,20 @@ def sequential_evaluate(stmt: TensorIndexStmt, inputs: dict) -> DenseTensor:
             )
     out = DenseTensor(stmt.lhs.tensor.dims)
     box = tuple(stmt.extents[v] for v in stmt.free_vars)
-    index: dict = {}
-    for axis, name in enumerate(stmt.free_vars):
-        shape = [1] * len(box)
-        shape[axis] = -1
-        index[name] = np.arange(box[axis]).reshape(shape)
+    lanes = tuple(
+        np.arange(ext).reshape([-1 if k == axis else 1 for k in range(len(box))])
+        for axis, ext in enumerate(box))
+    rhs = compile_expr(stmt.rhs, stmt.var_order, inputs)
     if stmt.reduction_vars:
         # a scalar output accumulates in a float: updating a 0-d array
         # costs more than the addition itself
         value = np.zeros(box) if box else 0.0
         red_ext = [stmt.extents[v] for v in stmt.reduction_vars]
         for red_pt in itertools.product(*[range(e) for e in red_ext]):
-            index.update(zip(stmt.reduction_vars, red_pt))
-            value += eval_expr(stmt.rhs, index, inputs)
+            value += rhs(lanes + red_pt)
     else:
-        value = eval_expr(stmt.rhs, index, inputs)
-    out.data[tuple(index[v.name] for v in stmt.lhs.indices)] = value
+        value = rhs(lanes)
+    out.data[index_getter(stmt.lhs, stmt.free_vars)(lanes)] = value
     return out
 
 

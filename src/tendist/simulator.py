@@ -207,7 +207,7 @@ class ExecutionTrace:
                     for p in self.machine.enumerate()
                 ],
             },
-            "launches": list(self.launches),
+            "launches": [dict(launch) for launch in self.launches],
         }
         if self.machine.num_levels > 1:
             end0 = self.machine.level_slices()[0][1]
@@ -439,6 +439,30 @@ def _numeric_task(plan: LaunchPlan, task: TaskInfo, read_store: dict) -> DenseTe
     return result[plan.out_name]
 
 
+def _commit(plan: LaunchPlan, task: TaskInfo, partial: DenseTensor, region: Region,
+            events: list) -> None:
+    """Fold one task's output rect into the canonical tensor, recording a
+    write-back to each home of it that is not the task itself."""
+    rect = task.out_rect
+    if rect is None:
+        return
+    sl = rect.slices()
+    if plan.out_kind == "reduce":
+        region.tensor.data[sl] += partial.data[sl]
+    else:
+        region.tensor.data[sl] = partial.data[sl]
+    for color in region.dist.colors():
+        part = rect.intersect(region.dist.piece_bounds(color))
+        if part is None:
+            continue
+        procs = region.dist.processors_of(color)
+        targets = procs if plan.out_kind == "copy" else procs[:1]
+        for h in targets:
+            if h != task.coord:
+                events.append(CommEvent(plan.num_steps - 1, task.coord, h, plan.out_name,
+                                        part, part.volume, plan.out_kind, "compute"))
+
+
 def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None:
     """Ledger every transfer of one launch and bump memory, step by step.
 
@@ -509,11 +533,11 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
             label: str = None):
     """Run one scheduled statement: communication ledger plus numeric commit.
 
-    Phase one replays all transfers (`_replay`). Phase two computes every
-    task's numeric contribution and commits assignments and reductions to
-    the canonical tensors, recording write-back events where the executor is
-    not the home. A placement statement is refused: it runs through
-    `redistribute`.
+    Phase one replays all transfers (`_replay`). Phase two computes each
+    task's numeric contribution and commits it to the canonical output before
+    the next task runs, so one full-size output buffer is alive at a time,
+    recording write-back events where the executor is not the home. A
+    placement statement is refused: it runs through `redistribute`.
     """
     if trace is None:
         trace = ExecutionTrace(store.machine)
@@ -522,34 +546,13 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
         raise ConfigError("placement statements run through place()/redistribute()")
     _replay(plan, store, trace)
     out_region = store[plan.out_name]
-    events = trace.events
 
-    read_store = {n: store[n].tensor for n in (t for t, _, _ in plan.fetch_plan)}
-    read_store[plan.out_name] = out_region.tensor
-    partials = [_numeric_task(plan, t, read_store) for t in plan.tasks]
-
-    last = plan.num_steps - 1
-    canon = out_region.tensor.data
-    for task, partial in zip(plan.tasks, partials):
-        rect = task.out_rect
-        if rect is None:
-            continue
-        sl = rect.slices()
-        if plan.out_kind == "reduce":
-            canon[sl] += partial.data[sl]
-        else:
-            canon[sl] = partial.data[sl]
-        for color in out_region.dist.colors():
-            part = rect.intersect(out_region.dist.piece_bounds(color))
-            if part is None:
-                continue
-            procs = out_region.dist.processors_of(color)
-            targets = procs if plan.out_kind == "copy" else procs[:1]
-            for h in targets:
-                if h != task.coord:
-                    events.append(CommEvent(last, task.coord, h, plan.out_name,
-                                            part, part.volume, plan.out_kind,
-                                            "compute"))
+    read_store = {n: store[n].tensor for n, _, _ in plan.fetch_plan}
+    if plan.out_name in (a.tensor.name for a in leaf_accesses(plan.leaf)[1:]):
+        # the commits below change the output; the rhs reads its old values
+        read_store[plan.out_name] = out_region.tensor.copy()
+    for task in plan.tasks:
+        _commit(plan, task, _numeric_task(plan, task, read_store), out_region, trace.events)
 
     if plan.out_kind == "reduce" and out_region.dist.replicated:
         # replicas beyond the home are stale after a reduction; drop them

@@ -55,7 +55,7 @@ from tendist.errors import (
     TendistError,
     UnboundVariable,
 )
-from tendist.ir import Const, TensorVar, build_statement, eval_expr, format_statement
+from tendist.ir import Access, Add, Const, TensorVar, build_statement, format_statement
 
 
 def gemm(n=2):
@@ -412,7 +412,16 @@ def test_array_resolution_matches_integer_lanes():
 
 def per_point(stmt, store):
     """The output a scalar loop writes: every point of the chain in order,
-    each name resolved on its own, phantom points skipped."""
+    each name resolved on its own, phantom points skipped, and the rhs
+    evaluated by a tree walk of its own on numpy scalars."""
+    def value(expr, at):
+        if isinstance(expr, Const):
+            return expr.value
+        if isinstance(expr, Access):
+            return store[expr.tensor.name].data[tuple(at[v] for v in expr.var_names)]
+        a, b = value(expr.lhs, at), value(expr.rhs, at)
+        return a + b if isinstance(expr, Add) else a * b
+
     chain, leaf = forall_chain(stmt)
     defs = relation_defs(relations_of(stmt))
     names = [v for a in leaf_accesses(leaf) for v in a.var_names]
@@ -423,9 +432,9 @@ def per_point(stmt, store):
             continue
         coord = tuple(at[v] for v in leaf.lhs.var_names)
         if isinstance(leaf, Assign):
-            out[coord] = eval_expr(leaf.rhs, at, store)
+            out[coord] = value(leaf.rhs, at)
         else:
-            out[coord] += eval_expr(leaf.rhs, at, store)
+            out[coord] += value(leaf.rhs, at)
     return out
 
 

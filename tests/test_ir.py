@@ -8,11 +8,13 @@ from tendist import (
     TensorVar,
     build_statement,
     format_statement,
+    interpret,
+    lower_to_cin,
     parse_statement,
     sequential_evaluate,
 )
 from tendist.errors import ExtentMismatch, MissingInput, TendistError
-from tendist.ir import Access, Add, Const, Mul
+from tendist.ir import Access, Add, Const, Expr, Mul, compile_expr
 
 
 def t(dims, values):
@@ -168,8 +170,15 @@ def test_bit_exact_against_scalar_loop(text):
     for _ in range(5):
         ins = {name: _wide_floats(rng, var.dims)
                for name, var in stmt.tensors().items() if name != out_name}
-        got = sequential_evaluate(stmt, ins)
-        assert got.data.tobytes() == _scalar_loop(stmt, ins).tobytes()
+        want = _scalar_loop(stmt, ins).tobytes()
+        assert sequential_evaluate(stmt, ins).data.tobytes() == want
+        got = interpret(lower_to_cin(stmt), ins)[out_name]
+        assert got.data.tobytes() == want
+
+
+def test_compile_rejects_an_unknown_node():
+    with pytest.raises(TendistError, match="cannot evaluate"):
+        compile_expr(Expr(), (), {})
 
 
 def test_build_statement_with_operator_sugar():

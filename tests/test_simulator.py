@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ from tendist import (
     RegionStore,
     TensorDistribution,
     access_rect,
+    execute,
     grid,
+    johnson,
     lower_placement,
+    lower_to_cin,
     parse_distribution,
     parse_machine,
     parse_statement,
+    random_inputs,
     redistribute,
     run_statement,
     schedule,
@@ -167,6 +172,43 @@ def test_stats_schema_and_consistency():
     assert stats["launches"] == [{"phase": "compute", "label": "C",
                                   "tasks": 4, "steps": 2}]
     assert "levels" not in stats  # single-level machine
+
+
+def test_stats_hands_out_copies_of_the_launches():
+    stmt, machine, dists, inputs, sched = _gemm_setup()
+    trace = run_statement(stmt, machine, dists, inputs, sched).trace
+    first = trace.stats()
+    trace.stats()["launches"][0]["label"] = "changed"
+    assert trace.stats() == first
+    assert trace.launches[0]["label"] == "C"
+
+
+def test_tasks_commit_one_at_a_time():
+    # one full-size partial output alive, not one per task (64 x 32 KB);
+    # a short reduction keeps the traced run fast
+    bundle = johnson(4, 4, 4, dims=(64, 64, 4))
+    inputs = random_inputs(bundle.statement, 0)
+    tracemalloc.start()
+    try:
+        bundle.run(inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
+
+
+def test_rhs_reading_its_output_sees_pre_statement_values():
+    # task 0 commits y[0:2] before task 1 reads y[0:2]
+    stmt = parse_statement("y(i) = x(j) * y(j)", {"i": 4, "j": 4})
+    machine = grid(2)
+    vec = TensorDistribution((4,), machine, [(("x",), ("x",))])
+    store = RegionStore(machine)
+    store.place("x", DenseTensor((4,), [1.0, -2.0, 3.0, 0.5]), vec)
+    store.place("y", DenseTensor((4,), [4.0, 1.0, 2.0, 2.0]), vec)
+    cin = schedule().divide("i", "io", "ii", 2).distribute("io").apply(lower_to_cin(stmt))
+    execute(cin, store)
+    # each y(i) gains x . y = 9 over the old y, not over task 0's commit
+    assert store["y"].tensor.data.tolist() == [13.0, 10.0, 11.0, 11.0]
 
 
 def test_edge_csv(tmp_path):
