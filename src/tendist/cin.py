@@ -18,9 +18,11 @@ task touches. The interpreter resolves a loop box at once: it binds each loop
 variable to the unit intervals (v, v + 1) of a whole arange, so a derived
 variable comes out as one unit interval per point, or empty where a divide or
 split guard fails: that point is phantom and does nothing. A box is resolved
-in passes of at most 4,096 points; each live point then runs the leaf's
-scalar arithmetic, compiled once (`ir.compile_expr`), in chain order, so
-values and accumulation order are those of a plain loop nest.
+in passes of at most 4,096 points, and each pass evaluates the leaf's
+right-hand side, compiled once (`ir.compile_expr`), on all its live points at
+once. The writes land in chain order (`np.add.at` for a reduction, the last
+point per element for an assignment), so every element sees the float64
+operations of a plain loop nest in the same order.
 """
 
 from __future__ import annotations
@@ -369,8 +371,11 @@ def _box_walker(leaf, defs, read_store, out_store):
     The box is resolved in passes of at most _PASS_POINTS points. A pass
     binds its loops to aranges, resolves every name with one var_interval
     call, masks the phantom points and checks bounds before any write; then
-    it walks the live points in chain order, each writing the leaf's rhs,
-    compiled once per walker, at its lhs coordinate.
+    it evaluates the rhs, compiled once per walker, on the live points'
+    value arrays and writes the results at their lhs coordinates in chain
+    order: a reduction adds with np.add.at, which applies repeated indices
+    one at a time in index order; an assignment keeps the last point that
+    writes each element.
     Loops outside a pass are walked one value at a time, setting the env in
     place; the outermost loop of a pass may be cut into chunks.
     """
@@ -388,6 +393,7 @@ def _box_walker(leaf, defs, read_store, out_store):
     lget = index_getter(leaf.lhs, names)
     rhs = compile_expr(leaf.rhs, names, read_store)
     out = out_store[leaf.lhs.tensor.name].data
+    flat = out.reshape(-1)  # a view: DenseTensor data is contiguous
     assign = isinstance(leaf, Assign)
 
     def run_pass(loops, env):
@@ -412,13 +418,19 @@ def _box_walker(leaf, defs, read_store, out_store):
                 coord = tuple(at[n] for n in a.var_names)
                 if not all(0 <= c < e for c, e in zip(coord, dims)):
                     raise OOBAccess(f"{a.tensor.name}{coord} outside dims {dims}")
-        rows = zip(*(v.tolist() for v in values)) if names else [()] * int(live.sum())
+        count = int(np.count_nonzero(live))
+        index = lget(values)  # a bare array for a one-index lhs
+        at = np.ravel_multi_index(index if isinstance(index, tuple) else (index,), out.shape)
+        at = np.broadcast_to(at, count)  # one lane per point for a 0-d lhs too
+        value = np.broadcast_to(rhs(values), count)
         if assign:
-            for row in rows:
-                out[lget(row)] = rhs(row)
+            # repeated fancy assignment promises no order: keep each
+            # element's last point in chain order
+            _, last = np.unique(at[::-1], return_index=True)
+            keep = count - 1 - last
+            flat[at[keep]] = value[keep]
         else:
-            for row in rows:
-                out[lget(row)] += rhs(row)
+            np.add.at(flat, at, value)
 
     def walk(loops, env):
         sizes = [hi - lo for _, lo, hi in loops]
@@ -448,7 +460,11 @@ def interpret(stmt, store: dict) -> dict:
     are never mutated, and the rhs reads the pre-statement values. An input
     of another order is an ExtentMismatch; other extents are bounds-checked.
     The loops from the outermost one a registered leaf kernel claims inward
-    go to that kernel instead of the box walker.
+    go to that kernel instead of the box walker. Each output element gets
+    the float64 operations of a scalar loop nest in chain order, bit for
+    bit, except the sign and payload of a NaN, which IEEE 754 leaves open:
+    numpy's array arithmetic may keep another operand's NaN than its scalar
+    arithmetic does.
     """
     chain, leaf = forall_chain(stmt)
     defs = relation_defs(relations_of(stmt))

@@ -195,10 +195,11 @@ def index_getter(access: Access, names):
 
 def compile_expr(expr: Expr, names, store: dict):
     """`expr` as a function of one row, where row[k] is the value of
-    names[k]: an int (one point) or an arange shaped to broadcast along its
-    own axis (a box), so an Access is a single gather and a repeated
-    variable reads a diagonal. The tree is walked here, once: each Access
-    binds its tensor's data and index getter, each operator its operands.
+    names[k]: an int (one point), an integer array (one lane per point) or
+    an arange shaped to broadcast along its own axis (a box), so an Access
+    is a single gather and a repeated variable reads a diagonal. The tree
+    is walked here, once: each Access binds its tensor's data and index
+    getter, each operator its operands.
     """
     if isinstance(expr, Const):
         value = expr.value
