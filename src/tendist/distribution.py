@@ -240,33 +240,6 @@ class TensorDistribution:
             lo[j], hi[j] = min(a, hi[j]), min(b, hi[j])
         return HyperRect(tuple(lo), tuple(hi))
 
-    def colors_meeting(self, rect: HyperRect) -> list:
-        """[(color, piece_bounds(color) ∩ rect)] for every color whose piece
-        meets rect, in colors() order. Each color component visits only the
-        blocks that meet rect within the piece the earlier components left,
-        instead of scanning every color."""
-        out = []
-
-        def visit(k, color, lo, hi):
-            if k == len(self.part_dims):
-                part = rect.intersect(HyperRect(lo, hi))
-                if part is not None:
-                    out.append((color, part))
-                return
-            _, j, parts, block = self.part_dims[k]
-            start = max(rect.lo[j], lo[j]) - lo[j]
-            stop = min(rect.hi[j], hi[j]) - lo[j]
-            if stop <= start:
-                return
-            for c in range(start // block, min(parts, -(-stop // block))):
-                a = lo[j] + c * block  # as in piece_bounds
-                cut_lo, cut_hi = list(lo), list(hi)
-                cut_lo[j], cut_hi[j] = min(a, hi[j]), min(a + block, hi[j])
-                visit(k + 1, color + (c,), tuple(cut_lo), tuple(cut_hi))
-
-        visit(0, (), (0,) * len(self.tensor_dims), self.tensor_dims)
-        return out
-
     def processors_of(self, color) -> tuple:
         """Processor coordinates holding this color, enumerate order."""
         if len(color) != len(self.part_dims):

@@ -451,7 +451,10 @@ def _commit(plan: LaunchPlan, task: TaskInfo, partial: DenseTensor, region: Regi
         region.tensor.data[sl] += partial.data[sl]
     else:
         region.tensor.data[sl] = partial.data[sl]
-    for color, part in region.dist.colors_meeting(rect):
+    for color in region.dist.colors():
+        part = rect.intersect(region.dist.piece_bounds(color))
+        if part is None:
+            continue
         procs = region.dist.processors_of(color)
         targets = procs if plan.out_kind == "copy" else procs[:1]
         for h in targets:

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -14,7 +13,6 @@ from tendist import (
     pretty,
     summa_hier,
 )
-from tendist.algorithms import ALGORITHMS, bundle_from_config
 from tendist.cin import interpret
 from tendist.distribution import full_rect, subtract_rects
 from tendist.errors import (
@@ -237,35 +235,6 @@ def test_hierarchical_color_bounds_consistency():
                 assert d.color_of(pt) == color
         for pt in itertools.product(*[range(e) for e in dims]):
             assert pt in points(d.piece_bounds(d.color_of(pt)))
-
-
-def test_colors_meeting_matches_the_scan():
-    dists = [d for name in ALGORITHMS
-             for d in bundle_from_config(name).distributions.values()]
-    assert any(d.machine.num_levels > 1 for d in dists)  # summa-hier
-    dists += [TensorDistribution(dims, m, levels) for dims, m, levels in [
-        ((5,), grid(2), [(("x",), ("x",))]),  # ragged
-        ((2,), grid(3), [(("x",), ("x",))]),  # an empty trailing piece
-        ((5, 7), grid(2, 3), [(("x", "y"), ("x", "y"))]),
-        ((5, 7), grid(2, 3), [(("x", "y"), ("y", "*"))]),
-        ((6, 3), grid(2, 2), [(("x", "y"), (1, "x"))]),
-        ((), grid(2), [((), (0,))]),
-        ((5, 7), make_machine([(2, 2), (2,)]),
-         [(("x", "y"), ("x", "y")), (("x", "y"), ("y",))]),
-        ((7,), make_machine([(2,), (3,)]), [(("x",), ("x",)), (("x",), ("x",))]),
-    ]]
-    rng = random.Random(3)
-    for d in dists:
-        for _ in range(40):
-            ends = [sorted(rng.randint(0, e) for _ in range(2)) for e in d.tensor_dims]
-            rect = HyperRect(tuple(a for a, _ in ends), tuple(b for _, b in ends))
-            scan = [(c, r) for c in d.colors()
-                    if (r := rect.intersect(d.piece_bounds(c))) is not None]
-            assert d.colors_meeting(rect) == scan, (d, rect)
-        for color in d.colors():
-            piece = d.piece_bounds(color)
-            if not piece.is_empty:
-                assert (color, piece) in d.colors_meeting(piece)
 
 
 # validation
