@@ -414,19 +414,27 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
 
 # execution
 
-def _rects_of(entries: list, tensor: str) -> list:
-    return [r for (n, r) in entries if n == tensor]
+class _Temps:
+    """One scope's temporaries: (tensor, color) -> [(holder, rect)] in task
+    order, which is machine enumeration order; (holder, tensor) -> [rect];
+    holder -> volume over all tensors. Each temporary is one color's part of
+    a piece and colors are disjoint, so only a part's own color can hold it."""
+
+    def __init__(self):
+        self.by_color, self.by_holder, self.volume = {}, {}, {}
+
+    def add(self, p, tensor, color, rect) -> None:
+        self.by_color.setdefault((tensor, color), []).append((p, rect))
+        self.by_holder.setdefault((p, tensor), []).append(rect)
+        self.volume[p] = self.volume.get(p, 0) + rect.volume
 
 
-def _pick_source(tensor, piece, p, procs_home, prev_temps, launch_temps, order):
-    for temps in (prev_temps, launch_temps):
-        for q in order:
-            if q == p:
-                continue
-            for r in _rects_of(temps.get(q, []), tensor):
-                if r.contains(piece):
-                    return q
-    for q in procs_home:
+def _pick_source(part, p, homes, prev_holders, launch_holders):
+    for holders in (prev_holders, launch_holders):
+        for q, r in holders:
+            if q != p and r.contains(part):
+                return q
+    for q in homes:
         if q != p:
             return q
     return None
@@ -467,14 +475,15 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
     """Ledger every transfer of one launch and bump memory, step by step.
 
     Each task's needs are cut down by what it already holds, split along the
-    owning distribution's pieces, and sourced by _pick_source. Memory at each
-    step counts resident pieces, the output buffer and every live temporary.
+    owning distribution's pieces, and sourced by _pick_source from the
+    holders of each part's color. Memory at each step counts resident
+    pieces, the output buffer and every live temporary.
     """
     order = list(store.machine.enumerate())
     events = trace.events
     phase = "placement" if isinstance(plan.leaf, Place) else "compute"
-    launch_temps: dict = {}
-    prev_temps: dict = {}
+    launch_temps = _Temps()
+    prev_temps = _Temps()
     persist = {p: store.persistent_volume(p) for p in order}
     buffers = {t.coord: (t.out_rect.volume if t.out_rect is not None else 0)
                for t in plan.tasks}
@@ -483,24 +492,25 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
         region = store[tensor]
         p = task.coord
         held = list(region.held_at(p))
-        held += _rects_of(launch_temps.get(p, []), tensor)
-        held += _rects_of(prev_temps.get(p, []), tensor)
-        held += _rects_of(cur_temps.get(p, []), tensor)
+        for temps in (launch_temps, prev_temps, cur_temps):
+            held += temps.by_holder.get((p, tensor), [])
         sink = launch_temps if scope == "launch" else cur_temps
         for piece in subtract_rects([rect], held):
             for color in region.dist.colors():
                 part = piece.intersect(region.dist.piece_bounds(color))
                 if part is None:
                     continue
-                src = _pick_source(tensor, part, p, region.dist.processors_of(color),
-                                   prev_temps, launch_temps, order)
+                key = (tensor, color)
+                src = _pick_source(part, p, region.dist.processors_of(color),
+                                   prev_temps.by_color.get(key, []),
+                                   launch_temps.by_color.get(key, []))
                 if src is not None:
                     events.append(CommEvent(step, src, p, tensor, part,
                                             part.volume, "copy", phase))
-                sink.setdefault(p, []).append((tensor, part))
+                sink.add(p, tensor, color, part)
 
     for s in range(plan.num_steps):
-        cur_temps: dict = {}
+        cur_temps = _Temps()
         for task in plan.tasks:
             launch_ivals = {**plan.intervals, **unit_env(task.env)}
             step_ivals = dict(launch_ivals)
@@ -522,9 +532,8 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
                     fetch(task, tensor, rect, s, scope, cur_temps)
         for p in order:
             vol = persist[p] + buffers.get(p, 0)
-            vol += sum(r.volume for (_, r) in launch_temps.get(p, []))
-            vol += sum(r.volume for (_, r) in prev_temps.get(p, []))
-            vol += sum(r.volume for (_, r) in cur_temps.get(p, []))
+            for temps in (launch_temps, prev_temps, cur_temps):
+                vol += temps.volume.get(p, 0)
             trace.bump_memory(p, vol)
         prev_temps = cur_temps
 

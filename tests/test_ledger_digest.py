@@ -4,7 +4,8 @@ Each pin is the sha256 of the canonical event list plus `trace.stats()`
 (config None). The ledger does not depend on input values, so a changed pin
 means the simulator moved different data, not that it got faster or slower.
 The pins cover one ragged extent (summa on 3x2 over 7x5x6) and the two-level
-summa-hier machine.
+summa-hier machine. SOURCE_RULE_PINS and the placement pin add ragged runs on
+9 or more processors that together take every branch of the source rule.
 """
 
 import hashlib
@@ -12,6 +13,14 @@ import json
 
 import pytest
 
+from tendist import (
+    DenseTensor,
+    ExecutionTrace,
+    RegionStore,
+    TensorDistribution,
+    parse_distribution,
+    redistribute,
+)
 from tendist.algorithms import bundle_from_config
 from tendist.machine import grid
 
@@ -64,6 +73,20 @@ PINS = [
      "1f1886abd4c9feada6186ee9bbb25c67ccbab30874de766fa7b56d733efec461"),
 ]
 
+# Sources by branch of the rule: cannon, 12 previous-step handoffs and 24 home
+# fallbacks; johnson, 18 same-step relays from a launch temporary and 18
+# homes; summa, 57 homes and 9 relays; pumma, 9 handoffs, 9 relays, 18 homes.
+SOURCE_RULE_PINS = [
+    ("cannon", (3, 3), (7, 7, 7), 1, 36,
+     "9d82b1eb1a3a7784a58ffea19d0ac891e65d3c9815352382272c5bdcd33bc963"),
+    ("johnson", (3, 3, 3), (7, 5, 8), 1, 54,
+     "f495e80eff7d5028182406649b56eaaafa97d386fc35d39d63ce817be813c603"),
+    ("summa", (3, 3), (7, 5, 8), 1, 66,
+     "54e3bde9b62403b0b24703b631646f49f16bb5c6b7f1b4c0f1222087817982b3"),
+    ("pumma", (3, 3), (7, 5, 8), 1, 36,
+     "85ea6575dd4f15420a58354abfd455db01920a44569d2a34d1ffb4f97cb80fbe"),
+]
+
 
 def ledger_digest(trace) -> str:
     rows = [[e.timestep, list(e.src), list(e.dst), e.tensor, list(e.rect.lo),
@@ -79,10 +102,27 @@ def _case_id(pin) -> str:
     return f"{alg}-{where}-{'x'.join(map(str, dims))}"
 
 
-@pytest.mark.parametrize("alg, machine, dims, chunk, events, digest", PINS,
-                         ids=[_case_id(p) for p in PINS])
+@pytest.mark.parametrize("alg, machine, dims, chunk, events, digest",
+                         PINS + SOURCE_RULE_PINS,
+                         ids=[_case_id(p) for p in PINS + SOURCE_RULE_PINS])
 def test_ledger_digest(alg, machine, dims, chunk, events, digest):
     bundle = bundle_from_config(alg, grid(*machine) if machine else None, dims, chunk)
     result, _ = bundle.run(seed=0)
     assert len(result.trace.events) == events
     assert ledger_digest(result.trace) == digest
+
+
+def test_placement_relay_digest():
+    # 5x7 blocks on 3x3 become full replicas: each block reaches its first
+    # receiver from its home (9 events) and every later receiver from an
+    # earlier receiver's launch temporary (63 events)
+    machine = grid(3, 3)
+    old, new = (TensorDistribution((5, 7), machine, parse_distribution(text)[1])
+                for text in ("xy -> xy", "xy -> **"))
+    store = RegionStore(machine)
+    store.place("T", DenseTensor((5, 7)), old)
+    trace = ExecutionTrace(machine)
+    redistribute(store, "T", new, trace)
+    assert len(trace.events) == 72
+    assert ledger_digest(trace) == (
+        "70cd2e2a09b947110aae3b7c0e5fd5ba508329975b7852c55c1f5c03952e92f0")

@@ -12,6 +12,7 @@ from tendist import (
     RegionStore,
     TensorDistribution,
     access_rect,
+    bundle_from_config,
     execute,
     grid,
     johnson,
@@ -209,6 +210,23 @@ def test_rhs_reading_its_output_sees_pre_statement_values():
     execute(cin, store)
     # each y(i) gains x . y = 9 over the old y, not over task 0's commit
     assert store["y"].tensor.data.tolist() == [13.0, 10.0, 11.0, 11.0]
+
+
+def test_source_search_is_per_color(monkeypatch):
+    # summa on 8x8: a row or column broadcast leaves one piece with up to 7
+    # earlier receivers, so a source search that walks every processor's
+    # temporaries makes about 100 containment tests per event
+    calls = [0]
+    contains = HyperRect.contains
+
+    def counted(self, other):
+        calls[0] += 1
+        return contains(self, other)
+
+    monkeypatch.setattr(HyperRect, "contains", counted)
+    result, _ = bundle_from_config("summa", grid(8, 8), (16, 16, 16), 1).run()
+    assert len(result.trace.events) == 1344
+    assert calls[0] <= 3 * len(result.trace.events)
 
 
 def test_edge_csv(tmp_path):
