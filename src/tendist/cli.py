@@ -3,7 +3,8 @@
 Two ways to run: a registry algorithm (--algorithm summa) or a custom
 statement (--kernel gemm / --expr "C(i, j) = A(i, k) * B(k, j)" plus
 --machine, --dist per tensor, and a --schedule script). Runs write a stats
-JSON; --verify checks the result against the single-memory reference.
+JSON, and with --output the result tensor; --verify checks the result
+against the single-memory reference.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration errors
 (unreadable or unwritable paths included).
@@ -26,6 +27,7 @@ from .ir import format_statement, parse_statement
 from .machine import parse_machine
 from .scheduling import parse_schedule
 from .simulator import run_statement, verify_result, write_edge_csv
+from .tensors import save_tensor
 
 KERNELS = {
     "gemm": "C(i, j) = A(i, k) * B(k, j)",
@@ -72,6 +74,8 @@ def _parser() -> argparse.ArgumentParser:
                      help="print every recorded transfer")
     out.add_argument("--edges-csv", metavar="PATH",
                      help="write the per-edge aggregate as CSV")
+    out.add_argument("--output", metavar="PATH",
+                     help="write the result tensor (binary, see save_tensor)")
     out.add_argument("--explain", action="store_true",
                      help="print placements and the statement after each "
                           "schedule command instead of running")
@@ -160,7 +164,8 @@ def _explain(args) -> int:
 
 def _check_outputs(args) -> None:
     """Refuse, before the run, an output path its end could not write."""
-    for flag, path in (("--stats", args.stats), ("--edges-csv", args.edges_csv)):
+    for flag, path in (("--stats", args.stats), ("--edges-csv", args.edges_csv),
+                       ("--output", args.output)):
         if not path:
             continue
         folder = os.path.dirname(path) or "."
@@ -188,6 +193,8 @@ def _finish(args, result, stmt, inputs, config) -> int:
             json.dump(stats, fh, indent=2, sort_keys=True)
     if args.edges_csv:
         write_edge_csv(trace, args.edges_csv)
+    if args.output:
+        save_tensor(result.output, args.output)
     t = stats["totals"]
     print(f"machine {stats['machine']}: {t['messages']} messages, "
           f"{t['elements']} elements moved, {stats['num_steps']} steps, "

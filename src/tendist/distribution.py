@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cin import Communicate, Distribute, Divide, Forall, Place, rebuild_chain, with_relations
 from .errors import (
@@ -262,14 +263,20 @@ class TensorDistribution:
     def home_of(self, color) -> tuple:
         return self.processors_of(color)[0]
 
+    @cached_property
+    def pieces(self) -> tuple:
+        """(color, piece_bounds, processors_of) per color, colors in
+        lexicographic order; built on first use, once per distribution."""
+        return tuple((c, self.piece_bounds(c), self.processors_of(c))
+                     for c in self.colors())
+
     def residency(self) -> dict:
         """proc -> list of non-empty piece rects, colors in lexicographic order."""
         out: dict = {p: [] for p in self.machine.enumerate()}
-        for color in self.colors():
-            rect = self.piece_bounds(color)
+        for _, rect, procs in self.pieces:
             if rect.is_empty:
                 continue
-            for p in self.processors_of(color):
+            for p in procs:
                 out[p].append(rect)
         return out
 

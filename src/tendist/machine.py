@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, EmptyGrid
 
-ProcCoord = tuple  # flat tuple[int, ...] across all levels
-
 
 @dataclass(frozen=True)
 class Machine:
@@ -54,12 +52,6 @@ class Machine:
         selection among replicas, reduction combine order, task ordering.
         """
         return self._procs
-
-    def rank_of(self, coord: ProcCoord) -> int:
-        rank = 0
-        for d, c in zip(self.flat_dims, coord):
-            rank = rank * d + c
-        return rank
 
     def level_slices(self):
         """Per-level (start, stop) into a flat coordinate tuple."""

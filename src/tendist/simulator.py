@@ -155,11 +155,10 @@ class ExecutionTrace:
             key = (e.src, e.dst)
             m, el = agg.get(key, (0, 0))
             agg[key] = (m + 1, el + e.elements)
-        rank = self.machine.rank_of
         out = []
-        for (src, dst) in sorted(agg, key=lambda k: (rank(k[0]), rank(k[1]))):
+        for (src, dst) in sorted(agg):  # coordinate order is enumeration order
             m, el = agg[(src, dst)]
-            out.append({"src": list(src), "dst": list(dst), "messages": m, "elements": el})
+            out.append({"src": src, "dst": dst, "messages": m, "elements": el})
         return out
 
     def per_step(self) -> list:
@@ -203,7 +202,7 @@ class ExecutionTrace:
             "memory_high_water": {
                 "overall": self.high_water,
                 "per_processor": [
-                    {"processor": list(p), "elements": self.memory[p]}
+                    {"processor": p, "elements": self.memory[p]}
                     for p in self.machine.enumerate()
                 ],
             },
@@ -459,11 +458,10 @@ def _commit(plan: LaunchPlan, task: TaskInfo, partial: DenseTensor, region: Regi
         region.tensor.data[sl] += partial.data[sl]
     else:
         region.tensor.data[sl] = partial.data[sl]
-    for color in region.dist.colors():
-        part = rect.intersect(region.dist.piece_bounds(color))
+    for _, bounds, procs in region.dist.pieces:
+        part = rect.intersect(bounds)
         if part is None:
             continue
-        procs = region.dist.processors_of(color)
         targets = procs if plan.out_kind == "copy" else procs[:1]
         for h in targets:
             if h != task.coord:
@@ -496,12 +494,12 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
             held += temps.by_holder.get((p, tensor), [])
         sink = launch_temps if scope == "launch" else cur_temps
         for piece in subtract_rects([rect], held):
-            for color in region.dist.colors():
-                part = piece.intersect(region.dist.piece_bounds(color))
+            for color, bounds, homes in region.dist.pieces:
+                part = piece.intersect(bounds)
                 if part is None:
                     continue
                 key = (tensor, color)
-                src = _pick_source(part, p, region.dist.processors_of(color),
+                src = _pick_source(part, p, homes,
                                    prev_temps.by_color.get(key, []),
                                    launch_temps.by_color.get(key, []))
                 if src is not None:
@@ -565,9 +563,7 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
 
     if plan.out_kind == "reduce" and out_region.dist.replicated:
         # replicas beyond the home are stale after a reduction; drop them
-        for color in out_region.dist.colors():
-            procs = out_region.dist.processors_of(color)
-            bounds = out_region.dist.piece_bounds(color)
+        for _, bounds, procs in out_region.dist.pieces:
             for q in procs[1:]:
                 out_region.residency[q] = [
                     r for r in out_region.residency.get(q, []) if r != bounds]

@@ -1,14 +1,13 @@
-"""Dense tensor values and their on-disk forms.
+"""Dense tensor values and their on-disk form.
 
-A DenseTensor is a row-major float64 array with explicit dims. The binary
+A DenseTensor is a row-major float64 array with explicit dims. The file
 format is a little-endian header (order, then each extent, unsigned 64-bit)
-followed by the row-major float64 payload. The JSON form spells the same
-content as {"dims": [...], "data": [...]} with data flattened row-major.
+followed by the row-major float64 payload.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import struct
 
 import numpy as np
@@ -72,50 +71,22 @@ def zeros(dims) -> DenseTensor:
 _HEADER_WORD = struct.Struct("<Q")
 
 
-def to_bytes(t: DenseTensor) -> bytes:
-    head = _HEADER_WORD.pack(t.order) + b"".join(_HEADER_WORD.pack(d) for d in t.dims)
-    return head + np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-
-
-def from_bytes(raw: bytes) -> DenseTensor:
-    (order,) = _HEADER_WORD.unpack_from(raw, 0)
-    dims = tuple(
-        _HEADER_WORD.unpack_from(raw, 8 * (1 + k))[0] for k in range(order)
-    )
-    payload = raw[8 * (1 + order):]
-    data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    expect = 1
-    for d in dims:
-        expect *= d
-    if data.size != expect:
-        raise ExtentMismatch(f"payload holds {data.size} values, dims {dims} need {expect}")
-    return DenseTensor(dims, data.reshape(dims))
-
-
 def save_tensor(t: DenseTensor, path) -> None:
+    head = _HEADER_WORD.pack(t.order) + b"".join(_HEADER_WORD.pack(d) for d in t.dims)
     with open(path, "wb") as fh:
-        fh.write(to_bytes(t))
+        fh.write(head + np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def load_tensor(path) -> DenseTensor:
     with open(path, "rb") as fh:
-        return from_bytes(fh.read())
-
-
-def to_json_obj(t: DenseTensor) -> dict:
-    return {"dims": list(t.dims), "data": [float(x) for x in t.data.reshape(-1)]}
-
-
-def from_json_obj(obj) -> DenseTensor:
-    dims = tuple(obj["dims"])
-    return DenseTensor(dims, np.array(obj["data"], dtype=np.float64).reshape(dims))
-
-
-def save_tensor_json(t: DenseTensor, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_json_obj(t), fh)
-
-
-def load_tensor_json(path) -> DenseTensor:
-    with open(path) as fh:
-        return from_json_obj(json.load(fh))
+        raw = fh.read()
+    order = _HEADER_WORD.unpack_from(raw)[0] if len(raw) >= 8 else 0
+    head = 8 * (1 + order)
+    if len(raw) < head:
+        raise ExtentMismatch(f"{len(raw)} bytes cannot hold a header of order {order}")
+    dims = struct.unpack_from(f"<{order}Q", raw, 8)
+    need = 8 * math.prod(dims)
+    if len(raw) - head != need:
+        raise ExtentMismatch(f"payload holds {len(raw) - head} bytes, dims {dims} need {need}")
+    data = np.frombuffer(raw, dtype="<f8", offset=head).astype(np.float64)
+    return DenseTensor(dims, data.reshape(dims))

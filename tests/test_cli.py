@@ -1,5 +1,6 @@
 import json
 
+from tendist import bundle_from_config, load_tensor, parse_machine, random_inputs
 from tendist.cli import main
 from tendist.errors import VerifyFail
 
@@ -93,6 +94,16 @@ def test_edges_csv(tmp_path):
     assert sum(int(l.split(",")[3]) for l in lines[1:]) == 32
 
 
+def test_output_writes_the_result(tmp_path):
+    out_path = tmp_path / "C.bin"
+    code = run(["--algorithm", "cannon", "--n", "6", "--machine", "3x3", "--seed", "4",
+                "--output", str(out_path), "--stats", str(tmp_path / "s.json")])
+    assert code == 0
+    bundle = bundle_from_config("cannon", parse_machine("3x3"), (6, 6, 6), 1)
+    result, _ = bundle.run(inputs=random_inputs(bundle.statement, 4))
+    assert load_tensor(out_path) == result.output
+
+
 def test_explain(tmp_path, capsys):
     code = run(["--kernel", "gemm", "--n", "4", "--machine", "2x2",
                 "--dist", "A: xy -> xy", "--dist", "B: xy -> xy",
@@ -181,6 +192,8 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
         ["--algorithm", "summa", "--stats", str(tmp_path / "s.json"),
          "--edges-csv", str(tmp_path / "missing" / "e.csv")],
         ["--algorithm", "summa", "--stats", str(tmp_path)],
+        ["--algorithm", "summa", "--stats", str(tmp_path / "s.json"),
+         "--output", str(tmp_path / "missing" / "C.bin")],
         ["--kernel", "gemm", "--n", "4", "--machine", "2x2",
          "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy",
          "--schedule", SUMMA_SCRIPT, "--stats", str(tmp_path / "missing" / "s.json")],

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -194,6 +195,45 @@ def test_composition_law_exhaustive():
                         assert holds == (p in holders)
                 checked += 1
     assert checked > 20
+
+
+def test_piece_table_matches_per_color_calls():
+    rng = random.Random(11)
+    machines = [grid(2), grid(3), grid(2, 2), grid(3, 2), grid(2, 3, 2),
+                make_machine([(2, 2), (2,)]), make_machine([(2,), (3,)])]
+    names = "xyz"
+    kinds = set()
+    for _ in range(120):
+        m = rng.choice(machines)
+        order = rng.randint(1, 3)
+        dims = tuple(rng.randint(1, 7) for _ in range(order))
+        x = tuple(names[:order])
+        levels = []
+        for lvl in m.levels:
+            free = list(x)
+            y = []
+            for ext in lvl:
+                roll = rng.random()
+                if free and roll < 0.6:
+                    y.append(free.pop(rng.randrange(len(free))))
+                elif roll < 0.8:
+                    y.append("*")
+                else:
+                    y.append(rng.randrange(ext))
+            levels.append((x, tuple(y)))
+        d = TensorDistribution(dims, m, levels)
+        want = [(c, d.piece_bounds(c), d.processors_of(c)) for c in d.colors()]
+        assert list(d.pieces) == want
+        assert d.pieces is d.pieces  # built once
+        kinds |= {r[0] for r in d.roles}
+        if any(r[0] == "part" and dims[r[1]] % r[2] for r in d.roles):
+            kinds.add("ragged")
+        if any(r[0] == "part" and dims[r[1]] < r[2] for r in d.roles):
+            kinds.add("smaller than the grid")
+        if m.num_levels > 1:
+            kinds.add("two-level")
+    assert kinds == {"part", "fixed", "bcast", "ragged", "smaller than the grid",
+                     "two-level"}
 
 
 def test_residency_volume_counts_replicas():

@@ -229,6 +229,45 @@ def test_source_search_is_per_color(monkeypatch):
     assert calls[0] <= 3 * len(result.trace.events)
 
 
+def test_piece_table_is_built_once_per_distribution(monkeypatch):
+    # the color scans of fetch and _commit read each distribution's piece
+    # table; rebuilding bounds and holders per scanned color made 68,800
+    # piece_bounds and 1,600 processors_of calls on this run
+    calls = {"piece_bounds": 0, "processors_of": 0}
+    for name in calls:
+        method = getattr(TensorDistribution, name)
+
+        def counted(self, color, name=name, method=method):
+            calls[name] += 1
+            return method(self, color)
+
+        monkeypatch.setattr(TensorDistribution, name, counted)
+    bundle = bundle_from_config("summa", grid(8, 8), (16, 16, 16), 1)
+    result, _ = bundle.run()
+    assert len(result.trace.events) == 1344
+    colors = sum(len(list(d.colors())) for d in bundle.distributions.values())
+    assert colors == 192
+    assert calls["piece_bounds"] <= colors and calls["processors_of"] <= colors
+
+
+def test_stats_rows_reuse_coordinate_tuples():
+    result, _ = bundle_from_config("summa", grid(8, 8), (16, 16, 16), 1).run()
+    trace = result.trace
+    trace.stats()
+    tracemalloc.start()
+    try:
+        stats = trace.stats()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 294 KB when every row built fresh lists and sorted edges by rank keys
+    assert peak < 200_000
+    edge = stats["per_edge"][0]
+    assert any(edge["src"] is e.src for e in trace.events)
+    row = stats["memory_high_water"]["per_processor"][0]
+    assert row["processor"] is trace.machine.enumerate()[0]
+
+
 def test_edge_csv(tmp_path):
     stmt, machine, dists, inputs, sched = _gemm_setup()
     trace = run_statement(stmt, machine, dists, inputs, sched).trace

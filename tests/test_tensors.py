@@ -3,16 +3,7 @@ import pytest
 
 from tendist import DenseTensor, zeros
 from tendist.errors import ExtentMismatch
-from tendist.tensors import (
-    from_bytes,
-    from_json_obj,
-    load_tensor,
-    load_tensor_json,
-    save_tensor,
-    save_tensor_json,
-    to_bytes,
-    to_json_obj,
-)
+from tendist.tensors import load_tensor, save_tensor
 
 
 def test_zeros_and_shape():
@@ -51,29 +42,37 @@ def test_indexing_and_copy():
     assert t != c
 
 
-def test_bytes_header_layout():
+def test_bytes_header_layout(tmp_path):
     t = DenseTensor((2, 3), np.arange(6, dtype=float).reshape(2, 3))
-    raw = to_bytes(t)
+    p = tmp_path / "t.bin"
+    save_tensor(t, p)
+    raw = p.read_bytes()
     # header: order then each extent, little-endian u64
     assert raw[:8] == (2).to_bytes(8, "little")
     assert raw[8:16] == (2).to_bytes(8, "little")
     assert raw[16:24] == (3).to_bytes(8, "little")
     assert len(raw) == 24 + 6 * 8
-    back = from_bytes(raw)
-    assert back == t
+    assert load_tensor(p) == t
 
 
-def test_bytes_roundtrip_scalar():
+def test_bytes_roundtrip_scalar(tmp_path):
     t = DenseTensor((), None)
     t[()] = -7.25
-    assert from_bytes(to_bytes(t)) == t
+    p = tmp_path / "t.bin"
+    save_tensor(t, p)
+    assert load_tensor(p) == t
 
 
-def test_bytes_payload_size_checked():
+def test_bytes_payload_size_checked(tmp_path):
     t = DenseTensor((2, 2), [[1, 2], [3, 4]])
-    raw = to_bytes(t)[:-8]
-    with pytest.raises(ExtentMismatch):
-        from_bytes(raw)
+    p = tmp_path / "t.bin"
+    save_tensor(t, p)
+    raw = p.read_bytes()
+    # a short payload, a payload cut mid-value, a header cut short, no header
+    for cut in (raw[:-8], raw[:-3], raw[:12], raw[:5]):
+        p.write_bytes(cut)
+        with pytest.raises(ExtentMismatch):
+            load_tensor(p)
 
 
 def test_file_roundtrip(tmp_path):
@@ -81,14 +80,3 @@ def test_file_roundtrip(tmp_path):
     p = tmp_path / "t.bin"
     save_tensor(t, p)
     assert load_tensor(p) == t
-
-
-def test_json_roundtrip(tmp_path):
-    t = DenseTensor((2, 2, 2), np.arange(8, dtype=float).reshape(2, 2, 2))
-    obj = to_json_obj(t)
-    assert obj["dims"] == [2, 2, 2]
-    assert obj["data"] == [float(x) for x in range(8)]
-    assert from_json_obj(obj) == t
-    p = tmp_path / "t.json"
-    save_tensor_json(t, p)
-    assert load_tensor_json(p) == t
