@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -302,18 +301,6 @@ def var_interval(name: str, env: dict, defs: dict) -> tuple:
     return _pick(empty, 0, lo), _pick(empty, 0, hi)
 
 
-def resolve_point(names, env: dict, defs: dict):
-    """Integer values of all names under a unit-interval env, or None when
-    the point is phantom (some name's interval is empty)."""
-    out = {}
-    for n in names:
-        lo, hi = var_interval(n, env, defs)
-        if lo >= hi:
-            return None
-        out[n] = lo
-    return out
-
-
 def unit_env(env: dict) -> dict:
     """Interval env pinning each variable of an integer env."""
     return {k: (v, v + 1) for k, v in env.items()}
@@ -339,8 +326,9 @@ class LeafRuntime:
     """What a substituted leaf kernel gets to work with.
 
     loops are the (var, lo, hi) triples of the substituted nest, outermost
-    first. The kernel must produce the same writes in the same accumulation
-    order as the plain interpreter would.
+    first, and env binds each loop around the nest to an integer. The kernel
+    must produce the same writes in the same accumulation order as the plain
+    interpreter would; run() is the interpreter's own box walker.
     """
 
     loops: list
@@ -350,15 +338,11 @@ class LeafRuntime:
     read_store: dict
     out_store: dict
 
-    @cached_property
-    def _walk(self):
-        return _box_walker(self.stmt, self.defs, self.read_store, self.out_store)
-
-    def resolve(self, names, env):
-        return resolve_point(names, unit_env(env), self.defs)
-
-    def execute_point(self, env) -> None:
-        self._walk([], unit_env(env))
+    def run(self, loops=None) -> None:
+        """Execute the leaf over a sub-box of `loops` (the same variables in
+        the same order, each range within its own), by default all of it."""
+        walk = _box_walker(self.stmt, self.defs, self.read_store, self.out_store)
+        walk(self.loops if loops is None else loops, unit_env(self.env))
 
 
 _PASS_POINTS = 4096  # most points one vectorised resolution covers

@@ -19,7 +19,7 @@ import os
 import re
 import sys
 
-from .algorithms import ALGORITHMS, bundle_from_config, dim_count, random_inputs
+from .algorithms import ALGORITHMS, REGISTRY, bundle_from_config, random_inputs
 from .cin import lower_to_cin, pretty
 from .distribution import TensorDistribution, lower_placement, parse_distribution
 from .errors import ConfigError, TendistError, VerifyFail
@@ -55,7 +55,9 @@ def _parser() -> argparse.ArgumentParser:
     shape.add_argument("--dims", help="per-index extents like 8x4x6, "
                        "applied in index order")
     shape.add_argument("--chunk", type=int, default=1,
-                       help="sequential chunk/round factor (default 1)")
+                       help="sequential chunk/round factor of the algorithms "
+                       + ", ".join(n for n, r in REGISTRY.items() if r.chunked)
+                       + " (default 1)")
     shape.add_argument("--seed", type=int, default=0,
                        help="seed for the generated integer inputs")
     setup = p.add_argument_group("placement and schedule")
@@ -211,7 +213,7 @@ def _run_algorithm(args) -> int:
     if args.dims:
         dims = _dims(args.dims)
     elif args.n is not None:
-        dims = (args.n,) * dim_count(args.algorithm)
+        dims = (args.n,) * REGISTRY[args.algorithm].extents
     bundle = bundle_from_config(args.algorithm, machine, dims, args.chunk)
     inputs = random_inputs(bundle.statement, args.seed)
     result, _ = bundle.run(inputs=inputs)

@@ -260,9 +260,6 @@ class TensorDistribution:
                 axes.append(tuple(range(dim_ext)))
         return tuple(itertools.product(*axes))
 
-    def home_of(self, color) -> tuple:
-        return self.processors_of(color)[0]
-
     @cached_property
     def pieces(self) -> tuple:
         """(color, piece_bounds, processors_of) per color, colors in

@@ -265,7 +265,7 @@ class Schedule:
         return stmt
 
     def steps(self, stmt):
-        """(description, statement) after each command, for explain output."""
+        """(command text, statement) after each command, for explain output."""
         out = []
         for name, args in self.commands:
             stmt = _lookup(name)[0](stmt, *args)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,6 @@ from tendist.errors import (
 def run_and_check(bundle, seed=0):
     result, inputs = bundle.run(seed=seed)
     verify_result(bundle.statement, inputs, result)
-    if bundle.signature is not None:
-        assert bundle.signature(result.trace) == []
     return result
 
 
@@ -87,13 +87,16 @@ def test_cannon_anchors():
     big = run_and_check(cannon(3, 3, dims=(6, 6, 6))).trace
     assert (big.total_messages, big.total_elements) == (36, 144)
     assert big.num_steps == 3
-    # steady state is pure neighbor traffic
-    for e in big.events_of(tensor="A"):
-        if e.timestep > 0:
-            assert e.src == (e.dst[0], (e.dst[1] + 1) % 3)
-    for e in big.events_of(tensor="B"):
-        if e.timestep > 0:
-            assert e.src == ((e.dst[0] + 1) % 3, e.dst[1])
+    # steady state is pure neighbor traffic, and nothing is reduced
+    for g, trace in ((2, small), (3, big)):
+        steady = [e for e in trace.events_of(kind="copy") if e.timestep > 0]
+        assert steady
+        for e in steady:
+            if e.tensor == "A":
+                assert e.src == (e.dst[0], (e.dst[1] + 1) % g)
+            else:
+                assert e.src == ((e.dst[0] + 1) % g, e.dst[1])
+        assert trace.events_of(kind="reduce") == []
 
 
 def test_pumma_matches_cannon_totals():
@@ -101,6 +104,11 @@ def test_pumma_matches_cannon_totals():
     c = run_and_check(cannon(3, 3, dims=(6, 6, 6))).trace
     assert p.total_elements == c.total_elements == 144
     assert p.num_steps == c.num_steps == 3
+    # pumma's A moves once, within its row; B stays in its column
+    for e in p.events_of(tensor="A"):
+        assert e.timestep == 0 and e.src[0] == e.dst[0]
+    for e in p.events_of(tensor="B"):
+        assert e.src[1] == e.dst[1]
 
 
 def test_johnson_anchor():
@@ -115,6 +123,32 @@ def test_johnson_anchor():
     assert trace.high_water == 64
     for e in reduces:
         assert e.dst == (e.src[0], e.src[1], 0)
+
+
+@pytest.mark.parametrize("name", ("summa", "cannon", "pumma", "johnson"))
+@pytest.mark.parametrize("g", (2, 3, 4))
+@pytest.mark.parametrize("blocks", (1, 2, 3))
+def test_closed_form_traffic(name, g, blocks):
+    """On evenly divided g x g (johnson: g x g x g) grids at chunk 1, each
+    algorithm moves its closed-form volume: (copy messages, copy elements,
+    reduce messages, reduce elements, steps)."""
+    n = blocks * g
+    machine = grid(g, g, g) if name == "johnson" else grid(g, g)
+    trace = bundle_from_config(name, machine, (n, n, n), 1).run()[0].trace
+    copies, reduces = trace.events_of(kind="copy"), trace.events_of(kind="reduce")
+    got = (len(copies), sum(e.elements for e in copies),
+           len(reduces), sum(e.elements for e in reduces), trace.num_steps)
+    shifted = (2 * g * g * (g - 1), 2 * n * n * (g - 1), 0, 0, g)
+    assert got == {
+        "summa": (g * (g - 1) * (g + n), 2 * n * n * (g - 1), 0, 0, n),
+        "cannon": shifted,
+        "pumma": shifted,
+        "johnson": (2 * g * g * (g - 1), 2 * n * n * (g - 1),
+                    g * g * (g - 1), n * n * (g - 1), 1),
+    }[name]
+    if name == "johnson":  # every front-face processor sums g - 1 partials
+        fan_in = Counter(e.dst for e in reduces)
+        assert fan_in == {(x, y, 0): g - 1 for x in range(g) for y in range(g)}
 
 
 def test_summa_vs_johnson_tradeoff():
@@ -187,6 +221,7 @@ def test_innerprod_fan_in():
     reduces = trace.events_of(kind="reduce")
     assert len(reduces) == 3
     assert all(e.dst == (0,) and e.elements == 1 for e in reduces)
+    assert trace.events_of(kind="copy", phase="compute") == []
 
 
 def test_mttkrp_keeps_big_tensor_stationary():
@@ -235,13 +270,20 @@ def test_bundle_from_config():
         bundle_from_config("ttv", dims=(4, 4))
     with pytest.raises(ConfigError):
         bundle_from_config("innerprod", dims=(4, 4, 4))
+    # only summa, cosma-like and summa-hier take a chunk
+    assert bundle_from_config("summa-hier", chunk=2).name == "summa-hier"
+    for name in ("cannon", "pumma", "johnson", "solomonik",
+                 "ttv", "ttm", "innerprod", "mttkrp"):
+        assert bundle_from_config(name, chunk=1).name == name
+        for chunk in (0, 4):
+            with pytest.raises(ConfigError):
+                bundle_from_config(name, chunk=chunk)
     assert (bundle_from_config("summa-hier").machine
             == make_machine([(2, 2), (2,)]))
 
 
 def test_bundle_inputs_and_runs():
     bundle = summa(2, 2, dims=(4, 4, 4))
-    assert bundle.input_names == ["A", "B"]
     ins = random_inputs(bundle.statement, seed=5)
     assert sorted(ins) == ["A", "B"]
     again = random_inputs(bundle.statement, seed=5)

@@ -43,7 +43,6 @@ from tendist.cin import (
     register_leaf_kernel,
     relation_defs,
     relations_of,
-    resolve_point,
     var_interval,
     with_relations,
 )
@@ -171,9 +170,9 @@ def test_resolve_chains_through_relations():
     ))
     # k = ko*4 + kio*2 + kii
     assert var_interval("k", units(ko=1, kio=1, kii=1), defs) == (7, 8)
-    assert resolve_point(["k"], units(ko=1, kio=1, kii=1), defs) == {"k": 7}
     # ki = 2*2 + 0 fails its guard, so the point is phantom
-    assert resolve_point(["k"], units(ko=1, kio=2, kii=0), defs) is None
+    lo, hi = var_interval("k", units(ko=1, kio=2, kii=0), defs)
+    assert lo >= hi
 
 
 def test_resolve_unbound_raises():
@@ -322,8 +321,9 @@ def test_leaf_kernel_dispatch():
 
     def doubler(rt: LeafRuntime):
         calls.append([v for v, _, _ in rt.loops])
-        for x in range(rt.loops[0][1], rt.loops[0][2]):
-            rt.execute_point({**rt.env, rt.loops[0][0]: x})
+        (var, lo, hi), = rt.loops
+        rt.run([(var, lo, lo + 1)])  # a sub-box, then the rest
+        rt.run([(var, lo + 1, hi)])
 
     register_leaf_kernel("doubler", doubler)
     assert leaf_kernel_registered("doubler")
@@ -427,9 +427,11 @@ def per_point(stmt, store):
     names = [v for a in leaf_accesses(leaf) for v in a.var_names]
     out = DenseTensor(leaf.lhs.tensor.dims).data
     for point in itertools.product(*(range(f.lo, f.hi) for f in chain)):
-        at = resolve_point(names, {f.var: (v, v + 1) for f, v in zip(chain, point)}, defs)
-        if at is None:
+        env = {f.var: (v, v + 1) for f, v in zip(chain, point)}
+        at = {n: var_interval(n, env, defs) for n in names}
+        if any(lo >= hi for lo, hi in at.values()):
             continue
+        at = {n: lo for n, (lo, _) in at.items()}
         coord = tuple(at[v] for v in leaf.lhs.var_names)
         if isinstance(leaf, Assign):
             out[coord] = value(leaf.rhs, at)

@@ -110,7 +110,7 @@ def test_row_distribution():
     assert d.color_of((1, 3)) == (0,)
     assert d.color_of((2, 0)) == (1,)
     assert d.processors_of((1,)) == ((1,),)
-    assert d.home_of((1,)) == (1,)
+    assert d.processors_of((1,))[0] == (1,)
     assert not d.replicated
     assert d.describe() == "xy -> x"
 
@@ -129,7 +129,7 @@ def test_replicated_distribution():
     assert d.replicated
     # each row piece lives on every column processor
     assert d.processors_of((0,)) == ((0, 0), (0, 1))
-    assert d.home_of((0,)) == (0, 0)
+    assert d.processors_of((0,))[0] == (0, 0)
     res = d.residency()
     assert res[(1, 0)] == [HyperRect((2, 0), (4, 4))]
     assert res[(1, 1)] == [HyperRect((2, 0), (4, 4))]

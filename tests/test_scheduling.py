@@ -221,8 +221,7 @@ def test_substitute_leaf():
 
     def kernel(rt):
         seen.append(1)
-        for pt in itertools.product(*[range(lo, hi) for _, lo, hi in rt.loops]):
-            rt.execute_point({**rt.env, **dict(zip([v for v, _, _ in rt.loops], pt))})
+        rt.run()
 
     register_leaf_kernel("walker", kernel)
     stmt = gemm()
