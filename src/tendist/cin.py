@@ -257,6 +257,19 @@ def relation_defs(relations) -> dict:
     return defs
 
 
+def reached_vars(names, defs) -> set:
+    """names plus every variable their defining relations read, transitively:
+    each variable a resolution of names may look up."""
+    out, todo = set(), list(names)
+    while todo:
+        name = todo.pop()
+        if name not in out:
+            out.add(name)
+            if name in defs:
+                todo.extend(_relation_names(defs[name])[1:])
+    return out
+
+
 def _pick(cond, a, b):
     """a where cond holds, else b: a branch on Python ints, lane by lane on
     arrays (so integer input keeps Python ints)."""

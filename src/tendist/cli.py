@@ -54,10 +54,10 @@ def _parser() -> argparse.ArgumentParser:
     shape.add_argument("--n", type=int, help="set every index extent to N")
     shape.add_argument("--dims", help="per-index extents like 8x4x6, "
                        "applied in index order")
-    shape.add_argument("--chunk", type=int, default=1,
+    shape.add_argument("--chunk", type=int,
                        help="sequential chunk/round factor of the algorithms "
                        + ", ".join(n for n, r in REGISTRY.items() if r.chunked)
-                       + " (default 1)")
+                       + " (default 1); a custom run splits in --schedule")
     shape.add_argument("--seed", type=int, default=0,
                        help="seed for the generated integer inputs")
     setup = p.add_argument_group("placement and schedule")
@@ -214,7 +214,8 @@ def _run_algorithm(args) -> int:
         dims = _dims(args.dims)
     elif args.n is not None:
         dims = (args.n,) * REGISTRY[args.algorithm].extents
-    bundle = bundle_from_config(args.algorithm, machine, dims, args.chunk)
+    chunk = 1 if args.chunk is None else args.chunk
+    bundle = bundle_from_config(args.algorithm, machine, dims, chunk)
     inputs = random_inputs(bundle.statement, args.seed)
     result, _ = bundle.run(inputs=inputs)
     config = {
@@ -222,7 +223,7 @@ def _run_algorithm(args) -> int:
         "machine": str(bundle.machine),
         "statement": format_statement(bundle.statement),
         "extents": dict(bundle.statement.extents),
-        "chunk": args.chunk,
+        "chunk": chunk,
         "seed": args.seed,
     }
     return _finish(args, result, bundle.statement, inputs, config)
@@ -253,6 +254,9 @@ def _run_custom(args) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.chunk is not None and not args.algorithm:
+            raise ConfigError("--chunk is for --algorithm runs; a custom run's "
+                              "chunks belong in --schedule (split k ko ki N)")
         if args.explain:
             if args.algorithm:
                 raise ConfigError("--explain works with --kernel/--expr runs")

@@ -1,10 +1,11 @@
 """Deterministic execution of distributed statements: tasks, events, memory.
 
 execute() launches one task per processor from the leading distributed loops,
-replays communication in lockstep timesteps, runs the numeric work per task,
-and commits write-backs. The replay takes each missing piece from last step's
-temporary holder (so shifting algorithms come out as neighbor traffic), then
-a launch temporary holder, then the first home that is not the receiver.
+replays communication in lockstep timesteps, runs the numeric work one wave
+of tasks at a time, and commits write-backs. The replay takes each missing
+piece from last step's temporary holder (so shifting algorithms come out as
+neighbor traffic), then a launch temporary holder, then the first home that
+is not the receiver.
 redistribute() replays a placement statement the same way, so later
 receivers of a replicated piece get it from an earlier one. Event order is
 machine enumeration order throughout, so traces are identical run to run.
@@ -28,6 +29,7 @@ from .cin import (
     interpret,
     leaf_accesses,
     lower_to_cin,
+    reached_vars,
     rebuild_chain,
     relation_defs,
     relations_of,
@@ -439,25 +441,71 @@ def _pick_source(part, p, homes, prev_holders, launch_holders):
     return None
 
 
-def _numeric_task(plan: LaunchPlan, task: TaskInfo, read_store: dict) -> DenseTensor:
-    pinned = [Forall(f.var, c, c + 1, None) for f, c in zip(plan.launch_vars, task.coord)]
-    body = rebuild_chain(pinned + plan.task_loops, plan.leaf)
-    result = interpret(with_relations(body, plan.relations), read_store)
-    return result[plan.out_name]
+def _disjoint(rects) -> bool:
+    """Whether no two boxes share a point: a sweep along the first axis with
+    plain comparisons. A wave of two or more tasks has an output that
+    reaches a launch loop, so its boxes have an axis."""
+    rects = sorted(rects, key=lambda r: r.lo)
+    for k, a in enumerate(rects):
+        for b in rects[k + 1:]:
+            if b.lo[0] >= a.hi[0]:
+                break
+            if all(al < bh and bl < ah
+                   for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi)):
+                return False
+    return True
 
 
-def _commit(plan: LaunchPlan, task: TaskInfo, partial: DenseTensor, region: Region,
-            events: list) -> None:
-    """Fold one task's output rect into the canonical tensor, recording a
-    write-back to each home of it that is not the task itself."""
+def _waves(plan: LaunchPlan) -> list:
+    """The launch's tasks as waves of (launch loops, tasks), one interpret
+    call each.
+
+    A wave pins the launch loops the output access does not reach through
+    the relations and keeps the others as ordinary loops, so an output rect
+    depends only on those others. When one wave's rects are pairwise
+    disjoint, so are every wave's, and the tasks writing any one element
+    differ only in pinned loops: waves in order of their pins (first seen in
+    task order) meet each element in task order. Otherwise every launch
+    loop is pinned, one task per wave.
+    """
+    reached = reached_vars(plan.out_access.var_names, plan.defs)
+    pinned = [k for k, f in enumerate(plan.launch_vars) if f.var not in reached]
+    by_pins: dict = {}
+    for task in plan.tasks:
+        by_pins.setdefault(tuple(task.coord[k] for k in pinned), []).append(task)
+    first = next(iter(by_pins.values()))
+    if not _disjoint([t.out_rect for t in first if t.out_rect is not None]):
+        pinned = range(len(plan.launch_vars))
+        by_pins = {task.coord: [task] for task in plan.tasks}
+    waves = []
+    for pins, tasks in by_pins.items():
+        loops = list(plan.launch_vars)
+        for k, c in zip(pinned, pins):
+            loops[k] = Forall(loops[k].var, c, c + 1, None)
+        waves.append((loops, tasks))
+    return waves
+
+
+def _fold(plan: LaunchPlan, tasks: list, result: dict, region: Region) -> None:
+    """Fold each task's output rect of one wave's result into the canonical
+    tensor; the rects are disjoint, so each element takes one task's part."""
+    partial = result[plan.out_name].data
+    for task in tasks:
+        if task.out_rect is None:
+            continue
+        sl = task.out_rect.slices()
+        if plan.out_kind == "reduce":
+            region.tensor.data[sl] += partial[sl]
+        else:
+            region.tensor.data[sl] = partial[sl]
+
+
+def _write_back(plan: LaunchPlan, task: TaskInfo, region: Region, events: list) -> None:
+    """Record a write-back of the task's output rect to each home of it that
+    is not the task itself."""
     rect = task.out_rect
     if rect is None:
         return
-    sl = rect.slices()
-    if plan.out_kind == "reduce":
-        region.tensor.data[sl] += partial.data[sl]
-    else:
-        region.tensor.data[sl] = partial.data[sl]
     for _, bounds, procs in region.dist.pieces:
         part = rect.intersect(bounds)
         if part is None:
@@ -540,11 +588,13 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
             label: str = None):
     """Run one scheduled statement: communication ledger plus numeric commit.
 
-    Phase one replays all transfers (`_replay`). Phase two computes each
-    task's numeric contribution and commits it to the canonical output before
-    the next task runs, so one full-size output buffer is alive at a time,
-    recording write-back events where the executor is not the home. A
-    placement statement is refused: it runs through `redistribute`.
+    Phase one replays all transfers (`_replay`). Phase two runs the tasks'
+    numeric work as one interpret call per wave (`_waves`) and folds each
+    wave's output rects into the canonical output before the next wave runs,
+    so one full-size output buffer is alive at a time and every element gets
+    the float64 adds of the per-task calls in task order. Phase three records
+    each task's write-backs, in task order, where the executor is not the
+    home. A placement statement is refused: it runs through `redistribute`.
     """
     if trace is None:
         trace = ExecutionTrace(store.machine)
@@ -558,8 +608,12 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
     if plan.out_name in (a.tensor.name for a in leaf_accesses(plan.leaf)[1:]):
         # the commits below change the output; the rhs reads its old values
         read_store[plan.out_name] = out_region.tensor.copy()
+    for loops, tasks in _waves(plan):
+        body = rebuild_chain(loops + plan.task_loops, plan.leaf)
+        _fold(plan, tasks, interpret(with_relations(body, plan.relations), read_store),
+              out_region)
     for task in plan.tasks:
-        _commit(plan, task, _numeric_task(plan, task, read_store), out_region, trace.events)
+        _write_back(plan, task, out_region, trace.events)
 
     if plan.out_kind == "reduce" and out_region.dist.replicated:
         # replicas beyond the home are stale after a reduction; drop them

@@ -40,6 +40,7 @@ from tendist.cin import (
     leaf_kernel_registered,
     pretty,
     pretty_relation,
+    reached_vars,
     register_leaf_kernel,
     relation_defs,
     relations_of,
@@ -173,6 +174,16 @@ def test_resolve_chains_through_relations():
     # ki = 2*2 + 0 fails its guard, so the point is phantom
     lo, hi = var_interval("k", units(ko=1, kio=2, kii=0), defs)
     assert lo >= hi
+
+
+def test_reached_vars_follow_every_relation():
+    defs = relation_defs((
+        Divide("k", "ko", "ki", 2, 8),
+        Rotate("i", ("ko",), "is", 4),
+    ))
+    assert reached_vars(("i",), defs) == {"i", "is", "ko"}
+    assert reached_vars(("k", "j"), defs) == {"k", "ko", "ki", "j"}
+    assert reached_vars((), defs) == set()
 
 
 def test_resolve_unbound_raises():

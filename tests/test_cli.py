@@ -182,6 +182,10 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
         # a chunk for an algorithm that takes none
         ["--algorithm", "cannon", "--chunk", "4", "--verify", "--stats", str(tmp_path / "s.json")],
         ["--algorithm", "ttv", "--chunk", "0", "--stats", str(tmp_path / "s.json")],
+        # a custom run's chunks live in its schedule script
+        ["--kernel", "gemm", "--n", "4", "--machine", "2x2",
+         "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy",
+         "--schedule", SUMMA_SCRIPT, "--chunk", "7", "--stats", str(tmp_path / "s.json")],
         # a second --dist for one tensor
         ["--kernel", "gemm", "--n", "4", "--machine", "2x2",
          "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy",

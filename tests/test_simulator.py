@@ -15,9 +15,11 @@ from tendist import (
     bundle_from_config,
     execute,
     grid,
+    interpret,
     johnson,
     lower_placement,
     lower_to_cin,
+    lower_to_tasks,
     parse_distribution,
     parse_machine,
     parse_statement,
@@ -30,7 +32,18 @@ from tendist import (
     verify_result,
     write_edge_csv,
 )
-from tendist.cin import Assign, Distribute, Divide, Forall, Rotate, Split, with_relations
+import tendist.simulator as simulator
+from tendist.algorithms import REGISTRY
+from tendist.cin import (
+    Assign,
+    Distribute,
+    Divide,
+    Forall,
+    Rotate,
+    Split,
+    rebuild_chain,
+    with_relations,
+)
 from tendist.errors import (
     ConfigError,
     ExtentMismatch,
@@ -210,6 +223,88 @@ def test_rhs_reading_its_output_sees_pre_statement_values():
     execute(cin, store)
     # each y(i) gains x . y = 9 over the old y, not over task 0's commit
     assert store["y"].tensor.data.tolist() == [13.0, 10.0, 11.0, 11.0]
+
+
+# numeric waves
+
+def _wide_inputs(stmt, seed):
+    """Normal draws scaled by 10^[-8, 8), so a change of add order shows."""
+    rng = np.random.default_rng(seed)
+    out_name = stmt.lhs.tensor.name
+    return {name: DenseTensor(var.dims, rng.standard_normal(var.dims)
+                              * 10.0 ** rng.integers(-8, 8, size=var.dims))
+            for name, var in sorted(stmt.tensors().items()) if name != out_name}
+
+
+def _per_task_reference(cin, machine, dists, inputs):
+    """One interpret call per task with every launch loop pinned, each
+    task's output rect folded in task order."""
+    store = RegionStore(machine)
+    for name, dist in dists.items():
+        store.place(name, inputs.get(name, DenseTensor(dist.tensor_dims)), dist)
+    plan = lower_to_tasks(cin, store)
+    ref = np.zeros(store[plan.out_name].dist.tensor_dims)
+    for task in plan.tasks:
+        pinned = [Forall(f.var, c, c + 1, None) for f, c in zip(plan.launch_vars, task.coord)]
+        body = rebuild_chain(pinned + plan.task_loops, plan.leaf)
+        partial = interpret(with_relations(body, plan.relations), inputs)[plan.out_name].data
+        sl = task.out_rect.slices()
+        if plan.out_kind == "reduce":
+            ref[sl] += partial[sl]
+        else:
+            ref[sl] = partial[sl]
+    return ref
+
+
+def _counting_interpret(monkeypatch):
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return interpret(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "interpret", counted)
+    return calls
+
+
+# each bundle at its defaults, plus johnson with three waves: a sum of two
+# partials commutes, so only a third one shows the wave order
+@pytest.mark.parametrize("name, machine", [(n, None) for n in REGISTRY]
+                         + [("johnson", grid(3, 3, 3))])
+def test_waves_match_per_task_calls_bit_for_bit(name, machine):
+    bundle = bundle_from_config(name, machine)
+    cin = bundle.schedule.apply(lower_to_cin(bundle.statement))
+    for seed in range(2):
+        inputs = _wide_inputs(bundle.statement, seed)
+        ref = _per_task_reference(cin, bundle.machine, bundle.distributions, inputs)
+        result = run_statement(bundle.statement, bundle.machine, bundle.distributions,
+                               inputs, bundle.schedule)
+        assert result.output.data.tobytes() == ref.tobytes()
+
+
+def test_one_interpret_call_per_wave(monkeypatch):
+    calls = _counting_interpret(monkeypatch)
+    bundle_from_config("summa", grid(4, 4)).run()
+    assert calls[0] == 1  # the output reaches both launch loops
+    calls[0] = 0
+    bundle_from_config("johnson", grid(2, 2, 2)).run()
+    assert calls[0] == 2  # C(i, j) does not reach ko: one wave per ko
+
+
+def test_overlapping_wave_falls_back_to_one_call_per_task(monkeypatch):
+    # C(i) reaches ko through the rotate, but both tasks write all of C
+    stmt = parse_statement("C(i) = A(i, k)", {"i": 4, "k": 4})
+    machine = grid(2)
+    dists = {"C": TensorDistribution((4,), machine, parse_distribution("C: i -> *")[1]),
+             "A": TensorDistribution((4, 4), machine, parse_distribution("A: ik -> k")[1])}
+    sched = (schedule().divide("k", "ko", "ki", 2).reorder("ko", "i", "ki")
+             .distribute("ko").rotate("i", ["ko"], "is"))
+    inputs = _wide_inputs(stmt, 0)
+    calls = _counting_interpret(monkeypatch)
+    result = run_statement(stmt, machine, dists, inputs, sched)
+    assert calls[0] == 2
+    ref = _per_task_reference(sched.apply(lower_to_cin(stmt)), machine, dists, inputs)
+    assert result.output.data.tobytes() == ref.tobytes()
 
 
 def test_source_search_is_per_color(monkeypatch):
