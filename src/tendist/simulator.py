@@ -518,12 +518,14 @@ def _write_back(plan: LaunchPlan, task: TaskInfo, region: Region, events: list) 
 
 
 def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None:
-    """Ledger every transfer of one launch and bump memory, step by step.
+    """Ledger every transfer of one launch and bump memory, step by step,
+    then each task's write-back in task order.
 
     Each task's needs are cut down by what it already holds, split along the
     owning distribution's pieces, and sourced by _pick_source from the
     holders of each part's color. Memory at each step counts resident
-    pieces, the output buffer and every live temporary.
+    pieces, the output buffer and every live temporary. No transfer depends
+    on values, so the ledger is whole before any numeric work runs.
     """
     order = list(store.machine.enumerate())
     events = trace.events
@@ -582,19 +584,23 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
                 vol += temps.volume.get(p, 0)
             trace.bump_memory(p, vol)
         prev_temps = cur_temps
+    if plan.out_name is not None:
+        region = store[plan.out_name]
+        for task in plan.tasks:
+            _write_back(plan, task, region, events)
 
 
 def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
             label: str = None):
     """Run one scheduled statement: communication ledger plus numeric commit.
 
-    Phase one replays all transfers (`_replay`). Phase two runs the tasks'
-    numeric work as one interpret call per wave (`_waves`) and folds each
-    wave's output rects into the canonical output before the next wave runs,
-    so one full-size output buffer is alive at a time and every element gets
-    the float64 adds of the per-task calls in task order. Phase three records
-    each task's write-backs, in task order, where the executor is not the
-    home. A placement statement is refused: it runs through `redistribute`.
+    Phase one replays all transfers (`_replay`), the write-backs to homes
+    that are not the executor included. Phase two runs the tasks' numeric
+    work as one interpret call per wave (`_waves`) and folds each wave's
+    output rects into the canonical output before the next wave runs, so one
+    full-size output buffer is alive at a time and every element gets the
+    float64 adds of the per-task calls in task order. A placement statement
+    is refused: it runs through `redistribute`.
     """
     if trace is None:
         trace = ExecutionTrace(store.machine)
@@ -612,8 +618,6 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
         body = rebuild_chain(loops + plan.task_loops, plan.leaf)
         _fold(plan, tasks, interpret(with_relations(body, plan.relations), read_store),
               out_region)
-    for task in plan.tasks:
-        _write_back(plan, task, out_region, trace.events)
 
     if plan.out_kind == "reduce" and out_region.dist.replicated:
         # replicas beyond the home are stale after a reduction; drop them
