@@ -62,6 +62,16 @@ class Registered(NamedTuple):
 
 REGISTRY: dict = {}  # name -> Registered, in definition order
 
+# statement text of each named kernel: the builders below parse their entry,
+# and the command line's --kernel runs it
+KERNELS = {
+    "gemm": "C(i, j) = A(i, k) * B(k, j)",
+    "ttv": "A(i, j) = B(i, j, k) * c(k)",
+    "ttm": "Y(i, j, l) = B(i, j, k) * C(k, l)",
+    "innerprod": "a = A(i, j) * B(i, j)",
+    "mttkrp": "A(i, j) = B(i, k, l) * C(k, j) * D(l, j)",
+}
+
 
 def _registered(name: str, extents: int, default_grid, chunked=False, adapter=None):
     """Make a builder return an AlgorithmBundle called `name` and enter it in
@@ -108,9 +118,10 @@ def _dists(stmt, machine, **formats) -> dict:
 
 
 def _gemm(dims, out="C", a="A", b="B"):
+    """The gemm kernel with its one-letter tensors C, A, B renamed."""
     m, n, kk = dims
-    return parse_statement(f"{out}(i, j) = {a}(i, k) * {b}(k, j)",
-                           {"i": m, "j": n, "k": kk})
+    text = KERNELS["gemm"].translate(str.maketrans("CAB", out + a + b))
+    return parse_statement(text, {"i": m, "j": n, "k": kk})
 
 
 # dense matrix multiply family
@@ -271,8 +282,7 @@ def ttv(g: int, *, dims=(6, 5, 4)):
     _check_grid(g)
     di, dj, dk = dims
     machine = grid(g)
-    stmt = parse_statement("A(i, j) = B(i, j, k) * c(k)",
-                           {"i": di, "j": dj, "k": dk})
+    stmt = parse_statement(KERNELS["ttv"], {"i": di, "j": dj, "k": dk})
     dists = _dists(stmt, machine, A=[("xy", ("x",))], B=[("xyz", ("x",))],
                    c=[("x", ("*",))])
     sched = (schedule()
@@ -287,8 +297,7 @@ def ttm(g: int, *, dims=(5, 4, 6, 3)):
     _check_grid(g)
     di, dj, dk, dl = dims
     machine = grid(g)
-    stmt = parse_statement("Y(i, j, l) = B(i, j, k) * C(k, l)",
-                           {"i": di, "j": dj, "k": dk, "l": dl})
+    stmt = parse_statement(KERNELS["ttm"], {"i": di, "j": dj, "k": dk, "l": dl})
     dists = _dists(stmt, machine, Y=[("xyz", ("x",))], B=[("xyz", ("x",))],
                    C=[("xy", ("*",))])
     sched = (schedule()
@@ -303,7 +312,7 @@ def innerprod(g: int, *, dims=(6, 5)):
     _check_grid(g)
     di, dj = dims
     machine = grid(g)
-    stmt = parse_statement("a = A(i, j) * B(i, j)", {"i": di, "j": dj})
+    stmt = parse_statement(KERNELS["innerprod"], {"i": di, "j": dj})
     dists = _dists(stmt, machine, a=[("", (0,))], A=[("xy", ("x",))], B=[("xy", ("x",))])
     sched = (schedule()
              .divide("i", "io", "ii", g).distribute("io")
@@ -317,8 +326,7 @@ def mttkrp(g1: int, g2: int, *, dims=(6, 4, 5, 3)):
     _check_grid(g1, g2)
     di, dj, dk, dl = dims
     machine = grid(g1, g2)
-    stmt = parse_statement("A(i, j) = B(i, k, l) * C(k, j) * D(l, j)",
-                           {"i": di, "j": dj, "k": dk, "l": dl})
+    stmt = parse_statement(KERNELS["mttkrp"], {"i": di, "j": dj, "k": dk, "l": dl})
     dists = _dists(stmt, machine, A=[("xy", ("x", 0))], B=[("xyz", ("x", "y"))],
                    C=[("xy", (0, "x"))], D=[("xy", (0, 0))])
     sched = (schedule()

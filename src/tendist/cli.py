@@ -19,7 +19,7 @@ import os
 import re
 import sys
 
-from .algorithms import ALGORITHMS, REGISTRY, bundle_from_config, random_inputs
+from .algorithms import ALGORITHMS, KERNELS, REGISTRY, bundle_from_config, random_inputs
 from .cin import lower_to_cin, pretty
 from .distribution import TensorDistribution, lower_placement, parse_distribution
 from .errors import ConfigError, TendistError, VerifyFail
@@ -28,14 +28,6 @@ from .machine import parse_machine
 from .scheduling import parse_schedule
 from .simulator import run_statement, verify_result, write_edge_csv
 from .tensors import save_tensor
-
-KERNELS = {
-    "gemm": "C(i, j) = A(i, k) * B(k, j)",
-    "ttv": "A(i, j) = B(i, j, k) * c(k)",
-    "ttm": "Y(i, j, l) = B(i, j, k) * C(k, l)",
-    "innerprod": "a = A(i, j) * B(i, j)",
-    "mttkrp": "A(i, j) = B(i, k, l) * C(k, j) * D(l, j)",
-}
 
 
 def _parser() -> argparse.ArgumentParser:

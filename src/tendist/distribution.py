@@ -7,19 +7,33 @@ that machine dimension; an integer in Y pins the piece to one coordinate; a
 "*" in Y replicates the piece across that machine dimension.
 
 Semantically a distribution composes a coloring (coordinates to colors) with
-an expansion (color to processor set). Blocks use ceil division, so trailing
-blocks may be short or empty. Deeper levels re-block the piece produced by
-the previous level using that level's nominal block size, which keeps the
-coordinate arithmetic affine and identical to the placement loop nest.
+an expansion (color to processor set). Its meaning is its placement statement
+(`lower_placement`): one divide per partitioned machine dimension, each level
+re-blocking the previous level's block with ceil division, so trailing blocks
+may be short or empty. TensorDistribution reads its piece table off that
+statement with `var_interval`, the resolver the simulator uses for every
+access; it keeps no block arithmetic of its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
-from .cin import Communicate, Distribute, Divide, Forall, Place, rebuild_chain, with_relations
+from .cin import (
+    Communicate,
+    Distribute,
+    Divide,
+    Forall,
+    Place,
+    forall_chain,
+    rebuild_chain,
+    relation_defs,
+    relations_of,
+    unit_env,
+    var_interval,
+    with_relations,
+)
 from .errors import (
     ConfigError,
     DuplicateName,
@@ -127,7 +141,8 @@ class TensorDistribution:
         self.machine = machine
         self.levels = tuple((tuple(x), tuple(y)) for x, y in levels)
         self._validate()
-        self._build_cascade()
+        self.pieces = self._read_pieces()
+        self._by_color = {entry[0]: entry for entry in self.pieces}
 
     def _validate(self):
         if len(self.levels) != self.machine.num_levels:
@@ -161,29 +176,6 @@ class TensorDistribution:
                             f"extent {self.machine.levels[k][m]}"
                         )
 
-    def _build_cascade(self):
-        """Per machine flat dim: its role; per partitioned dim: nominal blocks."""
-        self.roles = []  # ("part", tensor_dim j, parts, block) | ("fixed", c) | ("bcast",)
-        cur_extent = list(self.tensor_dims)
-        flat_dims = self.machine.flat_dims
-        at = 0
-        for k, (x, y) in enumerate(self.levels):
-            for v in y:
-                dim_ext = flat_dims[at]
-                if _is_var(v):
-                    j = x.index(v)
-                    block = -(-cur_extent[j] // dim_ext)
-                    self.roles.append(("part", j, dim_ext, block))
-                    cur_extent[j] = block
-                elif v == BROADCAST:
-                    self.roles.append(("bcast",))
-                else:
-                    self.roles.append(("fixed", int(v)))
-                at += 1
-        self.part_dims = [
-            (m, r[1], r[2], r[3]) for m, r in enumerate(self.roles) if r[0] == "part"
-        ]
-
     # identity
 
     def __eq__(self, other):
@@ -206,14 +198,46 @@ class TensorDistribution:
 
     @property
     def replicated(self) -> bool:
-        return any(r[0] == "bcast" for r in self.roles)
+        return any(v == BROADCAST for _, y in self.levels for v in y)
 
-    # coloring and expansion
+    # coloring and expansion, read off the placement statement
 
-    def colors(self):
+    def _read_pieces(self) -> tuple:
+        """(color, bounds, holders) per color. The colors are the values of
+        the partition loops (the outer loops of the placement's divides) in
+        launch order, which is lexicographic; a color's bounds are the placed
+        access resolved with those loops pinned and every other loop at its
+        full range; its holders are the launch loops' ranges under the same
+        pins, in enumeration order."""
+        stmt = lower_placement(TensorVar("", self.tensor_dims), self)
+        rels = relations_of(stmt)
+        defs = relation_defs(rels)
+        chain, leaf = forall_chain(stmt)
+        launch_vars = {r.var for r in rels if isinstance(r, Distribute)}
+        launch = [f for f in chain if f.var in launch_vars]
+        outers = {r.outer for r in rels if isinstance(r, Divide)}
+        part = [f.var for f in launch if f.var in outers]
+        full = {f.var: (f.lo, f.hi) for f in chain}
+        out = []
+        for color in itertools.product(*(range(*full[v]) for v in part)):
+            env = {**full, **unit_env(dict(zip(part, color)))}
+            ivs = [var_interval(v, env, defs) for v in leaf.access.var_names]
+            bounds = HyperRect(tuple(a for a, _ in ivs), tuple(b for _, b in ivs))
+            holders = tuple(itertools.product(*(range(*env[f.var]) for f in launch)))
+            out.append((color, bounds, holders))
+        return tuple(out)
+
+    def colors(self) -> list:
         """All colors, lexicographic; components follow machine dim order."""
-        ranges = [range(parts) for (_, _, parts, _) in self.part_dims]
-        return itertools.product(*ranges)
+        return [color for color, _, _ in self.pieces]
+
+    def _piece(self, color) -> tuple:
+        entry = self._by_color.get(tuple(color))
+        if entry is None:
+            if len(color) != len(self.pieces[0][0]):
+                raise RankMismatch(f"color {color} has {len(color)} components")
+            raise OutOfBounds(f"color {color} is not one of {len(self.pieces)} colors")
+        return entry
 
     def color_of(self, coord) -> tuple:
         if len(coord) != len(self.tensor_dims):
@@ -221,51 +245,15 @@ class TensorDistribution:
         for c, d in zip(coord, self.tensor_dims):
             if not 0 <= c < d:
                 raise OutOfBounds(f"coordinate {coord} outside dims {self.tensor_dims}")
-        color = []
-        rel = list(coord)
-        for (_, j, parts, block) in self.part_dims:
-            color.append(rel[j] // block)
-            rel[j] -= (rel[j] // block) * block
-        return tuple(color)
+        return next(color for color, r, _ in self.pieces
+                    if all(a <= c < b for c, a, b in zip(coord, r.lo, r.hi)))
 
     def piece_bounds(self, color) -> HyperRect:
-        if len(color) != len(self.part_dims):
-            raise RankMismatch(f"color {color} has {len(color)} components")
-        lo = [0] * len(self.tensor_dims)
-        hi = list(self.tensor_dims)
-        for c, (_, j, parts, block) in zip(color, self.part_dims):
-            if not 0 <= c < parts:
-                raise OutOfBounds(f"color component {c} outside {parts} parts")
-            a = lo[j] + c * block
-            b = a + block
-            lo[j], hi[j] = min(a, hi[j]), min(b, hi[j])
-        return HyperRect(tuple(lo), tuple(hi))
+        return self._piece(color)[1]
 
     def processors_of(self, color) -> tuple:
         """Processor coordinates holding this color, enumerate order."""
-        if len(color) != len(self.part_dims):
-            raise RankMismatch(f"color {color} has {len(color)} components")
-        axes = []
-        it = iter(color)
-        for m, role in enumerate(self.roles):
-            dim_ext = self.machine.flat_dims[m]
-            if role[0] == "part":
-                c = next(it)
-                if not 0 <= c < role[2]:
-                    raise OutOfBounds(f"color component {c} outside {role[2]} parts")
-                axes.append((c,))
-            elif role[0] == "fixed":
-                axes.append((role[1],))
-            else:
-                axes.append(tuple(range(dim_ext)))
-        return tuple(itertools.product(*axes))
-
-    @cached_property
-    def pieces(self) -> tuple:
-        """(color, piece_bounds, processors_of) per color, colors in
-        lexicographic order; built on first use, once per distribution."""
-        return tuple((c, self.piece_bounds(c), self.processors_of(c))
-                     for c in self.colors())
+        return self._piece(color)[2]
 
     def residency(self) -> dict:
         """proc -> list of non-empty piece rects, colors in lexicographic order."""
@@ -306,7 +294,7 @@ def lower_placement(tensor: TensorVar, d: TensorDistribution):
                 divides.append(Divide(cur_var[j], outer, inner, dim_ext, cur_ext[j]))
                 dist_loops.append((outer, 0, dim_ext))
                 cur_var[j] = inner
-                cur_ext[j] = -(-cur_ext[j] // dim_ext)
+                cur_ext[j] = divides[-1].block
             elif v == BROADCAST:
                 dist_loops.append((f"m{at}", 0, dim_ext))
             else:

@@ -309,7 +309,6 @@ def redistribute(store: RegionStore, name: str, new_dist: TensorDistribution,
 
 @dataclass
 class LaunchPlan:
-    machine: Machine
     launch_vars: list       # leading distributed Foralls, outermost first
     task_loops: list        # the Foralls below them, outermost first
     leaf: object            # Assign | Reduce
@@ -399,16 +398,13 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
         rect = out_access and access_rect(out_access, {**intervals, **unit_env(env)}, defs)
         tasks.append(TaskInfo(coord, env, rect))
 
-    if out_kind == "copy":
-        for a, b in itertools.combinations(tasks, 2):
-            if a.out_rect is None or b.out_rect is None:
-                continue
-            if a.out_rect.intersect(b.out_rect) is not None:
-                raise OverlappingWrites(
-                    f"tasks {a.coord} and {b.coord} both write "
-                    f"{a.out_rect.intersect(b.out_rect)} of {out_name}")
+    pair = _overlap(tasks) if out_kind == "copy" else None
+    if pair is not None:
+        a, b = pair
+        raise OverlappingWrites(f"tasks {a.coord} and {b.coord} both write "
+                                f"{a.out_rect.intersect(b.out_rect)} of {out_name}")
 
-    return LaunchPlan(machine, group, task_loops, leaf, rels, defs, intervals,
+    return LaunchPlan(group, task_loops, leaf, rels, defs, intervals,
                       step_var, num_steps, fetch_plan, out_name, out_kind,
                       out_access, tasks)
 
@@ -441,19 +437,21 @@ def _pick_source(part, p, homes, prev_holders, launch_holders):
     return None
 
 
-def _disjoint(rects) -> bool:
-    """Whether no two boxes share a point: a sweep along the first axis with
-    plain comparisons. A wave of two or more tasks has an output that
-    reaches a launch loop, so its boxes have an axis."""
-    rects = sorted(rects, key=lambda r: r.lo)
-    for k, a in enumerate(rects):
-        for b in rects[k + 1:]:
-            if b.lo[0] >= a.hi[0]:
+def _overlap(tasks):
+    """The first two tasks whose output rects share a point, the earlier
+    task first, or None: a sweep along the first axis with plain
+    comparisons. Tasks without a rect are skipped; 0-d rects always meet."""
+    live = sorted((t.out_rect.lo, k) for k, t in enumerate(tasks) if t.out_rect is not None)
+    for n, (_, k) in enumerate(live):
+        a = tasks[k].out_rect
+        for _, m in live[n + 1:]:
+            b = tasks[m].out_rect
+            if a.lo and b.lo[0] >= a.hi[0]:
                 break
             if all(al < bh and bl < ah
                    for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi)):
-                return False
-    return True
+                return tasks[min(k, m)], tasks[max(k, m)]
+    return None
 
 
 def _waves(plan: LaunchPlan) -> list:
@@ -474,7 +472,7 @@ def _waves(plan: LaunchPlan) -> list:
     for task in plan.tasks:
         by_pins.setdefault(tuple(task.coord[k] for k in pinned), []).append(task)
     first = next(iter(by_pins.values()))
-    if not _disjoint([t.out_rect for t in first if t.out_rect is not None]):
+    if _overlap(first) is not None:
         pinned = range(len(plan.launch_vars))
         by_pins = {task.coord: [task] for task in plan.tasks}
     waves = []

@@ -8,6 +8,7 @@ from tendist import (
     bundle_from_config,
     cannon,
     cosma_like,
+    format_statement,
     grid,
     innerprod,
     johnson,
@@ -23,6 +24,7 @@ from tendist import (
     ttv,
     verify_result,
 )
+from tendist.algorithms import KERNELS, REGISTRY
 from tendist.errors import (
     BadGrid,
     ConfigError,
@@ -251,6 +253,17 @@ def test_grid_shape_rejections():
         cosma_like((2, 2), (1, 1, 1))
     with pytest.raises(FactorMismatch):
         cosma_like((2, 2, 0), (1, 1, 1))
+
+
+def test_bundles_state_their_kernel_table_entry():
+    # one table of statement texts serves the builders and --kernel
+    gemm_renamed = {"solomonik", "cosma-like"}  # C, A, B renamed A, B, C
+    for name in REGISTRY:
+        text = format_statement(bundle_from_config(name).statement)
+        if name in gemm_renamed:
+            assert text == "A(i, j) = B(i, k) * C(k, j)"
+        else:
+            assert text == KERNELS[name if name in KERNELS else "gemm"]
 
 
 def test_bundle_from_config():

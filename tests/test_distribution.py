@@ -197,7 +197,33 @@ def test_composition_law_exhaustive():
     assert checked > 20
 
 
-def test_piece_table_matches_per_color_calls():
+def _cascade(dims, machine, levels):
+    """Oracle for the piece table, written without the placement statement:
+    per color (lexicographic over the partitioned machine dims), bounds by a
+    per-level cascade of block_range calls, each level cutting the previous
+    level's nominal block, and holders by each machine dim's role."""
+    roles = []  # per flat machine dim: (tensor dim, parts) | fixed int | "*"
+    for (x, y), extents in zip(levels, machine.levels):
+        for v, ext in zip(y, extents):
+            roles.append((x.index(v), ext) if isinstance(v, str) and v != "*" else v)
+    parts = [r for r in roles if isinstance(r, tuple)]
+    out = []
+    for color in itertools.product(*[range(ext) for _, ext in parts]):
+        lo, hi, nominal = [0] * len(dims), list(dims), list(dims)
+        for c, (j, ext) in zip(color, parts):
+            a, b = block_range(nominal[j], ext, c)
+            lo[j], hi[j] = min(lo[j] + a, hi[j]), min(lo[j] + b, hi[j])
+            nominal[j] = block_range(nominal[j], ext, 0)[1]
+        comps = iter(color)
+        axes = [(next(comps),) if isinstance(r, tuple)
+                else range(dim) if r == "*" else (r,)
+                for r, dim in zip(roles, machine.flat_dims)]
+        out.append((color, HyperRect(tuple(lo), tuple(hi)),
+                    tuple(itertools.product(*axes))))
+    return out
+
+
+def test_piece_table_matches_block_range_cascade():
     rng = random.Random(11)
     machines = [grid(2), grid(3), grid(2, 2), grid(3, 2), grid(2, 3, 2),
                 make_machine([(2, 2), (2,)]), make_machine([(2,), (3,)])]
@@ -222,14 +248,26 @@ def test_piece_table_matches_per_color_calls():
                     y.append(rng.randrange(ext))
             levels.append((x, tuple(y)))
         d = TensorDistribution(dims, m, levels)
-        want = [(c, d.piece_bounds(c), d.processors_of(c)) for c in d.colors()]
-        assert list(d.pieces) == want
-        assert d.pieces is d.pieces  # built once
-        kinds |= {r[0] for r in d.roles}
-        if any(r[0] == "part" and dims[r[1]] % r[2] for r in d.roles):
-            kinds.add("ragged")
-        if any(r[0] == "part" and dims[r[1]] < r[2] for r in d.roles):
-            kinds.add("smaller than the grid")
+        want = _cascade(dims, m, levels)
+        assert list(d.colors()) == [color for color, _, _ in want]
+        for (color, bounds, holders), (_, want_bounds, want_holders) in zip(d.pieces, want):
+            assert holders == want_holders
+            if want_bounds.is_empty:
+                assert bounds.is_empty
+            else:
+                assert bounds == want_bounds
+        for (x, y), extents in zip(levels, m.levels):
+            for v, ext in zip(y, extents):
+                if v == "*":
+                    kinds.add("bcast")
+                elif isinstance(v, int):
+                    kinds.add("fixed")
+                else:
+                    kinds.add("part")
+                    if dims[x.index(v)] % ext:
+                        kinds.add("ragged")
+                    if dims[x.index(v)] < ext:
+                        kinds.add("smaller than the grid")
         if m.num_levels > 1:
             kinds.add("two-level")
     assert kinds == {"part", "fixed", "bcast", "ragged", "smaller than the grid",
@@ -296,6 +334,12 @@ def test_duplicate_names_rejected():
         TensorDistribution((4, 4), grid(2), [(("x", "x"), ("x",))])
     with pytest.raises(DuplicateName):
         TensorDistribution((4, 4), grid(2, 2), [(("x", "y"), ("x", "x"))])
+    # names that collide with the placement's loop names: x divides into
+    # xo and xi, and a broadcast machine dim 1 gets the loop m1
+    with pytest.raises(DuplicateName):
+        TensorDistribution((4, 4), grid(2), [(("x", "xo"), ("x",))])
+    with pytest.raises(DuplicateName):
+        TensorDistribution((4, 4), grid(2, 2), [(("x", "m1"), ("x", "*"))])
 
 
 def test_unbound_machine_name_rejected():
@@ -314,6 +358,13 @@ def test_color_of_bounds_checked():
         d.color_of((4, 0))
     with pytest.raises(RankMismatch):
         d.color_of((1,))
+    for lookup in (d.piece_bounds, d.processors_of):
+        with pytest.raises(OutOfBounds):
+            lookup((2,))
+        with pytest.raises(OutOfBounds):
+            lookup((-1,))
+        with pytest.raises(RankMismatch):
+            lookup((0, 0))
 
 
 # placement lowering

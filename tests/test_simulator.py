@@ -599,6 +599,32 @@ def test_overlapping_copy_writes_rejected():
     assert "both write" in str(err.value)
 
 
+def test_scalar_copy_output_on_two_tasks_overlaps():
+    # each task assigns the whole 0-d output, so the two writes collide
+    a, A = TensorVar("a", ()), TensorVar("A", (2,))
+    cin = with_relations(Forall("i", 0, 2, Assign(a(), A("i"))), (Distribute("i"),))
+    machine = grid(2)
+    dists = {"a": TensorDistribution((), machine, [((), (0,))]),
+             "A": TensorDistribution((2,), machine, [(("x",), ("x",))])}
+    with pytest.raises(OverlappingWrites,
+                       match=r"tasks \(0,\) and \(1,\) both write \[scalar\] of a"):
+        run_statement(cin, machine, dists, {"A": DenseTensor((2,))})
+
+
+def test_overlap_sweep_names_the_earlier_task_first():
+    def task(k, lo=None, hi=None):
+        return simulator.TaskInfo((k,), {}, None if lo is None else HyperRect(lo, hi))
+
+    # sorted by lower bound task 1 comes first; the pair is still (0, 1)
+    tasks = [task(0, (1,), (5,)), task(1, (0,), (2,)), task(2)]
+    assert simulator._overlap(tasks) == (tasks[0], tasks[1])
+    assert simulator._overlap([task(0, (0, 0), (2, 2)), task(1, (2, 0), (4, 2)),
+                               task(2, (0, 2), (2, 4))]) is None
+    scalars = [task(0), task(1, (), ()), task(2, (), ())]
+    assert simulator._overlap(scalars) == (scalars[1], scalars[2])
+    assert simulator._overlap(scalars[:2]) is None
+
+
 def test_grid_mismatch():
     stmt = parse_statement("C(i, j) = A(i, k) * B(k, j)",
                            {"i": 4, "j": 4, "k": 4})
