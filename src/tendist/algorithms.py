@@ -17,7 +17,6 @@ from typing import Callable, NamedTuple, Optional
 from .errors import (
     BadGrid,
     ConfigError,
-    FactorMismatch,
     NonCubeGrid,
     NonSquareGrid,
 )
@@ -73,15 +72,14 @@ KERNELS = {
 }
 
 
-def _registered(name: str, extents: int, default_grid, chunked=False, adapter=None):
+def _registered(name: str, extents: int, default_grid, chunked=False):
     """Make a builder return an AlgorithmBundle called `name` and enter it in
-    REGISTRY; `adapter` maps the registry's call onto the builder's own
-    arguments when they differ."""
+    REGISTRY."""
     def wrap(parts):
         @functools.wraps(parts)
         def build(*args, **kwargs) -> AlgorithmBundle:
             return AlgorithmBundle(name, *parts(*args, **kwargs))
-        REGISTRY[name] = Registered(adapter or build, extents, default_grid, chunked)
+        REGISTRY[name] = Registered(build, extents, default_grid, chunked)
         return build
     return wrap
 
@@ -227,20 +225,11 @@ def solomonik(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
     return machine, stmt, dists, sched
 
 
-@_registered("cosma-like", 3, (2, 2, 1), chunked=True,
-             adapter=lambda *par, chunk=1, **kw: cosma_like(par, (1, 1, chunk), **kw))
-def cosma_like(par, seq, *, dims=(8, 8, 8)):
-    """Factor each loop into a parallel and a sequential part; parallel
-    factors form the grid, the sequential k factor becomes in-task rounds."""
-    par, seq = tuple(int(p) for p in par), tuple(int(s) for s in seq)
-    if len(par) != 3 or len(seq) != 3:
-        raise FactorMismatch(f"need 3 parallel and 3 sequential factors, "
-                             f"got {par} and {seq}")
-    if any(p < 1 for p in par) or any(s < 1 for s in seq):
-        raise FactorMismatch(f"factors must be positive, got {par} and {seq}")
-    _check_grid(*par)
-    pi, pj, pk = par
-    si, sj, sk = seq
+@_registered("cosma-like", 3, (2, 2, 1), chunked=True)
+def cosma_like(pi: int, pj: int, pk: int, *, dims=(8, 8, 8), chunk: int = 1):
+    """Factor each loop into a parallel part, the grid, and k also into
+    `chunk` sequential parts, which become in-task rounds."""
+    _check_grid(pi, pj, pk)
     machine = grid(pi, pj, pk)
     stmt = _gemm(dims, "A", "B", "C")
     dists = _dists(stmt, machine, A=[("xy", ("x", "y", 0))], B=[("xy", ("x", 0, "y"))],
@@ -250,9 +239,8 @@ def cosma_like(par, seq, *, dims=(8, 8, 8)):
              .divide("k", "ko", "ki", pk)
              .reorder("io", "jo", "ko", "ii", "ji", "ki")
              .distribute("io").distribute("jo").distribute("ko")
-             .divide("ii", "is", "il", si).divide("ji", "js", "jl", sj)
-             .divide("ki", "ks", "kl", sk)
-             .reorder("ks", "is", "il", "js", "jl")
+             .divide("ki", "ks", "kl", chunk)
+             .reorder("ks", "ii", "ji")
              .communicate("C", "jo").communicate("B", "ks"))
     return machine, stmt, dists, sched
 
@@ -353,6 +341,8 @@ def bundle_from_config(name: str, machine: Machine = None, dims=None,
         raise ConfigError(f"{name} takes {extents} extents, got {len(dims)}")
     if chunk != 1 and not chunked:
         raise ConfigError(f"{key} takes no chunk, got {chunk}")
+    if chunk < 1:
+        raise ConfigError(f"{key} needs a positive chunk, got {chunk}")
     kwargs = {"dims": tuple(dims)} if dims else {}
     if chunked:
         kwargs["chunk"] = chunk

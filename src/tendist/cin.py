@@ -1,11 +1,10 @@
 """Concrete index notation: explicit loop nests plus side relations.
 
-A statement is one chain of Foralls over one leaf (Assign, Reduce or Place),
-with an optional root Suchthat carrying the relations (divide, split,
-distribute, rotate, communicate, leaf kernels). Relations name the variables
-they govern, so they all live on that root: with_relations flattens nested
-Suchthats on construction, and forall_chain, the one walker every pass uses,
-rejects any other shape.
+A statement is one LoopNest: a tuple of Foralls, outermost first, over one
+leaf (Assign, Reduce or Place), with the relations (divide, split,
+distribute, rotate, communicate, leaf kernels) that govern its variables.
+That is the `forall(i) forall(j) ... s.t. ...` form `pretty` prints; passes
+read the three fields and build new statements with `dataclasses.replace`.
 
 Derived-variable arithmetic:
     divide(i, io, ii, parts): i = io * ceil(extent/parts) + ii, guarded i < extent
@@ -98,7 +97,6 @@ class Forall:
     var: str
     lo: int
     hi: int
-    body: "CinStmt"
 
     @property
     def extent(self) -> int:
@@ -123,83 +121,36 @@ class Place:
 
 
 @dataclass(frozen=True)
-class Suchthat:
-    body: "CinStmt"
-    relations: tuple
+class LoopNest:
+    loops: tuple  # tuple[Forall, ...], outermost first
+    leaf: object  # Assign | Reduce | Place
+    relations: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "loops", tuple(self.loops))
+        object.__setattr__(self, "relations", tuple(self.relations))
+        if not isinstance(self.leaf, (Assign, Reduce, Place)):
+            raise TendistError(f"a statement's leaf is an Assign, Reduce or Place, "
+                               f"not a {type(self.leaf).__name__}")
+        for f in self.loops:
+            if not isinstance(f, Forall):
+                raise TendistError(f"a statement's loops are Foralls, not a {type(f).__name__}")
 
 
-CinStmt = object  # union of the five node classes
-
-
-def forall(var: str, extent: int, body) -> Forall:
-    return Forall(var, 0, extent, body)
-
-
-def relations_of(stmt) -> tuple:
-    return stmt.relations if isinstance(stmt, Suchthat) else ()
-
-
-def body_of(stmt):
-    return stmt.body if isinstance(stmt, Suchthat) else stmt
-
-
-def with_relations(body, relations):
-    relations = tuple(relations)
-    while isinstance(body, Suchthat):
-        relations = body.relations + relations
-        body = body.body
-    return Suchthat(body, relations) if relations else body
-
-
-def add_relations(stmt, *new):
-    return with_relations(body_of(stmt), relations_of(stmt) + tuple(new))
-
-
-def lower_to_cin(stmt: TensorIndexStmt):
+def lower_to_cin(stmt: TensorIndexStmt) -> LoopNest:
     """One Forall per variable (free vars then reduction vars), reduction
     statements become `+=` over a zero-initialized output."""
     leaf = Reduce(stmt.lhs, stmt.rhs) if stmt.reduction_vars else Assign(stmt.lhs, stmt.rhs)
-    return rebuild_chain([forall(n, stmt.extents[n], None) for n in stmt.var_order], leaf)
-
-
-# structure helpers
-
-def forall_chain(stmt):
-    """The Foralls from the root (after its Suchthat), outermost first, and
-    the leaf below them; any other shape raises TendistError."""
-    node = body_of(stmt)
-    chain = []
-    while isinstance(node, Forall):
-        chain.append(node)
-        node = node.body
-    if not isinstance(node, (Assign, Reduce, Place)):
-        raise TendistError(
-            f"a {type(node).__name__} sits below the loops; a statement is one "
-            "chain of Foralls over one leaf, with relations on the root only")
-    return chain, node
-
-
-def rebuild_chain(chain, leaf):
-    """Nest the chain's loops, outermost first, over leaf; the loops' own
-    bodies are ignored, so a new loop may be built with body None."""
-    node = leaf
-    for f in reversed(chain):
-        node = Forall(f.var, f.lo, f.hi, node)
-    return node
-
-
-def bound_vars(stmt) -> list:
-    return [f.var for f in forall_chain(stmt)[0]]
+    return LoopNest([Forall(n, 0, stmt.extents[n]) for n in stmt.var_order], leaf)
 
 
 def claimed_names(stmt) -> set:
     """Every variable name the statement already uses, loop-bound or derived."""
-    chain, leaf = forall_chain(stmt)
-    names = {f.var for f in chain}
-    for rel in relations_of(stmt):
+    names = {f.var for f in stmt.loops}
+    for rel in stmt.relations:
         if isinstance(rel, (Split, Divide, Rotate)):
             names.update(_relation_names(rel))
-    for acc in leaf_accesses(leaf):
+    for acc in leaf_accesses(stmt.leaf):
         names.update(acc.var_names)
     return names
 
@@ -213,14 +164,13 @@ def leaf_accesses(leaf) -> list:
 def check_statement(stmt) -> None:
     """Well-formedness: one loop chain binding each variable once, and every
     access variable resolvable."""
-    defs = relation_defs(relations_of(stmt))
-    chain, leaf = forall_chain(stmt)
+    defs = relation_defs(stmt.relations)
     env: dict = {}
-    for f in chain:
+    for f in stmt.loops:
         if f.var in env:
             raise TendistError(f"{f.var} bound twice in the loop chain")
         env[f.var] = (0, 1)
-    for acc in leaf_accesses(leaf):
+    for acc in leaf_accesses(stmt.leaf):
         for v in acc.var_names:
             var_interval(v, env, defs)
 
@@ -463,8 +413,8 @@ def interpret(stmt, store: dict) -> dict:
     numpy's array arithmetic may keep another operand's NaN than its scalar
     arithmetic does.
     """
-    chain, leaf = forall_chain(stmt)
-    defs = relation_defs(relations_of(stmt))
+    leaf = stmt.leaf
+    defs = relation_defs(stmt.relations)
     read_store = dict(store)
     out_store: dict = {}
     if not isinstance(leaf, Place):
@@ -475,16 +425,16 @@ def interpret(stmt, store: dict) -> dict:
             if len(store[t.name].dims) != len(t.dims):
                 raise ExtentMismatch(
                     f"{t.name} value has dims {store[t.name].dims}, statement needs {t.dims}")
-    loops = [(f.var, f.lo, f.hi) for f in chain]
-    kernels = {rel.vars[0]: rel.kernel for rel in relations_of(stmt)
+    loops = [(f.var, f.lo, f.hi) for f in stmt.loops]
+    kernels = {rel.vars[0]: rel.kernel for rel in stmt.relations
                if isinstance(rel, LeafKernel)}
-    cut = next((at for at, f in enumerate(chain)
-                if kernels.get(f.var, INTERPRETER_KERNEL) != INTERPRETER_KERNEL), None)
+    cut = next((at for at, (var, _, _) in enumerate(loops)
+                if kernels.get(var, INTERPRETER_KERNEL) != INTERPRETER_KERNEL), None)
     with np.errstate(over="ignore", invalid="ignore"):
         if cut is None:
             _box_walker(leaf, defs, read_store, out_store)(loops, {})
             return {**store, **out_store}
-        name = kernels[chain[cut].var]
+        name = kernels[loops[cut][0]]
         kernel = _LEAF_KERNELS.get(name)
         if kernel is None:
             raise TendistError(f"leaf kernel {name!r} is not registered")
@@ -520,12 +470,11 @@ def pretty_relation(rel) -> str:
 
 
 def pretty(stmt) -> str:
-    if isinstance(stmt, Suchthat):
+    if isinstance(stmt, LoopNest):
+        text = " ".join([f"forall({f.var}={f.lo})" if f.lo > 0 and f.extent == 1
+                         else f"forall({f.var})" for f in stmt.loops] + [pretty(stmt.leaf)])
         rels = ", ".join(pretty_relation(r) for r in stmt.relations)
-        return f"{pretty(stmt.body)} s.t. {rels}" if rels else pretty(stmt.body)
-    if isinstance(stmt, Forall):
-        head = f"forall({stmt.var}={stmt.lo})" if stmt.lo > 0 and stmt.extent == 1 else f"forall({stmt.var})"
-        return f"{head} {pretty(stmt.body)}"
+        return f"{text} s.t. {rels}" if rels else text
     if isinstance(stmt, Assign):
         return f"{format_expr(stmt.lhs)} = {format_expr(stmt.rhs)}"
     if isinstance(stmt, Reduce):

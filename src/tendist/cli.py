@@ -16,14 +16,13 @@ import argparse
 import datetime
 import json
 import os
-import re
 import sys
 
 from .algorithms import ALGORITHMS, KERNELS, REGISTRY, bundle_from_config, random_inputs
 from .cin import lower_to_cin, pretty
 from .distribution import TensorDistribution, lower_placement, parse_distribution
 from .errors import ConfigError, TendistError, VerifyFail
-from .ir import format_statement, parse_statement
+from .ir import format_statement, index_names, parse_statement
 from .machine import parse_machine
 from .scheduling import parse_schedule
 from .simulator import run_statement, verify_result, write_edge_csv
@@ -91,18 +90,8 @@ def _statement_text(args) -> str:
     raise ConfigError("nothing to run: pass --algorithm, --kernel, or --expr")
 
 
-def _index_names(text: str) -> list:
-    names: list = []
-    for group in re.findall(r"\(([^)]*)\)", text):
-        for v in group.split(","):
-            v = v.strip()
-            if v and v not in names:
-                names.append(v)
-    return names
-
-
 def _extents(args, text: str) -> dict:
-    names = _index_names(text)
+    names = index_names(text)
     if args.dims:
         sizes = _dims(args.dims)
         if len(sizes) != len(names):

@@ -25,14 +25,11 @@ from .cin import (
     Distribute,
     Divide,
     Forall,
+    LoopNest,
     Place,
-    forall_chain,
-    rebuild_chain,
     relation_defs,
-    relations_of,
     unit_env,
     var_interval,
-    with_relations,
 )
 from .errors import (
     ConfigError,
@@ -210,18 +207,17 @@ class TensorDistribution:
         full range; its holders are the launch loops' ranges under the same
         pins, in enumeration order."""
         stmt = lower_placement(TensorVar("", self.tensor_dims), self)
-        rels = relations_of(stmt)
+        rels = stmt.relations
         defs = relation_defs(rels)
-        chain, leaf = forall_chain(stmt)
         launch_vars = {r.var for r in rels if isinstance(r, Distribute)}
-        launch = [f for f in chain if f.var in launch_vars]
+        launch = [f for f in stmt.loops if f.var in launch_vars]
         outers = {r.outer for r in rels if isinstance(r, Divide)}
         part = [f.var for f in launch if f.var in outers]
-        full = {f.var: (f.lo, f.hi) for f in chain}
+        full = {f.var: (f.lo, f.hi) for f in stmt.loops}
         out = []
         for color in itertools.product(*(range(*full[v]) for v in part)):
             env = {**full, **unit_env(dict(zip(part, color)))}
-            ivs = [var_interval(v, env, defs) for v in leaf.access.var_names]
+            ivs = [var_interval(v, env, defs) for v in stmt.leaf.access.var_names]
             bounds = HyperRect(tuple(a for a, _ in ivs), tuple(b for _, b in ivs))
             holders = tuple(itertools.product(*(range(*env[f.var]) for f in launch)))
             out.append((color, bounds, holders))
@@ -305,11 +301,10 @@ def lower_placement(tensor: TensorVar, d: TensorDistribution):
     names += [dv.var for dv in divides]
     if len(set(names)) != len(names):
         raise DuplicateName(f"placement loop names collide: {names}")
-    loops = [Forall(v, lo, hi, None) for v, lo, hi in dist_loops + local_loops]
-    node = rebuild_chain(loops, Place(tensor(*d.levels[0][0])))
     rels = divides + [Distribute(v) for v, _, _ in dist_loops]
     rels.append(Communicate((tensor.name,), dist_loops[-1][0]))
-    return with_relations(node, rels)
+    return LoopNest([Forall(*loop) for loop in dist_loops + local_loops],
+                    Place(tensor(*d.levels[0][0])), rels)
 
 
 def parse_distribution(text: str):

@@ -137,7 +137,3 @@ class NonCubeGrid(TendistError):
 
 class BadGrid(TendistError):
     """Machine shape unsuitable for the requested algorithm."""
-
-
-class FactorMismatch(TendistError):
-    """Requested split factors do not fit the machine or the extents."""

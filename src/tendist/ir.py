@@ -337,6 +337,20 @@ class _Parser:
         return e
 
 
+def index_names(text: str) -> list:
+    """The index names of a statement text, in order of first appearance:
+    the names inside an access's parentheses, whose `(` follows the tensor's
+    name where a grouping `(` does not."""
+    names, prev, inside = [], None, False
+    for kind, tok in _tokenize(text):
+        if tok in ("(", ")"):
+            inside = tok == "(" and prev == "name"
+        elif kind == "name" and inside and tok not in names:
+            names.append(tok)
+        prev = kind
+    return names
+
+
 def parse_statement(text: str, extents: dict) -> TensorIndexStmt:
     """Parse `A(i, j) = B(i, k) * C(k, j)` given per-variable extents."""
     p = _Parser(_tokenize(text), extents)

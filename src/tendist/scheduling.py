@@ -1,14 +1,14 @@
 """Scheduling commands: rewrites over concrete index notation.
 
-Each command takes and returns a whole statement; relations accumulate on the
-root Suchthat. Commands validate their preconditions and re-check statement
-well-formedness after rewriting, so a chain of commands can never produce an
-unrunnable statement.
+Each command takes and returns a whole LoopNest: it rewrites the loops and
+appends the relation it adds to the statement's relations. Commands validate
+their preconditions and re-check statement well-formedness after rewriting,
+so a chain of commands can never produce an unrunnable statement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cin import (
     Communicate,
@@ -18,16 +18,10 @@ from .cin import (
     LeafKernel,
     Rotate,
     Split,
-    add_relations,
-    bound_vars,
     check_statement,
     claimed_names,
-    forall_chain,
     leaf_accesses,
     leaf_kernel_registered,
-    rebuild_chain,
-    relations_of,
-    with_relations,
 )
 from .errors import (
     ConfigError,
@@ -51,32 +45,34 @@ def _require_fresh(stmt, *names):
         raise NonFreshVar(f"fresh names must be distinct: {names}")
 
 
-def _checked(stmt):
+def _checked(stmt, **changes):
+    """stmt with `changes` replaced, checked for well-formedness."""
+    stmt = replace(stmt, **changes)
     check_statement(stmt)
     return stmt
 
 
-def _loop_at(chain, var: str) -> int:
-    for at, f in enumerate(chain):
+def _loop_at(stmt, var: str) -> int:
+    for at, f in enumerate(stmt.loops):
         if f.var == var:
             return at
     raise UnknownVar(f"no loop binds {var}")
 
 
 def _replace_loop(stmt, var: str, verb: str, rewrite, relations=None):
-    """Swap the chain's loop var for the (name, extent) loops that
-    `rewrite(extent)` returns along with the relation defining var by them.
-    The relation joins `relations`, by default the statement's own."""
-    chain, leaf = forall_chain(stmt)
-    at = _loop_at(chain, var)
-    if chain[at].lo != 0:
+    """Swap the loop var for the (name, extent) loops that `rewrite(extent)`
+    returns along with the relation defining var by them. The relation joins
+    `relations`, by default the statement's own."""
+    at = _loop_at(stmt, var)
+    old = stmt.loops[at]
+    if old.lo != 0:
         raise ConfigError(f"cannot {verb} pinned loop {var}")
-    loops, rel = rewrite(chain[at].extent)
-    new = [Forall(name, 0, extent, None) for name, extent in loops]
-    body = rebuild_chain(chain[:at] + new + chain[at + 1:], leaf)
+    loops, rel = rewrite(old.extent)
+    new = tuple(Forall(name, 0, extent) for name, extent in loops)
     if relations is None:
-        relations = relations_of(stmt)
-    return _checked(with_relations(body, relations + (rel,)))
+        relations = stmt.relations
+    return _checked(stmt, loops=stmt.loops[:at] + new + stmt.loops[at + 1:],
+                    relations=relations + (rel,))
 
 
 def split(stmt, i: str, io: str, ii: str, chunk: int):
@@ -104,8 +100,7 @@ def reorder(stmt, order):
     want = set(order)
     if len(want) != len(order):
         raise NotPermutation(f"duplicate names in reorder {order}")
-    chain, leaf = forall_chain(stmt)
-    names = [f.var for f in chain]
+    names = [f.var for f in stmt.loops]
     missing = want - set(names)
     if missing:
         raise UnknownVar(f"no loop binds {sorted(missing)}")
@@ -113,16 +108,15 @@ def reorder(stmt, order):
     end = at + len(order)
     if set(names[at:end]) != want:
         raise NotContiguousNest(f"reorder targets {sorted(want)} are not directly nested")
-    by = {f.var: f for f in chain[at:end]}
-    body = rebuild_chain(chain[:at] + [by[v] for v in order] + chain[end:], leaf)
-    return _checked(with_relations(body, relations_of(stmt)))
+    by = {f.var: f for f in stmt.loops[at:end]}
+    loops = stmt.loops[:at] + tuple(by[v] for v in order) + stmt.loops[end:]
+    return _checked(stmt, loops=loops)
 
 
 def distribute(stmt, i: str):
     """Mark loop i as distributed. Marking only; no reordering."""
-    if i not in bound_vars(stmt):
-        raise UnknownVar(f"no loop binds {i}")
-    return _checked(add_relations(stmt, Distribute(i)))
+    _loop_at(stmt, i)  # UnknownVar unless a loop binds i
+    return _checked(stmt, relations=stmt.relations + (Distribute(i),))
 
 
 def distribute_grid(stmt, targets, dist_vars, local_vars, dims):
@@ -149,14 +143,12 @@ def communicate(stmt, tensors, i: str):
     if isinstance(tensors, str):
         tensors = (tensors,)
     tensors = tuple(tensors)
-    chain, leaf = forall_chain(stmt)
-    if i not in {f.var for f in chain}:
-        raise UnknownVar(f"no loop binds {i}")
-    seen = {acc.tensor.name for acc in leaf_accesses(leaf)}
+    _loop_at(stmt, i)  # UnknownVar unless a loop binds i
+    seen = {acc.tensor.name for acc in leaf_accesses(stmt.leaf)}
     for t in tensors:
         if t not in seen:
             raise UnknownTensor(f"{t} is not accessed by the statement")
-    return _checked(add_relations(stmt, Communicate(tensors, i)))
+    return _checked(stmt, relations=stmt.relations + (Communicate(tensors, i),))
 
 
 def rotate(stmt, t: str, over, r: str):
@@ -164,14 +156,13 @@ def rotate(stmt, t: str, over, r: str):
     extent(t). Communicate relations naming t now aggregate on r."""
     over = tuple(over)
     _require_fresh(stmt, r)
-    chain, _ = forall_chain(stmt)
-    above = {f.var for f in chain[:_loop_at(chain, t)]}
+    above = {f.var for f in stmt.loops[:_loop_at(stmt, t)]}
     for v in over:
         if v not in above:
             raise IBelowT(f"rotate offset {v} does not enclose {t}")
     rels = tuple(
         Communicate(x.tensors, r) if isinstance(x, Communicate) and x.var == t else x
-        for x in relations_of(stmt)
+        for x in stmt.relations
     )
     return _replace_loop(stmt, t, "rotate", lambda e: (((r, e),), Rotate(t, over, r, e)), rels)
 
@@ -183,13 +174,12 @@ def substitute_leaf(stmt, vars_, kernel: str):
         raise ConfigError("substitute_leaf needs at least one loop")
     if not leaf_kernel_registered(kernel):
         raise ConfigError(f"leaf kernel {kernel!r} is not registered")
-    chain, _ = forall_chain(stmt)
-    below = tuple(f.var for f in chain[_loop_at(chain, vars_[0]):])
+    below = tuple(f.var for f in stmt.loops[_loop_at(stmt, vars_[0]):])
     if below[:len(vars_)] != vars_:
         raise NotInnermost(f"{list(vars_)} is not the innermost nest")
     if len(below) > len(vars_):
         raise NotInnermost(f"loops remain under {vars_[-1]}")
-    return _checked(add_relations(stmt, LeafKernel(vars_, kernel)))
+    return _checked(stmt, relations=stmt.relations + (LeafKernel(vars_, kernel),))
 
 
 # the command table

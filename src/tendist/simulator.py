@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,17 +25,13 @@ from .cin import (
     Forall,
     Place,
     Reduce,
-    forall_chain,
     interpret,
     leaf_accesses,
     lower_to_cin,
     reached_vars,
-    rebuild_chain,
     relation_defs,
-    relations_of,
     unit_env,
     var_interval,
-    with_relations,
 )
 from .distribution import HyperRect, TensorDistribution, lower_placement, subtract_rects
 from .errors import (
@@ -309,10 +305,9 @@ def redistribute(store: RegionStore, name: str, new_dist: TensorDistribution,
 
 @dataclass
 class LaunchPlan:
-    launch_vars: list       # leading distributed Foralls, outermost first
-    task_loops: list        # the Foralls below them, outermost first
-    leaf: object            # Assign | Reduce
-    relations: tuple
+    stmt: object            # the lowered LoopNest
+    launch_vars: tuple      # its leading distributed Foralls, outermost first
+    task_loops: tuple       # the Foralls below them, outermost first
     defs: dict
     intervals: dict         # loop var -> (lo, hi)
     step_var: object        # Forall | None
@@ -326,13 +321,12 @@ class LaunchPlan:
 
 def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
     machine = store.machine
-    rels = relations_of(stmt)
+    rels, leaf = stmt.relations, stmt.leaf
     defs = relation_defs(rels)
-    chain, leaf = forall_chain(stmt)
     dist_names = {r.var for r in rels if isinstance(r, Distribute)}
 
-    group = list(itertools.takewhile(lambda f: f.var in dist_names, chain))
-    task_loops = chain[len(group):]
+    group = tuple(itertools.takewhile(lambda f: f.var in dist_names, stmt.loops))
+    task_loops = stmt.loops[len(group):]
     if not group:
         raise GridMismatch("statement has no leading distributed loops")
     stray = dist_names & {f.var for f in task_loops}
@@ -372,7 +366,7 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
     step_var = next((f for f in task_loops if f.var in seq_comm_vars), None)
     num_steps = step_var.extent if step_var is not None else 1
 
-    intervals = {f.var: (f.lo, f.hi) for f in chain}
+    intervals = {f.var: (f.lo, f.hi) for f in stmt.loops}
 
     accs_by_name: dict = {}
     for acc in accesses:
@@ -404,7 +398,7 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
         raise OverlappingWrites(f"tasks {a.coord} and {b.coord} both write "
                                 f"{a.out_rect.intersect(b.out_rect)} of {out_name}")
 
-    return LaunchPlan(group, task_loops, leaf, rels, defs, intervals,
+    return LaunchPlan(stmt, group, task_loops, defs, intervals,
                       step_var, num_steps, fetch_plan, out_name, out_kind,
                       out_access, tasks)
 
@@ -455,8 +449,9 @@ def _overlap(tasks):
 
 
 def _waves(plan: LaunchPlan) -> list:
-    """The launch's tasks as waves of (launch loops, tasks), one interpret
-    call each.
+    """The launch's tasks as waves of (loops, tasks), one interpret call
+    each; a wave's loops are the launch loops, some pinned, then the task
+    loops.
 
     A wave pins the launch loops the output access does not reach through
     the relations and keeps the others as ordinary loops, so an output rect
@@ -479,8 +474,8 @@ def _waves(plan: LaunchPlan) -> list:
     for pins, tasks in by_pins.items():
         loops = list(plan.launch_vars)
         for k, c in zip(pinned, pins):
-            loops[k] = Forall(loops[k].var, c, c + 1, None)
-        waves.append((loops, tasks))
+            loops[k] = Forall(loops[k].var, c, c + 1)
+        waves.append((tuple(loops) + plan.task_loops, tasks))
     return waves
 
 
@@ -527,7 +522,7 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
     """
     order = list(store.machine.enumerate())
     events = trace.events
-    phase = "placement" if isinstance(plan.leaf, Place) else "compute"
+    phase = "placement" if isinstance(plan.stmt.leaf, Place) else "compute"
     launch_temps = _Temps()
     prev_temps = _Temps()
     persist = {p: store.persistent_volume(p) for p in order}
@@ -603,18 +598,17 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
     if trace is None:
         trace = ExecutionTrace(store.machine)
     plan = lower_to_tasks(stmt, store)
-    if isinstance(plan.leaf, Place):
+    if isinstance(plan.stmt.leaf, Place):
         raise ConfigError("placement statements run through place()/redistribute()")
     _replay(plan, store, trace)
     out_region = store[plan.out_name]
 
     read_store = {n: store[n].tensor for n, _, _ in plan.fetch_plan}
-    if plan.out_name in (a.tensor.name for a in leaf_accesses(plan.leaf)[1:]):
+    if plan.out_name in (a.tensor.name for a in leaf_accesses(plan.stmt.leaf)[1:]):
         # the commits below change the output; the rhs reads its old values
         read_store[plan.out_name] = out_region.tensor.copy()
     for loops, tasks in _waves(plan):
-        body = rebuild_chain(loops + plan.task_loops, plan.leaf)
-        _fold(plan, tasks, interpret(with_relations(body, plan.relations), read_store),
+        _fold(plan, tasks, interpret(replace(plan.stmt, loops=loops), read_store),
               out_region)
 
     if plan.out_kind == "reduce" and out_region.dist.replicated:
@@ -659,7 +653,7 @@ def run_statement(stmt, machine: Machine, distributions: dict, inputs: dict,
     if schedule is not None:
         cin = schedule.apply(cin)
 
-    accesses = leaf_accesses(forall_chain(cin)[1])
+    accesses = leaf_accesses(cin.leaf)
     out_name = accesses[0].tensor.name  # a Place leaf is refused by execute
     var_dims = {acc.tensor.name: acc.tensor.dims for acc in accesses}
 

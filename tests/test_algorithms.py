@@ -28,7 +28,6 @@ from tendist.algorithms import KERNELS, REGISTRY
 from tendist.errors import (
     BadGrid,
     ConfigError,
-    FactorMismatch,
     NonCubeGrid,
     NonSquareGrid,
 )
@@ -53,7 +52,7 @@ def test_registry_defaults_verify(name):
     lambda: pumma(2, 2, dims=(5, 5, 3)),
     lambda: johnson(2, 2, 2, dims=(7, 5, 3)),
     lambda: solomonik(2, 2, 2, dims=(5, 7, 9)),
-    lambda: cosma_like((2, 2, 1), (1, 1, 2), dims=(5, 4, 7)),
+    lambda: cosma_like(2, 2, 1, chunk=2, dims=(5, 4, 7)),
     lambda: summa_hier(dims=(7, 6, 5), chunk=3),
     lambda: ttv(3, dims=(7, 5, 4)),
     lambda: ttm(3, dims=(5, 4, 7, 3)),
@@ -188,7 +187,7 @@ def test_solomonik_depth_tradeoff():
 def test_cosma_factors_reproduce_broadcast_traffic():
     """With square dims, the parallel/sequential factoring moves exactly the
     block volumes of the stationary-output broadcast schedule."""
-    co = run_and_check(cosma_like((2, 2, 1), (1, 1, 2), dims=(4, 4, 4))).trace
+    co = run_and_check(cosma_like(2, 2, 1, chunk=2, dims=(4, 4, 4))).trace
     su = run_and_check(summa(2, 2, dims=(4, 4, 4), chunk=2)).trace
     assert co.total_elements == su.total_elements == 32
     assert ([s["elements"] for s in co.per_step()]
@@ -249,10 +248,12 @@ def test_grid_shape_rejections():
         solomonik(4, 4, 3)  # depth must divide the slice side
     with pytest.raises(BadGrid):
         summa(0, 2)
-    with pytest.raises(FactorMismatch):
-        cosma_like((2, 2), (1, 1, 1))
-    with pytest.raises(FactorMismatch):
-        cosma_like((2, 2, 0), (1, 1, 1))
+    with pytest.raises(BadGrid):
+        cosma_like(2, 2, 0)
+    with pytest.raises(ConfigError, match="needs a positive chunk, got 0"):
+        bundle_from_config("cosma-like", chunk=0)
+    with pytest.raises(ConfigError, match="divide parts must be positive"):
+        cosma_like(2, 2, 1, chunk=0).run()
 
 
 def test_bundles_state_their_kernel_table_entry():

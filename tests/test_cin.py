@@ -2,19 +2,17 @@ import itertools
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tendist import (
     DenseTensor,
-    TensorDistribution,
     divide,
-    grid,
     lower_to_cin,
     parse_statement,
     rotate,
-    run_statement,
     sequential_evaluate,
     split,
 )
@@ -27,14 +25,12 @@ from tendist.cin import (
     INTERPRETER_KERNEL,
     LeafKernel,
     LeafRuntime,
+    LoopNest,
     Place,
     Reduce,
     Rotate,
     Split,
-    Suchthat,
-    add_relations,
     check_statement,
-    forall_chain,
     interpret,
     leaf_accesses,
     leaf_kernel_registered,
@@ -43,9 +39,7 @@ from tendist.cin import (
     reached_vars,
     register_leaf_kernel,
     relation_defs,
-    relations_of,
     var_interval,
-    with_relations,
 )
 from tendist import cin as cin_module
 from tendist.errors import (
@@ -70,16 +64,14 @@ def gemm_inputs(n=2):
 
 def test_lower_to_cin_structure():
     cin = lower_to_cin(gemm())
-    assert isinstance(cin, Forall) and cin.var == "i" and (cin.lo, cin.hi) == (0, 2)
-    assert cin.body.var == "j"
-    assert cin.body.body.var == "k"
-    assert isinstance(cin.body.body.body, Reduce)
+    assert cin.loops == (Forall("i", 0, 2), Forall("j", 0, 2), Forall("k", 0, 2))
+    assert isinstance(cin.leaf, Reduce) and cin.relations == ()
 
 
 def test_lower_assign_statement():
     stmt = parse_statement("D(i) = A(i) + 1", {"i": 3})
     cin = lower_to_cin(stmt)
-    assert isinstance(cin.body, Assign)
+    assert isinstance(cin.leaf, Assign)
 
 
 def test_interpret_matches_sequential():
@@ -99,33 +91,24 @@ def test_interpret_rhs_reads_pre_statement_values():
     assert a.data.tolist() == [1.0, 2.0, 3.0]
 
 
-def test_non_chain_statement_rejected():
-    # relations live on the root Suchthat only; a nested one is not a statement
-    D, A = TensorVar("D", (4,)), TensorVar("A", (4,))
-    inner = Suchthat(Forall("xi", 0, 2, Assign(D("x"), A("x"))),
-                     (Divide("x", "xo", "xi", 2, 4),))
-    nested = Suchthat(Forall("xo", 0, 2, inner), (Distribute("xo"),))
-    a = DenseTensor((4,), [1.0, 2.0, 3.0, 4.0])
-    machine = grid(2)
-    dists = {n: TensorDistribution((4,), machine, [(("x",), ("x",))]) for n in "AD"}
-    with pytest.raises(TendistError, match="Suchthat sits below the loops"):
-        check_statement(nested)
-    with pytest.raises(TendistError, match="Suchthat sits below the loops"):
-        interpret(nested, {"A": a})
-    with pytest.raises(TendistError, match="Suchthat sits below the loops"):
-        run_statement(nested, machine, dists, {"A": a})
-    with pytest.raises(TendistError, match="Suchthat sits below the loops"):
-        split(nested, "xi", "xio", "xii", 1)
+@pytest.mark.parametrize("loops, leaf", [
+    ((), Forall("x", 0, 2)),
+    ((), Divide("x", "xo", "xi", 2, 4)),
+    ((Forall("i", 0, 2),), lower_to_cin(gemm())),  # a nest is not a leaf
+    ((Distribute("x"),), Place(TensorVar("T", (2,))("x"))),
+    ((Forall("x", 0, 2), ("y", 0, 2)), Place(TensorVar("T", (2,))("x"))),
+])
+def test_loop_nest_rejects_other_parts(loops, leaf):
+    with pytest.raises(TendistError, match="a statement's (leaf|loops) "):
+        LoopNest(loops, leaf)
 
 
 def test_divide_guard_skips_phantom_points():
     # extent 5 divided in 2 parts of block 3: point (o=1, i=2) maps to 5, out
     stmt = parse_statement("D(x) = A(x) + 1", {"x": 5})
     cin = lower_to_cin(stmt)
-    divided = Suchthat(
-        Forall("xo", 0, 2, Forall("xi", 0, 3, cin.body)),
-        (Divide("x", "xo", "xi", 2, 5),),
-    )
+    divided = LoopNest((Forall("xo", 0, 2), Forall("xi", 0, 3)), cin.leaf,
+                       (Divide("x", "xo", "xi", 2, 5),))
     check_statement(divided)
     a = DenseTensor((5,), [0.0, 1.0, 2.0, 3.0, 4.0])
     out = interpret(divided, {"A": a})
@@ -197,7 +180,7 @@ def test_relation_cycle_rejected():
     with pytest.raises(TendistError, match="itself"):
         relation_defs(cycle)
     D, A = TensorVar("D", (2,)), TensorVar("A", (2,))
-    stmt = Suchthat(Forall("xo", 0, 2, Forall("xi", 0, 2, Assign(D("x"), A("x")))), cycle)
+    stmt = LoopNest((Forall("xo", 0, 2), Forall("xi", 0, 2)), Assign(D("x"), A("x")), cycle)
     with pytest.raises(TendistError, match="itself"):
         check_statement(stmt)
     with pytest.raises(TendistError, match="itself"):
@@ -211,17 +194,17 @@ def test_duplicate_definition_rejected():
 
 def test_check_statement_rejects_double_binding():
     inner = lower_to_cin(gemm())
-    bad = Forall("i", 0, 2, inner)
-    with pytest.raises(TendistError):
+    bad = replace(inner, loops=(Forall("i", 0, 2),) + inner.loops)
+    with pytest.raises(TendistError, match="i bound twice"):
         check_statement(bad)
 
 
 def test_check_statement_rejects_unresolvable():
     stmt = parse_statement("D(x) = A(x) + 1", {"x": 4})
-    body = Forall("xo", 0, 2, Forall("xi", 0, 2, lower_to_cin(stmt).body))
+    body = LoopNest((Forall("xo", 0, 2), Forall("xi", 0, 2)), lower_to_cin(stmt).leaf)
     with pytest.raises(UnboundVariable):
         check_statement(body)  # x never derivable without the divide relation
-    check_statement(with_relations(body, (Divide("x", "xo", "xi", 2, 4),)))
+    check_statement(replace(body, relations=(Divide("x", "xo", "xi", 2, 4),)))
 
 
 def test_interpret_oob_access_raises():
@@ -229,15 +212,15 @@ def test_interpret_oob_access_raises():
     D3, A4 = TensorVar("D", (3,)), TensorVar("A", (4,))
     a = DenseTensor((4,), [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(OOBAccess, match=r"D\(3,\) outside dims \(3,\)"):
-        interpret(Forall("x", 0, 4, Assign(D3("x"), A4("x"))), {"A": a})
+        interpret(LoopNest((Forall("x", 0, 4),), Assign(D3("x"), A4("x"))), {"A": a})
     # rhs: A has 3 elements, the loop reaches x == 3
     D4, A3 = TensorVar("D", (4,)), TensorVar("A", (3,))
     a = DenseTensor((3,), [1.0, 2.0, 3.0])
     with pytest.raises(OOBAccess, match=r"A\(3,\) outside dims \(3,\)"):
-        interpret(Forall("x", 0, 4, Assign(D4("x"), A3("x"))), {"A": a})
+        interpret(LoopNest((Forall("x", 0, 4),), Assign(D4("x"), A3("x"))), {"A": a})
     # a negative coordinate is out of bounds too, not a wrapped numpy index
     with pytest.raises(OOBAccess, match=r"D\(-1,\)"):
-        interpret(Forall("x", -1, 2, Reduce(D4("x"), A3("x"))), {"A": a})
+        interpret(LoopNest((Forall("x", -1, 2),), Reduce(D4("x"), A3("x"))), {"A": a})
     # k = ko*2 + (kr + ko) mod 2: at ko == 1 the point kr == 0 (k == 3) is
     # phantom and comes before kr == 1 (k == 2), which B's store lacks
     stmt = parse_statement("C(i, j) = A(i, k) * B(k, j)", {"i": 2, "j": 3, "k": 3})
@@ -280,24 +263,13 @@ def test_interpret_inf_nan_inputs_are_silent():
     assert np.isnan(out["C"].data[1, 1])
 
 
-def test_with_relations_flattens_nesting():
-    stmt = parse_statement("D(x) = A(x)", {"x": 4})
-    body = Forall("xo", 0, 2, Forall("xi", 0, 2, lower_to_cin(stmt).body))
-    one = with_relations(body, (Divide("x", "xo", "xi", 2, 4),))
-    two = add_relations(one, Distribute("xo"))
-    assert isinstance(two, Suchthat)
-    assert not isinstance(two.body, Suchthat)
-    assert len(two.relations) == 2
-
-
 def test_pretty_golden():
     assert pretty(lower_to_cin(gemm())) == \
         "forall(i) forall(j) forall(k) C(i, j) += A(i, k) * B(k, j)"
     T = TensorVar("T", (4, 3))
-    placed = Suchthat(
-        Forall("xo", 0, 2, Forall("xi", 0, 2, Forall("y", 0, 3, Place(T("x", "y"))))),
-        (Divide("x", "xo", "xi", 2, 4), Distribute("xo"),
-         Communicate(("T",), "xo")),
+    placed = LoopNest(
+        (Forall("xo", 0, 2), Forall("xi", 0, 2), Forall("y", 0, 3)), Place(T("x", "y")),
+        (Divide("x", "xo", "xi", 2, 4), Distribute("xo"), Communicate(("T",), "xo")),
     )
     assert pretty(placed) == ("forall(xo) forall(xi) forall(y) T(x, y) "
                               "s.t. divide(x, xo, xi, 2), distribute(xo), "
@@ -322,9 +294,9 @@ def test_pretty_relation_forms():
 
 def test_pretty_pinned_singleton_loop():
     leaf = Assign(TensorVar("D", (4,))("x"), TensorVar("A", (4,))("x"))
-    assert pretty(Forall("x", 2, 3, leaf)) == "forall(x=2) D(x) = A(x)"
+    assert pretty(LoopNest((Forall("x", 2, 3),), leaf)) == "forall(x=2) D(x) = A(x)"
     # lo == 0 singles print bare
-    assert pretty(Forall("x", 0, 1, leaf)) == "forall(x) D(x) = A(x)"
+    assert pretty(LoopNest((Forall("x", 0, 1),), leaf)) == "forall(x) D(x) = A(x)"
 
 
 def test_leaf_kernel_dispatch():
@@ -342,7 +314,7 @@ def test_leaf_kernel_dispatch():
     assert not leaf_kernel_registered("nope")
 
     stmt = parse_statement("D(x) = A(x) * 2", {"x": 4})
-    cin = with_relations(lower_to_cin(stmt), (LeafKernel(("x",), "doubler"),))
+    cin = replace(lower_to_cin(stmt), relations=(LeafKernel(("x",), "doubler"),))
     out = interpret(cin, {"A": DenseTensor((4,), [1.0, 2.0, 3.0, 4.0])})
     assert out["D"].data.tolist() == [2.0, 4.0, 6.0, 8.0]
     assert calls == [["x"]]
@@ -350,7 +322,7 @@ def test_leaf_kernel_dispatch():
 
 def test_unregistered_kernel_rejected():
     stmt = parse_statement("D(x) = A(x) * 2", {"x": 4})
-    cin = with_relations(lower_to_cin(stmt), (LeafKernel(("x",), "missing-kernel"),))
+    cin = replace(lower_to_cin(stmt), relations=(LeafKernel(("x",), "missing-kernel"),))
     with pytest.raises(TendistError):
         interpret(cin, {"A": DenseTensor((4,))})
 
@@ -433,8 +405,8 @@ def per_point(stmt, store):
         a, b = value(expr.lhs, at), value(expr.rhs, at)
         return a + b if isinstance(expr, Add) else a * b
 
-    chain, leaf = forall_chain(stmt)
-    defs = relation_defs(relations_of(stmt))
+    chain, leaf = stmt.loops, stmt.leaf
+    defs = relation_defs(stmt.relations)
     names = [v for a in leaf_accesses(leaf) for v in a.var_names]
     out = DenseTensor(leaf.lhs.tensor.dims).data
     for point in itertools.product(*(range(f.lo, f.hi) for f in chain)):
@@ -501,7 +473,8 @@ def test_box_walker_matches_per_point_loop_bytes():
     assert math.prod(stmt.extents.values()) > cin_module._PASS_POINTS
     # a leaf without variables still runs once per point of its loops
     scalar = TensorVar("a", ())
-    assert interpret(Forall("x", 0, 3, Reduce(scalar(), Const(1.0))), {})["a"].data == 3.0
+    stmt = LoopNest((Forall("x", 0, 3),), Reduce(scalar(), Const(1.0)))
+    assert interpret(stmt, {})["a"].data == 3.0
 
 
 def test_passes_stay_within_the_point_limit(monkeypatch):
@@ -567,7 +540,7 @@ def test_assign_keeps_the_last_point_per_element():
     d = TensorVar("d", (3,))
     for n in (5, 5000):
         A = TensorVar("A", (3, n))
-        stmt = Forall("i", 0, 3, Forall("j", 0, n, Assign(d("i"), A("i", "j"))))
+        stmt = LoopNest((Forall("i", 0, 3), Forall("j", 0, n)), Assign(d("i"), A("i", "j")))
         ins = {"A": DenseTensor((3, n), rng.standard_normal((3, n)))}
         got = interpret(stmt, ins)["d"].data
         assert got.tobytes() == per_point(stmt, ins).tobytes()

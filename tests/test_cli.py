@@ -58,6 +58,16 @@ def test_custom_mode_reproduces_broadcast_anchor(tmp_path, capsys):
     assert stats["config"]["statement"] == "C(i, j) = A(i, k) * B(k, j)"
 
 
+def test_dims_with_a_parenthesised_subexpression(tmp_path, capsys):
+    # the grouping parentheses hold no index names; --dims lists i only
+    code = run(["--expr", "C(i) = (A(i) + B(i)) * 2", "--dims", "4", "--machine", "2",
+                "--dist", "C: x -> x", "--dist", "A: x -> x", "--dist", "B: x -> x",
+                "--schedule", "divide i io ii 2; distribute io",
+                "--verify", "--stats", str(tmp_path / "s.json")])
+    assert code == 0
+    assert "verify: OK" in capsys.readouterr().out
+
+
 def test_schedule_can_come_from_a_file(tmp_path):
     script = tmp_path / "summa.sched"
     script.write_text(SUMMA_SCRIPT.replace("; ", "\n") + "\n")

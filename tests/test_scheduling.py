@@ -15,12 +15,9 @@ from tendist import (
 from tendist.cin import (
     Communicate,
     Distribute,
-    Forall,
-    body_of,
     interpret,
     pretty,
     register_leaf_kernel,
-    relations_of,
 )
 from tendist.errors import (
     ConfigError,
@@ -78,18 +75,18 @@ def test_split_shapes_and_guards():
     assert pretty(out) == ("forall(i) forall(j) forall(ko) forall(ki) "
                            "C(i, j) += A(i, k) * B(k, j) "
                            "s.t. split(k, ko, ki, 2)")
-    node = out.body.body.body
-    assert (node.var, node.extent) == ("ko", 3)  # ceil(5/2)
-    assert node.body.extent == 2
+    ko, ki = out.loops[2:]
+    assert (ko.var, ko.extent) == ("ko", 3)  # ceil(5/2)
+    assert ki.extent == 2
     assert unchanged(stmt, out)
 
 
 def test_divide_shapes_and_guards():
     stmt = gemm(5)
     out = divide(lower_to_cin(stmt), "i", "io", "ii", 2)
-    node = out.body
-    assert (node.var, node.extent) == ("io", 2)
-    assert node.body.extent == 3  # ceil(5/2)
+    io, ii = out.loops[:2]
+    assert (io.var, io.extent) == ("io", 2)
+    assert ii.extent == 3  # ceil(5/2)
     assert unchanged(stmt, out)
 
 
@@ -113,23 +110,15 @@ def test_split_bad_chunk():
 def test_reorder():
     stmt = gemm()
     out = reorder(lower_to_cin(stmt), ["k", "i", "j"])
-    assert [f.var for f in _chain(out)] == ["k", "i", "j"]
+    assert [f.var for f in out.loops] == ["k", "i", "j"]
     assert unchanged(stmt, out)
-
-
-def _chain(node):
-    out = []
-    while isinstance(node, Forall):
-        out.append(node)
-        node = node.body
-    return out
 
 
 def test_reorder_partial_window():
     stmt = gemm()
     cin = split(lower_to_cin(stmt), "k", "ko", "ki", 2)
     out = reorder(cin, ["ko", "i", "j"])
-    assert [f.var for f in _chain(out.body)][:4] == ["ko", "i", "j", "ki"]
+    assert [f.var for f in out.loops][:4] == ["ko", "i", "j", "ki"]
     assert unchanged(stmt, out)
 
 
@@ -156,7 +145,7 @@ def test_reorder_unknown_var():
 def test_distribute_marks():
     cin = divide(lower_to_cin(gemm()), "i", "io", "ii", 2)
     out = distribute(cin, "io")
-    assert Distribute("io") in relations_of(out)
+    assert Distribute("io") in out.relations
     with pytest.raises(UnknownVar):
         distribute(cin, "nope")
 
@@ -165,7 +154,7 @@ def test_distribute_grid_compound():
     stmt = gemm(6)
     out = distribute_grid(lower_to_cin(stmt), ("i", "j"), ("io", "jo"),
                           ("ii", "ji"), (2, 3))
-    names = [f.var for f in _chain(out.body)]
+    names = [f.var for f in out.loops]
     assert names[:2] == ["io", "jo"]
     assert set(names[2:4]) == {"ii", "ji"}
     assert unchanged(stmt, out)
@@ -176,7 +165,7 @@ def test_distribute_grid_compound():
 def test_communicate_validates_tensor():
     cin = divide(lower_to_cin(gemm()), "i", "io", "ii", 2)
     out = communicate(cin, ("A", "B"), "io")
-    assert Communicate(("A", "B"), "io") in relations_of(out)
+    assert Communicate(("A", "B"), "io") in out.relations
     with pytest.raises(UnknownTensor):
         communicate(cin, "Z", "io")
     with pytest.raises(UnknownVar):
@@ -190,7 +179,7 @@ def test_rotate_replaces_loop():
     cin = divide(cin, "k", "ko", "ki", 2)
     cin = reorder(cin, ["io", "ko", "ii", "j", "ki"])
     out = rotate(cin, "ko", ("io",), "kos")
-    names = [f.var for f in _chain(out.body)]
+    names = [f.var for f in out.loops]
     assert "kos" in names and "ko" not in names
     assert unchanged(stmt, out)
 
@@ -202,7 +191,7 @@ def test_rotate_remaps_communicate():
     cin = reorder(cin, ["io", "ko", "ii", "j", "ki"])
     cin = communicate(cin, "A", "ko")
     out = rotate(cin, "ko", ("io",), "kos")
-    assert Communicate(("A",), "kos") in relations_of(out)
+    assert Communicate(("A",), "kos") in out.relations
 
 
 def test_rotate_requires_enclosing_offsets():
@@ -258,7 +247,7 @@ def test_schedule_chain_and_apply():
              .split("k", "ko", "ki", 2).reorder("ko", "ii", "ji")
              .communicate("A", "jo").communicate(("B", "C"), "ko"))
     out = sched.apply(lower_to_cin(stmt))
-    names = [f.var for f in _chain(out.body)]
+    names = [f.var for f in out.loops]
     assert names == ["io", "jo", "ko", "ii", "ji", "ki"]
     assert unchanged(stmt, out)
 
@@ -325,14 +314,14 @@ def test_parse_schedule_forms():
     stmt = gemm(4)
     out = sched.apply(lower_to_cin(stmt))
     assert unchanged(stmt, out)
-    names = [f.var for f in _chain(out.body)]
+    names = [f.var for f in out.loops]
     assert names == ["io", "jo", "ko", "ii", "ji", "ki"]
 
 
 def test_parse_schedule_compound_distribute():
     sched = parse_schedule("distribute i,j io,jo ii,ji 2x2")
     out = sched.apply(lower_to_cin(gemm(4)))
-    names = [f.var for f in _chain(out.body)]
+    names = [f.var for f in out.loops]
     assert names[:2] == ["io", "jo"]
 
 
@@ -398,7 +387,7 @@ def _random_chain(rng, stmt, cin):
     """Apply 1..6 random valid commands, returning the transformed statement."""
     fresh = itertools.count()
     for _ in range(rng.randint(1, 6)):
-        names = [f.var for f in _chain(body_of(cin))]
+        names = [f.var for f in cin.loops]
         if not names:
             break
         kind = rng.choice(["split", "divide", "reorder", "rotate"])

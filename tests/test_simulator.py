@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,10 +40,9 @@ from tendist.cin import (
     Distribute,
     Divide,
     Forall,
+    LoopNest,
     Rotate,
     Split,
-    rebuild_chain,
-    with_relations,
 )
 from tendist.errors import (
     ConfigError,
@@ -245,9 +245,9 @@ def _per_task_reference(cin, machine, dists, inputs):
     plan = lower_to_tasks(cin, store)
     ref = np.zeros(store[plan.out_name].dist.tensor_dims)
     for task in plan.tasks:
-        pinned = [Forall(f.var, c, c + 1, None) for f, c in zip(plan.launch_vars, task.coord)]
-        body = rebuild_chain(pinned + plan.task_loops, plan.leaf)
-        partial = interpret(with_relations(body, plan.relations), inputs)[plan.out_name].data
+        pinned = tuple(Forall(f.var, c, c + 1) for f, c in zip(plan.launch_vars, task.coord))
+        stmt = replace(plan.stmt, loops=pinned + plan.task_loops)
+        partial = interpret(stmt, inputs)[plan.out_name].data
         sl = task.out_rect.slices()
         if plan.out_kind == "reduce":
             ref[sl] += partial[sl]
@@ -584,9 +584,8 @@ def test_overlapping_copy_writes_rejected():
     D = TensorVar("D", (4, 4))
     A = TensorVar("A", (4, 4))
     leaf = Assign(D("i", "ji"), A("i", "ji"))
-    body = Forall("io", 0, 2, Forall("jo", 0, 2,
-                  Forall("ii", 0, 2, Forall("ji", 0, 2, leaf))))
-    cin = with_relations(body, (
+    loops = tuple(Forall(v, 0, 2) for v in ("io", "jo", "ii", "ji"))
+    cin = LoopNest(loops, leaf, (
         Divide("i", "io", "ii", 2, 4),
         Divide("j", "jo", "ji", 2, 4),
         Distribute("io"), Distribute("jo"),
@@ -602,7 +601,7 @@ def test_overlapping_copy_writes_rejected():
 def test_scalar_copy_output_on_two_tasks_overlaps():
     # each task assigns the whole 0-d output, so the two writes collide
     a, A = TensorVar("a", ()), TensorVar("A", (2,))
-    cin = with_relations(Forall("i", 0, 2, Assign(a(), A("i"))), (Distribute("i"),))
+    cin = LoopNest((Forall("i", 0, 2),), Assign(a(), A("i")), (Distribute("i"),))
     machine = grid(2)
     dists = {"a": TensorDistribution((), machine, [((), (0,))]),
              "A": TensorDistribution((2,), machine, [(("x",), ("x",))])}
