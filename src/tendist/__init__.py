@@ -10,7 +10,7 @@ The pipeline, bottom to top:
   and pretty printer.
 - distribution: block placements of tensors onto machines.
 - scheduling: loop transformations (split, divide, reorder, distribute,
-  communicate, rotate, leaf kernels) as data.
+  communicate, rotate) as data.
 - simulator: lowers a scheduled statement to per-processor tasks, runs
   them, and records every transfer in a ledger.
 - algorithms: ready-made distributed matrix/tensor algorithm bundles.
@@ -40,17 +40,14 @@ from .cin import (
     Distribute,
     Divide,
     Forall,
-    LeafKernel,
     LoopNest,
     Place,
     Reduce,
     Rotate,
     Split,
     interpret,
-    leaf_kernel_registered,
     lower_to_cin,
     pretty,
-    register_leaf_kernel,
     var_interval,
 )
 from .distribution import (
@@ -73,7 +70,6 @@ from .scheduling import (
     rotate,
     schedule,
     split,
-    substitute_leaf,
 )
 from .simulator import (
     CommEvent,
@@ -143,12 +139,9 @@ __all__ = [
     "Distribute",
     "Rotate",
     "Communicate",
-    "LeafKernel",
     "lower_to_cin",
     "interpret",
     "pretty",
-    "register_leaf_kernel",
-    "leaf_kernel_registered",
     "HyperRect",
     "full_rect",
     "block_range",
@@ -166,7 +159,6 @@ __all__ = [
     "distribute_grid",
     "communicate",
     "rotate",
-    "substitute_leaf",
     "var_interval",
     "access_rect",
     "CommEvent",

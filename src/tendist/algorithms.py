@@ -74,10 +74,13 @@ KERNELS = {
 
 def _registered(name: str, extents: int, default_grid, chunked=False):
     """Make a builder return an AlgorithmBundle called `name` and enter it in
-    REGISTRY."""
+    REGISTRY. A chunked builder refuses a chunk below 1 before it builds."""
     def wrap(parts):
         @functools.wraps(parts)
         def build(*args, **kwargs) -> AlgorithmBundle:
+            chunk = kwargs.get("chunk", 1)
+            if chunked and chunk < 1:
+                raise ConfigError(f"{name} needs a positive chunk, got {chunk}")
             return AlgorithmBundle(name, *parts(*args, **kwargs))
         REGISTRY[name] = Registered(build, extents, default_grid, chunked)
         return build
@@ -341,8 +344,6 @@ def bundle_from_config(name: str, machine: Machine = None, dims=None,
         raise ConfigError(f"{name} takes {extents} extents, got {len(dims)}")
     if chunk != 1 and not chunked:
         raise ConfigError(f"{key} takes no chunk, got {chunk}")
-    if chunk < 1:
-        raise ConfigError(f"{key} needs a positive chunk, got {chunk}")
     kwargs = {"dims": tuple(dims)} if dims else {}
     if chunked:
         kwargs["chunk"] = chunk

@@ -2,7 +2,7 @@
 
 A statement is one LoopNest: a tuple of Foralls, outermost first, over one
 leaf (Assign, Reduce or Place), with the relations (divide, split,
-distribute, rotate, communicate, leaf kernels) that govern its variables.
+distribute, rotate, communicate) that govern its variables.
 That is the `forall(i) forall(j) ... s.t. ...` form `pretty` prints; passes
 read the three fields and build new statements with `dataclasses.replace`.
 
@@ -82,12 +82,6 @@ class Rotate:
 class Communicate:
     tensors: tuple  # tuple[str, ...]
     var: str
-
-
-@dataclass(frozen=True)
-class LeafKernel:
-    vars: tuple  # tuple[str, ...], outermost first
-    kernel: str
 
 
 # statements
@@ -269,56 +263,16 @@ def unit_env(env: dict) -> dict:
     return {k: (v, v + 1) for k, v in env.items()}
 
 
-# leaf kernel plugin registry
-
-_LEAF_KERNELS: dict = {}
-
-INTERPRETER_KERNEL = "interpreter"
-
-
-def register_leaf_kernel(name: str, fn) -> None:
-    _LEAF_KERNELS[name] = fn
-
-
-def leaf_kernel_registered(name: str) -> bool:
-    return name == INTERPRETER_KERNEL or name in _LEAF_KERNELS
-
-
-@dataclass
-class LeafRuntime:
-    """What a substituted leaf kernel gets to work with.
-
-    loops are the (var, lo, hi) triples of the substituted nest, outermost
-    first, and env binds each loop around the nest to an integer. The kernel
-    must produce the same writes in the same accumulation order as the plain
-    interpreter would; run() is the interpreter's own box walker.
-    """
-
-    loops: list
-    stmt: object  # Assign | Reduce | Place
-    env: dict
-    defs: dict
-    read_store: dict
-    out_store: dict
-
-    def run(self, loops=None) -> None:
-        """Execute the leaf over a sub-box of `loops` (the same variables in
-        the same order, each range within its own), by default all of it."""
-        walk = _box_walker(self.stmt, self.defs, self.read_store, self.out_store)
-        walk(self.loops if loops is None else loops, unit_env(self.env))
-
-
 _PASS_POINTS = 4096  # most points one vectorised resolution covers
 
 
-def _box_walker(leaf, defs, read_store, out_store):
-    """Executor of one leaf over a box of loops (var, lo, hi), outermost
-    first, under an env of unit intervals for the loops around the box.
+def _walk_box(leaf, loops, defs, read_store, out_store) -> None:
+    """Run one leaf over a box of loops (var, lo, hi), outermost first.
 
     The box is resolved in passes of at most _PASS_POINTS points. A pass
     binds its loops to aranges, resolves every name with one var_interval
     call, masks the phantom points and checks bounds before any write; then
-    it evaluates the rhs, compiled once per walker, on the live points'
+    it evaluates the rhs, compiled once per box, on the live points'
     value arrays and writes the results at their lhs coordinates in chain
     order: a reduction adds with np.add.at, which applies repeated indices
     one at a time in index order; an assignment keeps the last point that
@@ -326,8 +280,9 @@ def _box_walker(leaf, defs, read_store, out_store):
     Loops outside a pass are walked one value at a time, setting the env in
     place; the outermost loop of a pass may be cut into chunks.
     """
-    if isinstance(leaf, Place):
-        return lambda loops, env: None
+    sizes = [hi - lo for _, lo, hi in loops]
+    if isinstance(leaf, Place) or any(size <= 0 for size in sizes):
+        return
     accesses = [(leaf.lhs, out_store)] + [(a, read_store) for a in accesses_of(leaf.rhs)]
     names = tuple(dict.fromkeys(v for a, _ in accesses for v in a.var_names))
     shaped = [(a, store[a.tensor.name].dims) for a, store in accesses
@@ -379,25 +334,20 @@ def _box_walker(leaf, defs, read_store, out_store):
         else:
             np.add.at(flat, at, value)
 
-    def walk(loops, env):
-        sizes = [hi - lo for _, lo, hi in loops]
-        if any(size <= 0 for size in sizes):
-            return
-        depth = 0  # loops above depth are walked a value at a time
-        while math.prod(sizes[depth + 1:]) > _PASS_POINTS:
-            depth += 1
-        passes = [[]]
-        if loops:  # loop depth is cut into chunks that fill a pass
-            var, lo, hi = loops[depth]
-            step = _PASS_POINTS // math.prod(sizes[depth + 1:])
-            passes = [[(var, start, min(start + step, hi))] + loops[depth + 1:]
-                      for start in range(lo, hi, step)]
-        for outer in itertools.product(*(range(lo, hi) for _, lo, hi in loops[:depth])):
-            env.update((var, (v, v + 1)) for (var, _, _), v in zip(loops, outer))
-            for box in passes:
-                run_pass(box, env)
-
-    return walk
+    depth = 0  # loops above depth are walked a value at a time
+    while math.prod(sizes[depth + 1:]) > _PASS_POINTS:
+        depth += 1
+    passes = [[]]
+    if loops:  # loop depth is cut into chunks that fill a pass
+        var, lo, hi = loops[depth]
+        step = _PASS_POINTS // math.prod(sizes[depth + 1:])
+        passes = [[(var, start, min(start + step, hi))] + loops[depth + 1:]
+                  for start in range(lo, hi, step)]
+    env: dict = {}
+    for outer in itertools.product(*(range(lo, hi) for _, lo, hi in loops[:depth])):
+        env.update((var, (v, v + 1)) for (var, _, _), v in zip(loops, outer))
+        for box in passes:
+            run_pass(box, env)
 
 
 def interpret(stmt, store: dict) -> dict:
@@ -406,12 +356,10 @@ def interpret(stmt, store: dict) -> dict:
     Returns the store extended with the freshly created output; input tensors
     are never mutated, and the rhs reads the pre-statement values. An input
     of another order is an ExtentMismatch; other extents are bounds-checked.
-    The loops from the outermost one a registered leaf kernel claims inward
-    go to that kernel instead of the box walker. Each output element gets
-    the float64 operations of a scalar loop nest in chain order, bit for
-    bit, except the sign and payload of a NaN, which IEEE 754 leaves open:
-    numpy's array arithmetic may keep another operand's NaN than its scalar
-    arithmetic does.
+    Each output element gets the float64 operations of a scalar loop nest in
+    chain order, bit for bit, except the sign and payload of a NaN, which
+    IEEE 754 leaves open: numpy's array arithmetic may keep another operand's
+    NaN than its scalar arithmetic does.
     """
     leaf = stmt.leaf
     defs = relation_defs(stmt.relations)
@@ -426,21 +374,8 @@ def interpret(stmt, store: dict) -> dict:
                 raise ExtentMismatch(
                     f"{t.name} value has dims {store[t.name].dims}, statement needs {t.dims}")
     loops = [(f.var, f.lo, f.hi) for f in stmt.loops]
-    kernels = {rel.vars[0]: rel.kernel for rel in stmt.relations
-               if isinstance(rel, LeafKernel)}
-    cut = next((at for at, (var, _, _) in enumerate(loops)
-                if kernels.get(var, INTERPRETER_KERNEL) != INTERPRETER_KERNEL), None)
     with np.errstate(over="ignore", invalid="ignore"):
-        if cut is None:
-            _box_walker(leaf, defs, read_store, out_store)(loops, {})
-            return {**store, **out_store}
-        name = kernels[loops[cut][0]]
-        kernel = _LEAF_KERNELS.get(name)
-        if kernel is None:
-            raise TendistError(f"leaf kernel {name!r} is not registered")
-        for outer in itertools.product(*(range(lo, hi) for _, lo, hi in loops[:cut])):
-            ints = {var: v for (var, _, _), v in zip(loops, outer)}
-            kernel(LeafRuntime(loops[cut:], leaf, ints, defs, read_store, out_store))
+        _walk_box(leaf, loops, defs, read_store, out_store)
     return {**store, **out_store}
 
 
@@ -464,8 +399,6 @@ def pretty_relation(rel) -> str:
         return f"rotate({rel.target}, {{{inner}}}, {rel.result})"
     if isinstance(rel, Communicate):
         return f"communicate({_name_set(rel.tensors)}, {rel.var})"
-    if isinstance(rel, LeafKernel):
-        return f"leaf({{{', '.join(rel.vars)}}}, {rel.kernel})"
     raise TendistError(f"cannot print {rel!r}")
 
 

@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 verification failure, 2 configuration errors
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import sys
@@ -169,8 +168,6 @@ def _finish(args, result, stmt, inputs, config) -> int:
     if args.dump_trace:
         _print_trace(trace)
     stats = trace.stats(config)
-    stats["generated_at"] = datetime.datetime.now(
-        datetime.timezone.utc).isoformat()
     if args.stats:
         with open(args.stats, "w") as fh:
             json.dump(stats, fh, indent=2, sort_keys=True)

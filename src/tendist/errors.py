@@ -91,10 +91,6 @@ class IBelowT(TendistError):
     """rotate offsets must be bound by loops enclosing the rotated loop."""
 
 
-class NotInnermost(TendistError):
-    """substitute_leaf targets must be the innermost loop nest."""
-
-
 # simulation
 
 class UnboundVariable(TendistError):

@@ -253,7 +253,11 @@ def sequential_evaluate(stmt: TensorIndexStmt, inputs: dict) -> DenseTensor:
     return out
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<num>\d+(?:\.\d+)?)|(?P<sym>[()=+*,]))")
+# a num token runs on through letters, dots and an exponent's sign, so that
+# a constant outside digits[.digits] (1e3, 2.5e-1, 1.) is refused whole
+_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<num>\d[\w.]*(?:(?<=[eE])[+-]\w+)?)"
+                    r"|(?P<sym>[()=+*,]))")
+_CONSTANT = re.compile(r"\d+(?:\.\d+)?")
 
 
 def _tokenize(text: str):
@@ -265,8 +269,11 @@ def _tokenize(text: str):
                 raise TendistError(f"cannot tokenize statement at {text[at:]!r}")
             break
         at = m.end()
-        kind = m.lastgroup
-        out.append((kind, m.group(kind)))
+        kind, tok = m.lastgroup, m.group(m.lastgroup)
+        if kind == "num" and not _CONSTANT.fullmatch(tok):
+            raise TendistError(f"unsupported constant {tok!r} in statement: "
+                               f"constants are digits[.digits]")
+        out.append((kind, tok))
     return out
 
 

@@ -15,20 +15,17 @@ from .cin import (
     Distribute,
     Divide,
     Forall,
-    LeafKernel,
     Rotate,
     Split,
     check_statement,
     claimed_names,
     leaf_accesses,
-    leaf_kernel_registered,
 )
 from .errors import (
     ConfigError,
     DimCountMismatch,
     IBelowT,
     NotContiguousNest,
-    NotInnermost,
     NotPermutation,
     NonFreshVar,
     UnknownTensor,
@@ -167,21 +164,6 @@ def rotate(stmt, t: str, over, r: str):
     return _replace_loop(stmt, t, "rotate", lambda e: (((r, e),), Rotate(t, over, r, e)), rels)
 
 
-def substitute_leaf(stmt, vars_, kernel: str):
-    """Dispatch the innermost nest over vars_ to a registered leaf kernel."""
-    vars_ = tuple(vars_)
-    if not vars_:
-        raise ConfigError("substitute_leaf needs at least one loop")
-    if not leaf_kernel_registered(kernel):
-        raise ConfigError(f"leaf kernel {kernel!r} is not registered")
-    below = tuple(f.var for f in stmt.loops[_loop_at(stmt, vars_[0]):])
-    if below[:len(vars_)] != vars_:
-        raise NotInnermost(f"{list(vars_)} is not the innermost nest")
-    if len(below) > len(vars_):
-        raise NotInnermost(f"loops remain under {vars_[-1]}")
-    return _checked(stmt, relations=stmt.relations + (LeafKernel(vars_, kernel),))
-
-
 # the command table
 
 def _names(text: str) -> tuple:
@@ -203,7 +185,6 @@ _COMMANDS = {
     "distribute_grid": (distribute_grid, (_names, _names, _names, _dims)),
     "communicate": (communicate, (_names, str)),
     "rotate": (rotate, (str, _names, str)),
-    "leaf": (substitute_leaf, (_names, str)),
 }
 
 
@@ -245,9 +226,6 @@ class Schedule:
 
     def rotate(self, t, over, r):
         return self._push("rotate", t, tuple(over), r)
-
-    def substitute_leaf(self, vars_, kernel):
-        return self._push("leaf", tuple(vars_), kernel)
 
     def apply(self, stmt):
         for name, args in self.commands:
@@ -298,9 +276,9 @@ def parse_schedule(text: str) -> Schedule:
     `split k ko ki 2`, `divide i io ii 3`, `reorder io jo ii ji`,
     `distribute io` (or the compound form `distribute i,j io,jo ii,ji 3x3`,
     also spelled `distribute_grid`), `communicate A,B ko`,
-    `rotate ko io,jo kos`, `leaf ii,ji,ki name`. Blank lines and `#`
-    comments are skipped. A wrong word, a missing or extra argument, or a
-    malformed number raises ConfigError naming the line.
+    `rotate ko io,jo kos`. Blank lines and `#` comments are skipped. A
+    wrong word, a missing or extra argument, or a malformed number raises
+    ConfigError naming the line.
     """
     commands = []
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -252,8 +252,18 @@ def test_grid_shape_rejections():
         cosma_like(2, 2, 0)
     with pytest.raises(ConfigError, match="needs a positive chunk, got 0"):
         bundle_from_config("cosma-like", chunk=0)
-    with pytest.raises(ConfigError, match="divide parts must be positive"):
-        cosma_like(2, 2, 1, chunk=0).run()
+
+
+@pytest.mark.parametrize("build", [
+    lambda chunk: summa(2, 2, chunk=chunk),
+    lambda chunk: summa_hier(chunk=chunk),
+    lambda chunk: cosma_like(2, 2, 1, chunk=chunk),
+], ids=["summa", "summa-hier", "cosma-like"])
+@pytest.mark.parametrize("chunk", (0, -3))
+def test_builders_refuse_a_nonpositive_chunk(build, chunk):
+    # refused when the bundle is built, not when its schedule is applied
+    with pytest.raises(ConfigError, match=f"needs a positive chunk, got {chunk}"):
+        build(chunk)
 
 
 def test_bundles_state_their_kernel_table_entry():

@@ -22,9 +22,6 @@ from tendist.cin import (
     Distribute,
     Divide,
     Forall,
-    INTERPRETER_KERNEL,
-    LeafKernel,
-    LeafRuntime,
     LoopNest,
     Place,
     Reduce,
@@ -33,11 +30,9 @@ from tendist.cin import (
     check_statement,
     interpret,
     leaf_accesses,
-    leaf_kernel_registered,
     pretty,
     pretty_relation,
     reached_vars,
-    register_leaf_kernel,
     relation_defs,
     var_interval,
 )
@@ -289,7 +284,6 @@ def test_pretty_relation_forms():
     assert pretty_relation(Communicate(("B", "C"), "ko")) == "communicate({B, C}, ko)"
     assert pretty_relation(Rotate("ko", ("io", "jo"), "kos", 3)) == \
         "rotate(ko, {io, jo}, kos)"
-    assert pretty_relation(LeafKernel(("ii", "ji"), "blas")) == "leaf({ii, ji}, blas)"
 
 
 def test_pretty_pinned_singleton_loop():
@@ -297,34 +291,6 @@ def test_pretty_pinned_singleton_loop():
     assert pretty(LoopNest((Forall("x", 2, 3),), leaf)) == "forall(x=2) D(x) = A(x)"
     # lo == 0 singles print bare
     assert pretty(LoopNest((Forall("x", 0, 1),), leaf)) == "forall(x) D(x) = A(x)"
-
-
-def test_leaf_kernel_dispatch():
-    calls = []
-
-    def doubler(rt: LeafRuntime):
-        calls.append([v for v, _, _ in rt.loops])
-        (var, lo, hi), = rt.loops
-        rt.run([(var, lo, lo + 1)])  # a sub-box, then the rest
-        rt.run([(var, lo + 1, hi)])
-
-    register_leaf_kernel("doubler", doubler)
-    assert leaf_kernel_registered("doubler")
-    assert leaf_kernel_registered(INTERPRETER_KERNEL)
-    assert not leaf_kernel_registered("nope")
-
-    stmt = parse_statement("D(x) = A(x) * 2", {"x": 4})
-    cin = replace(lower_to_cin(stmt), relations=(LeafKernel(("x",), "doubler"),))
-    out = interpret(cin, {"A": DenseTensor((4,), [1.0, 2.0, 3.0, 4.0])})
-    assert out["D"].data.tolist() == [2.0, 4.0, 6.0, 8.0]
-    assert calls == [["x"]]
-
-
-def test_unregistered_kernel_rejected():
-    stmt = parse_statement("D(x) = A(x) * 2", {"x": 4})
-    cin = replace(lower_to_cin(stmt), relations=(LeafKernel(("x",), "missing-kernel"),))
-    with pytest.raises(TendistError):
-        interpret(cin, {"A": DenseTensor((4,))})
 
 
 # box resolution: array lanes against the integer resolver, the box walker

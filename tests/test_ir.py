@@ -222,6 +222,12 @@ def test_parse_garbage_rejected():
         parse_statement("C(i, j) = A(i, k) * B(k, j) extra", {"i": 2, "j": 2, "k": 2})
 
 
+@pytest.mark.parametrize("const", ("1e3", "2.5e-1"))
+def test_unsupported_constant_is_named(const):
+    with pytest.raises(TendistError, match=f"unsupported constant '{const}'"):
+        parse_statement(f"C(i) = A(i) * {const}", {"i": 2})
+
+
 def test_missing_input_rejected():
     stmt = parse_statement("C(i, j) = A(i, k) * B(k, j)", {"i": 2, "j": 2, "k": 2})
     with pytest.raises(MissingInput):

@@ -17,7 +17,6 @@ from tendist.cin import (
     Distribute,
     interpret,
     pretty,
-    register_leaf_kernel,
 )
 from tendist.errors import (
     ConfigError,
@@ -25,7 +24,6 @@ from tendist.errors import (
     IBelowT,
     NonFreshVar,
     NotContiguousNest,
-    NotInnermost,
     NotPermutation,
     UnknownTensor,
     UnknownVar,
@@ -38,7 +36,6 @@ from tendist.scheduling import (
     reorder,
     rotate,
     split,
-    substitute_leaf,
 )
 
 
@@ -205,37 +202,6 @@ def test_rotate_requires_enclosing_offsets():
         rotate(cin, "ko", ("io",), "ki")
 
 
-def test_substitute_leaf():
-    seen = []
-
-    def kernel(rt):
-        seen.append(1)
-        rt.run()
-
-    register_leaf_kernel("walker", kernel)
-    stmt = gemm()
-    cin = lower_to_cin(stmt)
-    out = substitute_leaf(cin, ("j", "k"), "walker")
-    assert unchanged(stmt, out)
-    assert seen  # kernel actually ran
-
-
-def test_substitute_leaf_must_be_innermost():
-    cin = lower_to_cin(gemm())
-    with pytest.raises(NotInnermost):
-        substitute_leaf(cin, ("i", "j"), "interpreter")
-    with pytest.raises(NotInnermost):
-        substitute_leaf(cin, ("j",), "interpreter")
-    # the single innermost loop is a legal nest
-    out = substitute_leaf(cin, ("k",), "interpreter")
-    assert unchanged(gemm(), out)
-
-
-def test_substitute_leaf_unregistered():
-    with pytest.raises(ConfigError):
-        substitute_leaf(lower_to_cin(gemm()), ("k",), "no-such-kernel")
-
-
 # the Schedule builder
 
 def test_schedule_chain_and_apply():
@@ -277,8 +243,6 @@ def test_schedule_steps_descriptions():
          "communicate({A, B}, i)"),
         ("rotate k i,j kr", schedule().rotate("k", ("i", "j"), "kr"),
          "rotate(k, {i, j}, kr)"),
-        ("leaf k interpreter", schedule().substitute_leaf(("k",), "interpreter"),
-         "leaf(k, interpreter)"),
     ]
     for text, built, desc in cases:
         parsed = parse_schedule(text)
@@ -332,7 +296,6 @@ def test_parse_schedule_rotate_and_leaf():
     reorder ko ii ji
     communicate A,B ko
     rotate ko io,jo kos
-    leaf ii,ji,ki interpreter
     """)
     stmt = gemm(4)
     out = sched.apply(lower_to_cin(stmt))
@@ -358,18 +321,19 @@ def test_parse_schedule_errors_carry_line():
         "distribute_grid i,j io,jo ii,ji 2x2 extra",
         "communicate A,B ko junk",
         "rotate ko io,jo kos extra",
-        "leaf ii,ji,ki interpreter extra",
         # reorder takes any number of names, but at least one
         "reorder",
-        # parallelize is not a command
+        # parallelize and leaf are not commands
         "parallelize i",
+        "leaf ii,ji,ki interpreter",
     ]
     for text in bad:
         with pytest.raises(ConfigError) as err:
             parse_schedule("# header\n\n" + text)
         assert "line 3" in str(err.value), text
-    with pytest.raises(ConfigError, match="unknown command 'parallelize'"):
-        parse_schedule("parallelize i")
+    for text in ("parallelize i", "leaf ii,ji,ki interpreter"):
+        with pytest.raises(ConfigError, match=f"unknown command '{text.split()[0]}'"):
+            parse_schedule(text)
 
 
 # randomized equivalence: scheduled loop nests always compute the same values
