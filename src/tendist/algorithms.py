@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .errors import (
     BadGrid,
@@ -22,7 +22,7 @@ from .errors import (
 )
 from .distribution import TensorDistribution
 from .ir import TensorIndexStmt, parse_statement
-from .machine import Machine, grid, make_machine
+from .machine import Machine, grid, make_machine, parse_machine
 from .scheduling import Schedule, schedule
 from .simulator import run_statement
 from .tensors import DenseTensor
@@ -51,12 +51,14 @@ class AlgorithmBundle:
 
 
 class Registered(NamedTuple):
-    """A REGISTRY row. `build(*grid_dims, dims=..., chunk=...)` makes the
-    bundle; dims is passed only when given, chunk only when `chunked`."""
+    """A REGISTRY row. `build(*machine.flat_dims, dims=..., chunk=...)`
+    makes the bundle; dims is passed only when given, chunk only when
+    `chunked`. A machine given instead of the default must have its levels'
+    shape."""
     build: Callable
-    extents: int                   # one per index of the statement
-    default_grid: Optional[tuple]  # None: the builder fixes its machine
-    chunked: bool                  # whether the chunk is an option
+    extents: int           # one per index of the statement
+    default_machine: str   # machine text, e.g. "2x2" or "2x2/2"
+    chunked: bool          # whether the chunk is an option
 
 
 REGISTRY: dict = {}  # name -> Registered, in definition order
@@ -72,7 +74,7 @@ KERNELS = {
 }
 
 
-def _registered(name: str, extents: int, default_grid, chunked=False):
+def _registered(name: str, extents: int, default_machine: str, chunked=False):
     """Make a builder return an AlgorithmBundle called `name` and enter it in
     REGISTRY. A chunked builder refuses a chunk below 1 before it builds."""
     def wrap(parts):
@@ -82,7 +84,7 @@ def _registered(name: str, extents: int, default_grid, chunked=False):
             if chunked and chunk < 1:
                 raise ConfigError(f"{name} needs a positive chunk, got {chunk}")
             return AlgorithmBundle(name, *parts(*args, **kwargs))
-        REGISTRY[name] = Registered(build, extents, default_grid, chunked)
+        REGISTRY[name] = Registered(build, extents, default_machine, chunked)
         return build
     return wrap
 
@@ -130,22 +132,20 @@ def _gemm(dims, out="C", a="A", b="B"):
 _BLOCKS = [("xy", ("x", "y"))]  # a block per processor of a 2D grid
 
 
-@_registered("summa", 3, (2, 2), chunked=True)
+@_registered("summa", 3, "2x2", chunked=True)
 def summa(gx: int, gy: int, *, dims=(8, 8, 8), chunk: int = 1):
     """Stationary-C: A panels broadcast at task scope, B panels per k step."""
     _check_grid(gx, gy)
     machine = grid(gx, gy)
     stmt = _gemm(dims)
     sched = (schedule()
-             .divide("i", "io", "ii", gx).divide("j", "jo", "ji", gy)
-             .reorder("io", "jo", "ii", "ji")
-             .distribute("io").distribute("jo")
+             .distribute_grid(("i", "j"), ("io", "jo"), ("ii", "ji"), (gx, gy))
              .split("k", "ko", "ki", chunk).reorder("ko", "ii", "ji")
              .communicate("A", "jo").communicate(("B", "C"), "ko"))
     return machine, stmt, _dists(stmt, machine, A=_BLOCKS, B=_BLOCKS, C=_BLOCKS), sched
 
 
-@_registered("cannon", 3, (2, 2))
+@_registered("cannon", 3, "2x2")
 def cannon(gx: int, gy: int, *, dims=(8, 8, 8)):
     """Skewed systolic: A shifts along rows, B along columns, each step."""
     if gx != gy:
@@ -155,16 +155,14 @@ def cannon(gx: int, gy: int, *, dims=(8, 8, 8)):
     machine = grid(g, g)
     stmt = _gemm(dims)
     sched = (schedule()
-             .divide("i", "io", "ii", g).divide("j", "jo", "ji", g)
-             .reorder("io", "jo", "ii", "ji")
-             .distribute("io").distribute("jo")
+             .distribute_grid(("i", "j"), ("io", "jo"), ("ii", "ji"), (g, g))
              .divide("k", "ko", "ki", g).reorder("ko", "ii", "ji")
              .communicate(("A", "B"), "ko")
              .rotate("ko", ("io", "jo"), "kos"))
     return machine, stmt, _dists(stmt, machine, A=_BLOCKS, B=_BLOCKS, C=_BLOCKS), sched
 
 
-@_registered("pumma", 3, (2, 2))
+@_registered("pumma", 3, "2x2")
 def pumma(gx: int, gy: int, *, dims=(8, 8, 8)):
     """A broadcast once per task; B pulled skewed along columns per step."""
     if gx != gy:
@@ -173,16 +171,14 @@ def pumma(gx: int, gy: int, *, dims=(8, 8, 8)):
     machine = grid(gx, gy)
     stmt = _gemm(dims)
     sched = (schedule()
-             .divide("i", "io", "ii", gx).divide("j", "jo", "ji", gy)
-             .reorder("io", "jo", "ii", "ji")
-             .distribute("io").distribute("jo")
+             .distribute_grid(("i", "j"), ("io", "jo"), ("ii", "ji"), (gx, gy))
              .divide("k", "ko", "ki", gx).reorder("ko", "ii", "ji")
              .communicate("A", "jo").communicate(("B", "C"), "ko")
              .rotate("ko", ("io",), "kos"))
     return machine, stmt, _dists(stmt, machine, A=_BLOCKS, B=_BLOCKS, C=_BLOCKS), sched
 
 
-@_registered("johnson", 3, (2, 2, 2))
+@_registered("johnson", 3, "2x2x2")
 def johnson(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
     """3D: inputs on cube faces, every task one block product, C reduced."""
     if not gx == gy == gz:
@@ -200,7 +196,7 @@ def johnson(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
     return machine, stmt, dists, sched
 
 
-@_registered("solomonik", 3, (2, 2, 2))
+@_registered("solomonik", 3, "2x2x2")
 def solomonik(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
     """2.5D: inputs replicated across depth, each layer shifts through its
     own share of the reduction blocks, partial outputs reduced to the front
@@ -218,17 +214,15 @@ def solomonik(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
     # reduction slice is exactly one block of width ceil(kk/gy)
     rounds = gy // gz
     sched = (schedule()
-             .divide("i", "io", "ii", gx).divide("j", "jo", "ji", gy)
-             .divide("k", "ko", "ki", gz)
-             .reorder("io", "jo", "ko", "ii", "ji", "ki")
-             .distribute("io").distribute("jo").distribute("ko")
+             .distribute_grid(("i", "j", "k"), ("io", "jo", "ko"),
+                              ("ii", "ji", "ki"), (gx, gy, gz))
              .divide("ki", "kio", "kii", rounds).reorder("kio", "ii", "ji")
              .communicate(("B", "C"), "kio")
              .rotate("kio", ("io", "jo"), "kios"))
     return machine, stmt, dists, sched
 
 
-@_registered("cosma-like", 3, (2, 2, 1), chunked=True)
+@_registered("cosma-like", 3, "2x2x1", chunked=True)
 def cosma_like(pi: int, pj: int, pk: int, *, dims=(8, 8, 8), chunk: int = 1):
     """Factor each loop into a parallel part, the grid, and k also into
     `chunk` sequential parts, which become in-task rounds."""
@@ -238,26 +232,25 @@ def cosma_like(pi: int, pj: int, pk: int, *, dims=(8, 8, 8), chunk: int = 1):
     dists = _dists(stmt, machine, A=[("xy", ("x", "y", 0))], B=[("xy", ("x", 0, "y"))],
                    C=[("xy", (0, "y", "x"))])
     sched = (schedule()
-             .divide("i", "io", "ii", pi).divide("j", "jo", "ji", pj)
-             .divide("k", "ko", "ki", pk)
-             .reorder("io", "jo", "ko", "ii", "ji", "ki")
-             .distribute("io").distribute("jo").distribute("ko")
+             .distribute_grid(("i", "j", "k"), ("io", "jo", "ko"),
+                              ("ii", "ji", "ki"), (pi, pj, pk))
              .divide("ki", "ks", "kl", chunk)
              .reorder("ks", "ii", "ji")
              .communicate("C", "jo").communicate("B", "ks"))
     return machine, stmt, dists, sched
 
 
-@_registered("summa-hier", 3, None, chunked=True)
-def summa_hier(*, dims=(8, 8, 8), chunk: int = 1):
-    """Two-level grid (2x2 nodes of 2): rows split again inside each node."""
-    machine = make_machine([(2, 2), (2,)])
+@_registered("summa-hier", 3, "2x2/2", chunked=True)
+def summa_hier(gx: int = 2, gy: int = 2, k: int = 2, *, dims=(8, 8, 8), chunk: int = 1):
+    """Two-level grid (gx x gy nodes of k): rows split again inside each node."""
+    _check_grid(gx, gy, k)
+    machine = make_machine([(gx, gy), (k,)])
     stmt = _gemm(dims)
     two_level = _BLOCKS + [("xy", ("x",))]
     sched = (schedule()
-             .divide("i", "io", "ii", 2).divide("j", "jo", "ji", 2)
+             .divide("i", "io", "ii", gx).divide("j", "jo", "ji", gy)
              .reorder("io", "jo", "ii", "ji")
-             .divide("ii", "iio", "iii", 2)
+             .divide("ii", "iio", "iii", k)
              .reorder("io", "jo", "iio", "iii", "ji")
              .distribute("io").distribute("jo").distribute("iio")
              .split("k", "ko", "ki", chunk).reorder("ko", "iii", "ji")
@@ -267,7 +260,7 @@ def summa_hier(*, dims=(8, 8, 8), chunk: int = 1):
 
 # other kernels
 
-@_registered("ttv", 3, (2,))
+@_registered("ttv", 3, "2")
 def ttv(g: int, *, dims=(6, 5, 4)):
     """Tensor times vector: rows distributed, vector replicated; no traffic."""
     _check_grid(g)
@@ -282,7 +275,7 @@ def ttv(g: int, *, dims=(6, 5, 4)):
     return machine, stmt, dists, sched
 
 
-@_registered("ttm", 4, (2,))
+@_registered("ttm", 4, "2")
 def ttm(g: int, *, dims=(5, 4, 6, 3)):
     """Tensor times matrix: rows distributed, the matrix replicated."""
     _check_grid(g)
@@ -297,7 +290,7 @@ def ttm(g: int, *, dims=(5, 4, 6, 3)):
     return machine, stmt, dists, sched
 
 
-@_registered("innerprod", 2, (2,))
+@_registered("innerprod", 2, "2")
 def innerprod(g: int, *, dims=(6, 5)):
     """Frobenius inner product; partials reduced to processor zero."""
     _check_grid(g)
@@ -311,7 +304,7 @@ def innerprod(g: int, *, dims=(6, 5)):
     return machine, stmt, dists, sched
 
 
-@_registered("mttkrp", 4, (2, 2))
+@_registered("mttkrp", 4, "2x2")
 def mttkrp(g1: int, g2: int, *, dims=(6, 4, 5, 3)):
     """B stays put on a 2D grid; factor matrices move; A reduced per row."""
     _check_grid(g1, g2)
@@ -339,7 +332,7 @@ def bundle_from_config(name: str, machine: Machine = None, dims=None,
     key = name.lower().replace("_", "-")
     if key not in REGISTRY:
         raise ConfigError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
-    build, extents, default_grid, chunked = REGISTRY[key]
+    build, extents, default_machine, chunked = REGISTRY[key]
     if dims and len(dims) != extents:
         raise ConfigError(f"{name} takes {extents} extents, got {len(dims)}")
     if chunk != 1 and not chunked:
@@ -347,12 +340,8 @@ def bundle_from_config(name: str, machine: Machine = None, dims=None,
     kwargs = {"dims": tuple(dims)} if dims else {}
     if chunked:
         kwargs["chunk"] = chunk
-    if default_grid is None:
-        bundle = build(**kwargs)
-        if machine is not None and machine != bundle.machine:
-            raise ConfigError(f"{key} runs on the {bundle.machine} machine, got {machine}")
-        return bundle
-    machine = machine or grid(*default_grid)
-    if machine.num_levels != 1 or len(machine.flat_dims) != len(default_grid):
-        raise ConfigError(f"{key} needs a flat {len(default_grid)}D machine, got {machine}")
+    default = parse_machine(default_machine)
+    machine = machine or default
+    if [len(lvl) for lvl in machine.levels] != [len(lvl) for lvl in default.levels]:
+        raise ConfigError(f"{key} needs a machine shaped like {default}, got {machine}")
     return build(*machine.flat_dims, **kwargs)

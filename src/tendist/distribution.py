@@ -241,8 +241,17 @@ class TensorDistribution:
         for c, d in zip(coord, self.tensor_dims):
             if not 0 <= c < d:
                 raise OutOfBounds(f"coordinate {coord} outside dims {self.tensor_dims}")
-        return next(color for color, r, _ in self.pieces
-                    if all(a <= c < b for c, a, b in zip(coord, r.lo, r.hi)))
+        unit = HyperRect(tuple(coord), tuple(c + 1 for c in coord))
+        return next(self.parts(unit))[0]
+
+    def parts(self, rect: HyperRect):
+        """(color, part, holders) for each piece `rect` meets, in table
+        order; `part` is the piece's non-empty share of `rect`. This is the
+        one lookup of which pieces a rect meets and who holds each."""
+        for color, bounds, holders in self.pieces:
+            part = rect.intersect(bounds)
+            if part is not None:
+                yield color, part, holders
 
     def piece_bounds(self, color) -> HyperRect:
         return self._piece(color)[1]

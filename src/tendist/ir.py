@@ -112,6 +112,23 @@ def accesses_of(expr: Expr):
     return []
 
 
+# deepest expression tree and parenthesis nesting a statement may have; the
+# passes over an expression recurse, so a deeper one would exhaust the stack
+MAX_DEPTH = 256
+
+
+def _check_depth(expr: Expr) -> None:
+    """Raise TendistError when expr nests more than MAX_DEPTH levels, a leaf
+    being one level; walked without recursion, so it holds at any depth."""
+    stack = [(expr, 1)]
+    while stack:
+        e, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise TendistError(f"expression nests deeper than {MAX_DEPTH} levels")
+        if isinstance(e, (Add, Mul)):
+            stack += [(e.lhs, depth + 1), (e.rhs, depth + 1)]
+
+
 @dataclass(frozen=True, eq=False)
 class TensorIndexStmt:
     lhs: Access
@@ -139,9 +156,11 @@ def build_statement(lhs: Access, rhs) -> TensorIndexStmt:
     """Bind variable extents and classify variables.
 
     Extents come from the tensor dimensions each variable indexes; a variable
-    indexing dimensions of different extents is an ExtentMismatch.
+    indexing dimensions of different extents is an ExtentMismatch. An rhs
+    more than MAX_DEPTH levels deep is refused.
     """
     rhs = _wrap(rhs)
+    _check_depth(rhs)
     extents: dict = {}
     for acc in [lhs] + accesses_of(rhs):
         for pos, v in enumerate(acc.indices):
@@ -285,6 +304,7 @@ class _Parser:
         self.at = 0
         self.extents = extents
         self.tensors: dict = {}
+        self.depth = 0  # open grouping parentheses
 
     def peek(self):
         return self.toks[self.at] if self.at < len(self.toks) else (None, None)
@@ -324,8 +344,12 @@ class _Parser:
             return Const(float(val))
         if (kind, val) == ("sym", "("):
             self.take("sym", "(")
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise TendistError(f"statement nests more than {MAX_DEPTH} parentheses")
             e = self.expr()
             self.take("sym", ")")
+            self.depth -= 1
             return e
         return self.access()
 

@@ -91,19 +91,9 @@ class CommEvent:
 @dataclass(frozen=True)
 class TaskInfo:
     coord: tuple
-    env: dict = field(hash=False, compare=False, default_factory=dict)
+    # launch box: loop var -> (lo, hi) of every loop, the launch loops pinned
+    box: dict = field(hash=False, compare=False, default_factory=dict)
     out_rect: object = None
-
-
-@dataclass(frozen=True)
-class Requirement:
-    """Debug record: what one task needed for one step, before sourcing."""
-
-    coord: tuple
-    step: int
-    tensor: str
-    rect: HyperRect
-    scope: str  # "launch" | "step"
 
 
 class ExecutionTrace:
@@ -113,7 +103,6 @@ class ExecutionTrace:
         self.machine = machine
         self.events: list = []
         self.launches: list = []
-        self.requirements: list = []
         self.num_steps = 0
         self.memory = {p: 0 for p in machine.enumerate()}
 
@@ -309,7 +298,6 @@ class LaunchPlan:
     launch_vars: tuple      # its leading distributed Foralls, outermost first
     task_loops: tuple       # the Foralls below them, outermost first
     defs: dict
-    intervals: dict         # loop var -> (lo, hi)
     step_var: object        # Forall | None
     num_steps: int
     fetch_plan: list        # (tensor name, accesses tuple, scope)
@@ -366,8 +354,6 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
     step_var = next((f for f in task_loops if f.var in seq_comm_vars), None)
     num_steps = step_var.extent if step_var is not None else 1
 
-    intervals = {f.var: (f.lo, f.hi) for f in stmt.loops}
-
     accs_by_name: dict = {}
     for acc in accesses:
         lst = accs_by_name.setdefault(acc.tensor.name, [])
@@ -386,11 +372,11 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
             scope = "launch"
         fetch_plan.append((n, tuple(accs_by_name[n]), scope))
 
+    intervals = {f.var: (f.lo, f.hi) for f in stmt.loops}
     tasks = []
     for coord in itertools.product(*(range(f.lo, f.hi) for f in group)):
-        env = {f.var: c for f, c in zip(group, coord)}
-        rect = out_access and access_rect(out_access, {**intervals, **unit_env(env)}, defs)
-        tasks.append(TaskInfo(coord, env, rect))
+        box = {**intervals, **unit_env({f.var: c for f, c in zip(group, coord)})}
+        tasks.append(TaskInfo(coord, box, out_access and access_rect(out_access, box, defs)))
 
     pair = _overlap(tasks) if out_kind == "copy" else None
     if pair is not None:
@@ -398,9 +384,8 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
         raise OverlappingWrites(f"tasks {a.coord} and {b.coord} both write "
                                 f"{a.out_rect.intersect(b.out_rect)} of {out_name}")
 
-    return LaunchPlan(stmt, group, task_loops, defs, intervals,
-                      step_var, num_steps, fetch_plan, out_name, out_kind,
-                      out_access, tasks)
+    return LaunchPlan(stmt, group, task_loops, defs, step_var, num_steps,
+                      fetch_plan, out_name, out_kind, out_access, tasks)
 
 
 # execution
@@ -499,10 +484,7 @@ def _write_back(plan: LaunchPlan, task: TaskInfo, region: Region, events: list) 
     rect = task.out_rect
     if rect is None:
         return
-    for _, bounds, procs in region.dist.pieces:
-        part = rect.intersect(bounds)
-        if part is None:
-            continue
+    for _, part, procs in region.dist.parts(rect):
         targets = procs if plan.out_kind == "copy" else procs[:1]
         for h in targets:
             if h != task.coord:
@@ -537,10 +519,7 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
             held += temps.by_holder.get((p, tensor), [])
         sink = launch_temps if scope == "launch" else cur_temps
         for piece in subtract_rects([rect], held):
-            for color, bounds, homes in region.dist.pieces:
-                part = piece.intersect(bounds)
-                if part is None:
-                    continue
+            for color, part, homes in region.dist.parts(piece):
                 key = (tensor, color)
                 src = _pick_source(part, p, homes,
                                    prev_temps.by_color.get(key, []),
@@ -553,23 +532,19 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
     for s in range(plan.num_steps):
         cur_temps = _Temps()
         for task in plan.tasks:
-            launch_ivals = {**plan.intervals, **unit_env(task.env)}
-            step_ivals = dict(launch_ivals)
-            if plan.step_var is not None:
-                step_ivals[plan.step_var.var] = (s, s + 1)
             for tensor, accs, scope in plan.fetch_plan:
                 if scope == "launch" and s > 0:
                     continue
                 # launch-scope needs span every step; step scope pins one
-                ivals = launch_ivals if scope == "launch" else step_ivals
+                box = task.box
+                if scope == "step":
+                    box = {**box, plan.step_var.var: (s, s + 1)}
                 seen = []
                 for acc in accs:
-                    rect = access_rect(acc, ivals, plan.defs)
+                    rect = access_rect(acc, box, plan.defs)
                     if rect is None or rect in seen:
                         continue
                     seen.append(rect)
-                    trace.requirements.append(
-                        Requirement(task.coord, s, tensor, rect, scope))
                     fetch(task, tensor, rect, s, scope, cur_temps)
         for p in order:
             vol = persist[p] + buffers.get(p, 0)

@@ -211,6 +211,23 @@ def test_hierarchical_matches_flat():
     assert "levels" not in fs
 
 
+@pytest.mark.parametrize("gx, gy, k, n", [(4, 2, 2, 16), (2, 2, 3, 12), (4, 4, 2, 16)])
+def test_summa_hier_takes_its_grid(gx, gy, k, n):
+    # on evenly divided extents a gx x gy / k machine moves what flat summa
+    # on (gx * k) x gy moves
+    hier = run_and_check(summa_hier(gx, gy, k, dims=(n, n, n))).trace
+    assert hier.machine == make_machine([(gx, gy), (k,)])
+    flat = run_and_check(summa(gx * k, gy, dims=(n, n, n))).trace
+    assert hier.stats()["totals"] == flat.stats()["totals"]
+    built = bundle_from_config("summa-hier", make_machine([(gx, gy), (k,)]), (n, n, n))
+    assert built.run(seed=0)[0].trace.events == hier.events
+
+
+def test_registry_rows_name_their_default_machine():
+    for name, row in REGISTRY.items():
+        assert str(bundle_from_config(name).machine) == row.default_machine
+
+
 def test_ttv_and_ttm_are_communication_free():
     for bundle in (ttv(2), ttm(2)):
         trace = run_and_check(bundle).trace

@@ -226,6 +226,27 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_over_deep_expr_exits_2(tmp_path, capsys):
+    # a 1,000-term sum used to end in a RecursionError traceback and exit 1
+    expr = "C(i) = " + " + ".join(["A(i)"] * 1000)
+    code = run(["--expr", expr, "--n", "4", "--machine", "2",
+                "--dist", "C: x -> x", "--dist", "A: x -> x",
+                "--schedule", "divide i io ii 2; distribute io",
+                "--stats", str(tmp_path / "s.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: expression nests deeper than 256 levels\n"
+
+
+def test_summa_hier_takes_its_grid(tmp_path, capsys):
+    for machine in ("4x2/2", "2x2/3"):
+        assert run(["--algorithm", "summa-hier", "--machine", machine, "--n", "12",
+                    "--verify", "--stats", str(tmp_path / "s.json")]) == 0
+        assert f"machine {machine}: " in capsys.readouterr().out
+    assert run(["--algorithm", "summa-hier", "--machine", "2x2x2",
+                "--stats", str(tmp_path / "s.json")]) == 2
+    assert "shaped like 2x2/2, got 2x2x2" in capsys.readouterr().err
+
+
 def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     import tendist.cli as cli
 

@@ -223,30 +223,39 @@ def _cascade(dims, machine, levels):
     return out
 
 
+_MACHINES = [grid(2), grid(3), grid(2, 2), grid(3, 2), grid(2, 3, 2),
+             make_machine([(2, 2), (2,)]), make_machine([(2,), (3,)])]
+
+
+def _random_levels(rng, m, x):
+    """Per machine level, the names x and a random role per machine dim: a
+    partition by an unused name, a broadcast or a fixed coordinate."""
+    levels = []
+    for lvl in m.levels:
+        free = list(x)
+        y = []
+        for ext in lvl:
+            roll = rng.random()
+            if free and roll < 0.6:
+                y.append(free.pop(rng.randrange(len(free))))
+            elif roll < 0.8:
+                y.append("*")
+            else:
+                y.append(rng.randrange(ext))
+        levels.append((x, tuple(y)))
+    return levels
+
+
 def test_piece_table_matches_block_range_cascade():
     rng = random.Random(11)
-    machines = [grid(2), grid(3), grid(2, 2), grid(3, 2), grid(2, 3, 2),
-                make_machine([(2, 2), (2,)]), make_machine([(2,), (3,)])]
     names = "xyz"
     kinds = set()
     for _ in range(120):
-        m = rng.choice(machines)
+        m = rng.choice(_MACHINES)
         order = rng.randint(1, 3)
         dims = tuple(rng.randint(1, 7) for _ in range(order))
         x = tuple(names[:order])
-        levels = []
-        for lvl in m.levels:
-            free = list(x)
-            y = []
-            for ext in lvl:
-                roll = rng.random()
-                if free and roll < 0.6:
-                    y.append(free.pop(rng.randrange(len(free))))
-                elif roll < 0.8:
-                    y.append("*")
-                else:
-                    y.append(rng.randrange(ext))
-            levels.append((x, tuple(y)))
+        levels = _random_levels(rng, m, x)
         d = TensorDistribution(dims, m, levels)
         want = _cascade(dims, m, levels)
         assert list(d.colors()) == [color for color, _, _ in want]
@@ -272,6 +281,38 @@ def test_piece_table_matches_block_range_cascade():
             kinds.add("two-level")
     assert kinds == {"part", "fixed", "bcast", "ragged", "smaller than the grid",
                      "two-level"}
+
+
+def test_parts_is_a_filter_of_the_piece_table():
+    # parts(rect) lists, in table order, every piece that shares a point with
+    # rect, with that share and the piece's holders; no empty piece appears
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(150):
+        m = rng.choice(_MACHINES)
+        order = rng.randint(0, 3)
+        dims = tuple(rng.randint(1, 7) for _ in range(order))
+        levels = _random_levels(rng, m, tuple("xyz"[:order]))
+        d = TensorDistribution(dims, m, levels)
+        for _ in range(4):
+            lo = tuple(rng.randint(0, e) for e in dims)
+            rect = HyperRect(lo, tuple(rng.randint(a, e) for a, e in zip(lo, dims)))
+            want = [(color, points(rect) & points(bounds), holders)
+                    for color, bounds, holders in d.pieces
+                    if points(rect) & points(bounds)]
+            got = list(d.parts(rect))
+            assert [(color, points(part), holders) for color, part, holders in got] == want
+            assert all(part.volume == len(points(part)) > 0 for _, part, _ in got)
+            assert sum(part.volume for _, part, _ in got) == rect.volume
+            kinds.add("empty rect" if rect.is_empty else "rect")
+        kinds.update("empty piece" for _, bounds, _ in d.pieces if bounds.is_empty)
+        kinds.update("bcast" if v == "*" else "fixed" if isinstance(v, int) else "part"
+                     for _, y in levels for v in y)
+        kinds.update(["two-level"] if m.num_levels > 1 else [])
+        kinds.update(["uneven"] if len({b.volume for _, b, _ in d.pieces}) > 1 else [])
+        kinds.update(["0-d"] if not dims else [])
+    assert kinds == {"rect", "empty rect", "empty piece", "bcast", "fixed", "part",
+                     "two-level", "uneven", "0-d"}
 
 
 def test_residency_volume_counts_replicas():

@@ -14,7 +14,7 @@ from tendist import (
     sequential_evaluate,
 )
 from tendist.errors import ExtentMismatch, MissingInput, TendistError
-from tendist.ir import Access, Add, Const, Expr, Mul, compile_expr
+from tendist.ir import MAX_DEPTH, Access, Add, Const, Expr, Mul, compile_expr
 
 
 def t(dims, values):
@@ -220,6 +220,26 @@ def test_parse_garbage_rejected():
         parse_statement("C(i, j) = A(i, k) ? B(k, j)", {"i": 2, "j": 2, "k": 2})
     with pytest.raises(TendistError):
         parse_statement("C(i, j) = A(i, k) * B(k, j) extra", {"i": 2, "j": 2, "k": 2})
+
+
+def test_statement_depth_is_bounded():
+    # the bound is a typed error, not the interpreter's RecursionError
+    sum_of = lambda n: "C(i) = " + " + ".join(["A(i)"] * n)
+    assert parse_statement(sum_of(MAX_DEPTH), {"i": 2}).extents == {"i": 2}
+    for n in (MAX_DEPTH + 1, 1000):
+        with pytest.raises(TendistError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse_statement(sum_of(n), {"i": 2})
+    A, C = TensorVar("A", (2,)), TensorVar("C", (2,))
+    rhs = A("i")
+    for _ in range(999):
+        rhs = rhs * A("i")
+    with pytest.raises(TendistError, match=f"deeper than {MAX_DEPTH} levels"):
+        build_statement(C("i"), rhs)
+    nested = lambda n: "C(i) = " + "(" * n + "A(i)" + ")" * n
+    assert parse_statement(nested(MAX_DEPTH), {"i": 2}).extents == {"i": 2}
+    for n in (MAX_DEPTH + 1, 400):
+        with pytest.raises(TendistError, match=f"more than {MAX_DEPTH} parentheses"):
+            parse_statement(nested(n), {"i": 2})
 
 
 @pytest.mark.parametrize("const", ("1e3", "2.5e-1"))

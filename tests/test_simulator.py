@@ -153,15 +153,17 @@ def test_broadcast_run_traffic_anchor():
 
 def test_broadcast_run_event_hygiene():
     stmt, machine, dists, inputs, sched = _gemm_setup()
-    trace = run_statement(stmt, machine, dists, inputs, sched).trace
+    result = run_statement(stmt, machine, dists, inputs, sched)
+    trace = result.trace
     for e in trace.events:
         assert e.src != e.dst
         assert e.elements == e.rect.volume > 0
         assert e.kind == "copy" and e.phase == "compute"
         assert e.src in trace.memory and e.dst in trace.memory
-    reqs = [r for r in trace.requirements if r.tensor == "A"]
-    assert reqs and all(r.scope == "launch" for r in reqs)
-    assert {r.scope for r in trace.requirements if r.tensor == "B"} == {"step"}
+    # A is fetched once per task at launch scope, B once per k step
+    plan = lower_to_tasks(sched.apply(lower_to_cin(stmt)), result.store)
+    assert {name: scope for name, _, scope in plan.fetch_plan} == {
+        "A": "launch", "B": "step"}
 
 
 def test_stats_schema_and_consistency():
