@@ -63,7 +63,7 @@ def _parser() -> argparse.ArgumentParser:
     out.add_argument("--stats", default="stats.json",
                      help="stats JSON path (default stats.json)")
     out.add_argument("--dump-trace", action="store_true",
-                     help="print every recorded transfer")
+                     help="print every transfer as a JSON ledger row")
     out.add_argument("--edges-csv", metavar="PATH",
                      help="write the per-edge aggregate as CSV")
     out.add_argument("--output", metavar="PATH",
@@ -157,16 +157,11 @@ def _check_outputs(args) -> None:
             raise ConfigError(f"{flag} {path}: {folder} is not a writable directory")
 
 
-def _print_trace(trace) -> None:
-    for e in trace.events:
-        print(f"step {e.timestep} {e.phase} {e.kind} {e.tensor} {e.rect}: "
-              f"{e.src} -> {e.dst} ({e.elements} elements)")
-
-
 def _finish(args, result, stmt, inputs, config) -> int:
     trace = result.trace
     if args.dump_trace:
-        _print_trace(trace)
+        for row in trace.canonical_rows():
+            print(json.dumps(row, separators=(",", ":")))
     stats = trace.stats(config)
     if args.stats:
         with open(args.stats, "w") as fh:

@@ -128,6 +128,13 @@ class ExecutionTrace:
             out.append(e)
         return out
 
+    def canonical_rows(self) -> list:
+        """The ledger's one row format, one row per event in event order:
+        [timestep, src, dst, tensor, rect lo, rect hi, elements, kind, phase],
+        coordinates as lists, so each row is plain JSON."""
+        return [[e.timestep, list(e.src), list(e.dst), e.tensor, list(e.rect.lo),
+                 list(e.rect.hi), e.elements, e.kind, e.phase] for e in self.events]
+
     @property
     def total_messages(self) -> int:
         return len(self.events)
@@ -657,9 +664,11 @@ def verify_result(stmt, inputs: dict, result: RunResult, atol: float = 1e-9) -> 
 
     The output must have NaNs exactly where the reference does; everywhere
     else, elements that differ (an infinity against anything else included)
-    must lie within `atol`.
+    must lie within `atol`. The reference starts the output at zeros, as
+    the run does, whatever `inputs` holds for it.
     """
-    expected = sequential_evaluate(stmt, inputs)
+    out = stmt.lhs.tensor
+    expected = sequential_evaluate(stmt, {**inputs, out.name: DenseTensor(out.dims)})
     got = result.output
     if expected.dims != got.dims:
         raise VerifyFail(f"output dims {got.dims} != reference {expected.dims}")

@@ -85,10 +85,12 @@ def test_dump_trace_lines(tmp_path, capsys):
                 "--dump-trace", "--stats", str(tmp_path / "s.json")])
     out = capsys.readouterr().out
     assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith("step ")]
-    assert len(lines) == 8
-    assert ("step 0 compute copy A [0,2)x[2,4): (0, 1) -> (0, 0) "
-            "(4 elements)") in lines
+    # one canonical row per transfer, the summary line after them
+    lines = out.splitlines()
+    rows = [json.loads(line) for line in lines[:-1]]
+    assert len(rows) == 8
+    assert [0, [0, 1], [0, 0], "A", [0, 2], [2, 4], 4, "copy", "compute"] in rows
+    assert lines[-1].startswith("machine 2x2: 8 messages")
 
 
 def test_edges_csv(tmp_path):
@@ -258,6 +260,19 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
                 "--stats", str(tmp_path / "s.json")])
     assert code == 1
     assert "verify: FAIL (forced" in capsys.readouterr().err
+
+
+def test_verify_a_statement_that_reads_its_output(tmp_path, capsys):
+    # the reference starts the output at the run's zeros; it used to want a
+    # value for C and exit 2
+    for expr, dims, dist in (("C(i) = C(i) + A(i)", "4", "x -> x"),
+                             ("C(i, j) = C(i, j) * A(i, k)", "4x4x4", "xy -> x")):
+        code = run(["--expr", expr, "--dims", dims, "--machine", "2",
+                    "--dist", f"C: {dist}", "--dist", f"A: {dist}",
+                    "--schedule", "divide i io ii 2; distribute io; communicate A io",
+                    "--verify", "--stats", str(tmp_path / "s.json")])
+        assert code == 0, capsys.readouterr().err
+        assert "verify: OK" in capsys.readouterr().out
 
 
 def test_kernel_shapes_run(tmp_path):

@@ -1,15 +1,30 @@
-"""Golden ledger digests: every bundled algorithm at two sizes.
+"""Golden ledgers: every bundled algorithm at two sizes, kept as text.
 
-Each pin is the sha256 of the canonical event list plus `trace.stats()`
-(config None). The ledger does not depend on input values, so a changed pin
-means the simulator moved different data, not that it got faster or slower.
+Each case's ledger is committed as `tests/golden/<case id>.jsonl`: the rows
+of `trace.canonical_rows()`, one compact JSON row per line, which is exactly
+what `tendist --dump-trace` prints before its summary line. The test compares
+the full text; on a mismatch it shows the first differing rows and the event
+count per (step, tensor, kind) on both sides. A second assertion pins the
+sha256 of the rows plus `trace.stats()` (config None), which covers the stats
+too. The ledger does not depend on input values, so a changed golden means
+the simulator moved different data, not that it got faster or slower.
+
 The pins cover one ragged extent (summa on 3x2 over 7x5x6) and the two-level
 summa-hier machine. SOURCE_RULE_PINS and the placement pin add ragged runs on
 9 or more processors that together take every branch of the source rule.
+
+A change that moves a ledger on purpose rewrites the case's file from the
+command line and commits the diff with its reason, for example
+`tendist --algorithm summa --machine 3x2 --dims 7x5x6 --dump-trace | grep -F '['`
+(add `--chunk` where the pin's chunk is not 1; summa-hier runs on its own
+machine).
 """
 
 import hashlib
 import json
+from collections import Counter
+from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +32,19 @@ from tendist import (
     DenseTensor,
     ExecutionTrace,
     RegionStore,
+    Schedule,
     TensorDistribution,
+    lower_to_cin,
     parse_distribution,
+    parse_schedule,
     redistribute,
+    verify_result,
 )
 from tendist.algorithms import bundle_from_config
+from tendist.cli import main
 from tendist.machine import grid
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # (algorithm, flat grid or None for the bundle's own machine, dims, chunk,
 #  events, sha256)
@@ -88,12 +110,36 @@ SOURCE_RULE_PINS = [
 ]
 
 
-def ledger_digest(trace) -> str:
-    rows = [[e.timestep, list(e.src), list(e.dst), e.tensor, list(e.rect.lo),
-             list(e.rect.hi), e.elements, e.kind, e.phase] for e in trace.events]
+def _counts(lines) -> Counter:
+    return Counter((r[0], r[3], r[7]) for r in map(json.loads, lines))
+
+
+def ledger_mismatch(want: str, got: str, shown: int = 3) -> str:
+    """The first differing rows of two ledger texts, then every
+    (step, tensor, kind) whose event count differs."""
+    want_rows, got_rows = want.splitlines(), got.splitlines()
+    at = next((i for i, (w, g) in enumerate(zip_longest(want_rows, got_rows)) if w != g),
+              len(want_rows))
+    out = [f"ledger differs from line {at + 1} (golden {len(want_rows)} rows, "
+           f"run {len(got_rows)}):"]
+    out += [f"  golden: {row}" for row in want_rows[at:at + shown]]
+    out += [f"  run:    {row}" for row in got_rows[at:at + shown]]
+    want_n, got_n = _counts(want_rows), _counts(got_rows)
+    out.append("events per (step, tensor, kind), golden -> run:")
+    out += [f"  {key}: {want_n[key]} -> {got_n[key]}"
+            for key in sorted(want_n.keys() | got_n.keys()) if want_n[key] != got_n[key]]
+    return "\n".join(out)
+
+
+def check_golden(case: str, trace, digest: str) -> None:
+    rows = trace.canonical_rows()
+    want = (GOLDEN / f"{case}.jsonl").read_text()
+    got = "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
+    if got != want:
+        pytest.fail(ledger_mismatch(want, got), pytrace=False)
     blob = json.dumps({"events": rows, "stats": trace.stats(None)},
                       sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def _case_id(pin) -> str:
@@ -108,8 +154,8 @@ def _case_id(pin) -> str:
 def test_ledger_digest(alg, machine, dims, chunk, events, digest):
     bundle = bundle_from_config(alg, grid(*machine) if machine else None, dims, chunk)
     result, _ = bundle.run(seed=0)
+    check_golden(_case_id((alg, machine, dims)), result.trace, digest)
     assert len(result.trace.events) == events
-    assert ledger_digest(result.trace) == digest
 
 
 def test_placement_relay_digest():
@@ -123,6 +169,49 @@ def test_placement_relay_digest():
     store.place("T", DenseTensor((5, 7)), old)
     trace = ExecutionTrace(machine)
     redistribute(store, "T", new, trace)
+    check_golden("placement-relay-3x3-5x7", trace,
+                 "70cd2e2a09b947110aae3b7c0e5fd5ba508329975b7852c55c1f5c03952e92f0")
     assert len(trace.events) == 72
-    assert ledger_digest(trace) == (
-        "70cd2e2a09b947110aae3b7c0e5fd5ba508329975b7852c55c1f5c03952e92f0")
+
+
+def test_dump_trace_prints_the_golden_rows(tmp_path, capsys):
+    # the re-pin recipe in the module docstring, for one ragged case
+    assert main(["--algorithm", "summa", "--machine", "3x2", "--dims", "7x5x6",
+                 "--dump-trace", "--stats", str(tmp_path / "s.json")]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert "".join(row + "\n" for row in rows) == (GOLDEN / "summa-3x2-7x5x6.jsonl").read_text()
+
+
+def test_mismatch_names_first_rows_and_counts():
+    want = ('[0,[0,1],[0,0],"A",[0],[2],2,"copy","compute"]\n'
+            '[0,[0,0],[0,1],"B",[0],[2],2,"copy","compute"]\n')
+    got = want.replace('"B"', '"C"')
+    assert ledger_mismatch(want, got) == "\n".join([
+        "ledger differs from line 2 (golden 2 rows, run 2):",
+        '  golden: [0,[0,0],[0,1],"B",[0],[2],2,"copy","compute"]',
+        '  run:    [0,[0,0],[0,1],"C",[0],[2],2,"copy","compute"]',
+        "events per (step, tensor, kind), golden -> run:",
+        "  (0, 'B', 'copy'): 1 -> 0",
+        "  (0, 'C', 'copy'): 0 -> 1",
+    ])
+
+
+# Metamorphic checks, which need no golden: a rewrite of task-local loops
+# below the communicate scope changes neither the values nor a single event
+@pytest.mark.parametrize("alg, machine, dims, rewrite", [
+    ("summa", (2, 2), (8, 8, 8), "reorder ki ji"),
+    ("cannon", (3, 3), (7, 7, 7), "reorder ji ii"),  # after a rotate
+    ("johnson", (2, 2, 2), (8, 8, 8), "split ki kq kr 2"),
+    ("pumma", (3, 3), (7, 5, 8), "divide ii ia ib 2"),
+])
+def test_task_local_rewrites_keep_the_ledger(alg, machine, dims, rewrite):
+    bundle = bundle_from_config(alg, grid(*machine), dims)
+    before, inputs = bundle.run(seed=0)
+    rewritten = Schedule(bundle.schedule.commands + parse_schedule(rewrite).commands)
+    cin = lower_to_cin(bundle.statement)
+    assert rewritten.apply(cin) != bundle.schedule.apply(cin)  # not a no-op
+    bundle.schedule = rewritten
+    after, _ = bundle.run(inputs)
+    verify_result(bundle.statement, inputs, after)
+    assert after.trace.canonical_rows() == before.trace.canonical_rows()
+    assert after.trace.stats() == before.trace.stats()

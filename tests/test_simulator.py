@@ -404,6 +404,22 @@ def test_verify_accepts_nan_where_the_reference_has_it():
     verify_result(stmt, inputs, res)
 
 
+def test_verify_starts_the_output_at_the_runs_zeros():
+    # the run starts C at zeros whatever `inputs` holds for it, and so does
+    # the reference, so a nonzero C there does not fail a correct run
+    stmt = parse_statement("C(i) = C(i) + A(i)", {"i": 5})
+    machine = grid(2)
+    rows = TensorDistribution((5,), machine, [(("x",), ("x",))])
+    inputs = {"A": DenseTensor((5,), [1, -2, 3, 4, -5]), "C": DenseTensor((5,), [7] * 5)}
+    sched = schedule().divide("i", "io", "ii", 2).distribute("io").communicate("A", "io")
+    res = run_statement(stmt, machine, {"A": rows, "C": rows}, inputs, sched)
+    assert res.output.data.tolist() == [1, -2, 3, 4, -5]
+    verify_result(stmt, inputs, res)
+    res.output.data[0] += 7
+    with pytest.raises(VerifyFail):
+        verify_result(stmt, inputs, res)
+
+
 # placement-phase movement
 
 def _row_then_block():
