@@ -664,11 +664,11 @@ def verify_result(stmt, inputs: dict, result: RunResult, atol: float = 1e-9) -> 
 
     The output must have NaNs exactly where the reference does; everywhere
     else, elements that differ (an infinity against anything else included)
-    must lie within `atol`. The reference starts the output at zeros, as
-    the run does, whatever `inputs` holds for it.
+    must lie within `atol`. An output missing from `inputs` starts at the
+    zeros the run starts from.
     """
     out = stmt.lhs.tensor
-    expected = sequential_evaluate(stmt, {**inputs, out.name: DenseTensor(out.dims)})
+    expected = sequential_evaluate(stmt, {out.name: DenseTensor(out.dims), **inputs})
     got = result.output
     if expected.dims != got.dims:
         raise VerifyFail(f"output dims {got.dims} != reference {expected.dims}")

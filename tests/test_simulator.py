@@ -404,20 +404,22 @@ def test_verify_accepts_nan_where_the_reference_has_it():
     verify_result(stmt, inputs, res)
 
 
-def test_verify_starts_the_output_at_the_runs_zeros():
-    # the run starts C at zeros whatever `inputs` holds for it, and so does
-    # the reference, so a nonzero C there does not fail a correct run
+def test_verify_reads_the_output_from_inputs_when_given():
+    # the run starts C at zeros; the reference does so only when `inputs`
+    # holds no C, so a nonzero C there, which the run drops, fails verify
     stmt = parse_statement("C(i) = C(i) + A(i)", {"i": 5})
     machine = grid(2)
     rows = TensorDistribution((5,), machine, [(("x",), ("x",))])
-    inputs = {"A": DenseTensor((5,), [1, -2, 3, 4, -5]), "C": DenseTensor((5,), [7] * 5)}
+    inputs = {"A": DenseTensor((5,), [1, -2, 3, 4, -5])}
     sched = schedule().divide("i", "io", "ii", 2).distribute("io").communicate("A", "io")
     res = run_statement(stmt, machine, {"A": rows, "C": rows}, inputs, sched)
     assert res.output.data.tolist() == [1, -2, 3, 4, -5]
     verify_result(stmt, inputs, res)
-    res.output.data[0] += 7
+    with_c = {**inputs, "C": DenseTensor((5,), [7] * 5)}
+    res = run_statement(stmt, machine, {"A": rows, "C": rows}, with_c, sched)
+    assert res.output.data.tolist() == [1, -2, 3, 4, -5]
     with pytest.raises(VerifyFail):
-        verify_result(stmt, inputs, res)
+        verify_result(stmt, with_c, res)
 
 
 # placement-phase movement
