@@ -14,12 +14,13 @@ Derived-variable arithmetic:
 One resolver, `var_interval`, carries that arithmetic from loop-variable
 intervals to derived-variable intervals; the simulator asks it for the box a
 task touches. The interpreter resolves a loop box at once: it binds each loop
-variable to the unit intervals (v, v + 1) of a whole arange, so a derived
-variable comes out as one unit interval per point, or empty where a divide or
-split guard fails: that point is phantom and does nothing. A box is resolved
-in passes of at most 4,096 points, and each pass evaluates the leaf's
-right-hand side, compiled once (`ir.compile_expr`), on all its live points at
-once. The writes land in chain order (`np.add.at` for a reduction, the last
+variable to the unit intervals (v, v + 1) of an arange on its own broadcast
+axis, so a derived variable comes out as one unit interval per lane of the
+axes it reads, or empty where a divide or split guard fails: such a point is
+phantom and does nothing. A box is resolved in passes of at most 16,384
+points, and each pass evaluates the leaf's right-hand side, compiled once
+(`ir.compile_expr`), at once, each access one gather with broadcast index
+arrays. The writes land in chain order (`np.add.at` for a reduction, the last
 point per element for an assignment), so every element sees the float64
 operations of a plain loop nest in the same order.
 """
@@ -263,20 +264,23 @@ def unit_env(env: dict) -> dict:
     return {k: (v, v + 1) for k, v in env.items()}
 
 
-_PASS_POINTS = 4096  # most points one vectorised resolution covers
+_PASS_POINTS = 16384  # most points one vectorised resolution covers
 
 
 def _walk_box(leaf, loops, defs, read_store, out_store) -> None:
     """Run one leaf over a box of loops (var, lo, hi), outermost first.
 
     The box is resolved in passes of at most _PASS_POINTS points. A pass
-    binds its loops to aranges, resolves every name with one var_interval
-    call, masks the phantom points and checks bounds before any write; then
-    it evaluates the rhs, compiled once per box, on the live points'
-    value arrays and writes the results at their lhs coordinates in chain
-    order: a reduction adds with np.add.at, which applies repeated indices
-    one at a time in index order; an assignment keeps the last point that
-    writes each element.
+    binds its loops to aranges on their own broadcast axes and resolves
+    every name with one var_interval call, which keeps each name on the axes
+    it reads. Liveness and bounds are computed on those small arrays before
+    any write. Where a lane is phantom, each name is clipped into the
+    dimensions it indexes, so that lane gathers in range; it is never
+    written. The rhs, compiled once per box, is evaluated once on the names'
+    arrays; only its values and the flat lhs index grow to the pass's shape,
+    and the live points' results are written in chain order: a reduction
+    adds with np.add.at, which applies repeated indices one at a time in
+    index order; an assignment keeps the last point that writes each element.
     Loops outside a pass are walked one value at a time, setting the env in
     place; the outermost loop of a pass may be cut into chunks.
     """
@@ -303,33 +307,37 @@ def _walk_box(leaf, loops, defs, read_store, out_store) -> None:
         for axis, (var, lo, hi) in enumerate(loops):
             lanes = np.arange(lo, hi).reshape([-1 if k == axis else 1 for k in range(len(loops))])
             env[var] = (lanes, lanes + 1)
-        values, live = [], True
+        values, live = [], True  # each on the axes of the loops it reads
         for n in names:
             lo, hi = var_interval(n, env, defs)
             values.append(lo)
             live = live & (lo < hi)
         live = np.broadcast_to(live, shape)
-        values = [np.broadcast_to(v, shape)[live] for v in values]
         bad = False
         for k, d in limits:  # d: the smallest dimension names[k] indexes
             bad = bad | (values[k] < 0) | (values[k] >= d)
-        if np.any(bad):
-            first = int(np.argmax(bad))  # the first live point out of range
-            at = {n: int(v[first]) for n, v in zip(names, values)}
+        bad = live & bad
+        if bad.any():  # name the first live point out of range
+            first = np.unravel_index(int(np.argmax(bad)), shape)
+            at = {n: int(np.broadcast_to(v, shape)[first]) for n, v in zip(names, values)}
             for a, dims in shaped:
                 coord = tuple(at[n] for n in a.var_names)
                 if not all(0 <= c < e for c, e in zip(coord, dims)):
                     raise OOBAccess(f"{a.tensor.name}{coord} outside dims {dims}")
-        count = int(np.count_nonzero(live))
+        full = live.all()
+        if not full:  # phantom lanes gather in range and are never written
+            for k, d in limits:
+                values[k] = np.clip(values[k], 0, d - 1)
         index = lget(values)  # a bare array for a one-index lhs
         at = np.ravel_multi_index(index if isinstance(index, tuple) else (index,), out.shape)
-        at = np.broadcast_to(at, count)  # one lane per point for a 0-d lhs too
-        value = np.broadcast_to(rhs(values), count)
+        at = np.broadcast_to(at, shape)
+        value = np.broadcast_to(rhs(values), shape)
+        at, value = (at.reshape(-1), value.reshape(-1)) if full else (at[live], value[live])
         if assign:
             # repeated fancy assignment promises no order: keep each
             # element's last point in chain order
             _, last = np.unique(at[::-1], return_index=True)
-            keep = count - 1 - last
+            keep = at.size - 1 - last
             flat[at[keep]] = value[keep]
         else:
             np.add.at(flat, at, value)

@@ -626,7 +626,8 @@ def run_statement(stmt, machine: Machine, distributions: dict, inputs: dict,
 
     stmt may be a tensor index statement (lowered first) or an already
     scheduled loop statement. distributions and inputs map tensor names;
-    the output region starts as zeros under its distribution.
+    the output region starts as zeros under its distribution, so a value
+    for it in inputs is refused.
     """
     if isinstance(stmt, TensorIndexStmt):
         cin = lower_to_cin(stmt)
@@ -637,6 +638,9 @@ def run_statement(stmt, machine: Machine, distributions: dict, inputs: dict,
 
     accesses = leaf_accesses(cin.leaf)
     out_name = accesses[0].tensor.name  # a Place leaf is refused by execute
+    if out_name in inputs and not isinstance(cin.leaf, Place):
+        raise ConfigError(f"inputs hold a value for the output {out_name}, "
+                          f"which a run starts at zeros")
     var_dims = {acc.tensor.name: acc.tensor.dims for acc in accesses}
 
     store = RegionStore(machine)

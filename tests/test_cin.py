@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -225,10 +226,10 @@ def test_interpret_oob_access_raises():
         interpret(cin, ins)
     assert str(err.value) == "B(2, 0) outside dims (2, 3)"
     # out of range in the second pass only
-    stmt = parse_statement("D(i) = A(i)", {"i": 5000})
+    stmt = parse_statement("D(i) = A(i)", {"i": 20000})
     with pytest.raises(OOBAccess) as err:
-        interpret(lower_to_cin(stmt), {"A": DenseTensor((4500,))})
-    assert str(err.value) == "A(4500,) outside dims (4500,)"
+        interpret(lower_to_cin(stmt), {"A": DenseTensor((18000,))})
+    assert str(err.value) == "A(18000,) outside dims (18000,)"
 
 
 def test_interpret_missing_input_raises():
@@ -418,9 +419,9 @@ def test_box_walker_matches_per_point_loop_bytes():
         (parse_statement("d(i) = A(i, i) + 1", {"i": 7}),
          lambda c: split(c, "i", "io", "ii", 3)),
         # more points than one pass: chunked passes below a walked loop
-        (parse_statement("D(i, j, k) = A(i, j) * B(j, k)", {"i": 2, "j": 71, "k": 70}),
+        (parse_statement("D(i, j, k) = A(i, j) * B(j, k)", {"i": 2, "j": 71, "k": 286}),
          lambda c: split(c, "k", "ko", "ki", 8)),
-        (parse_statement("D(i) = A(i) + B(i)", {"i": 5003}), lambda c: c),
+        (parse_statement("D(i) = A(i) + B(i)", {"i": 20011}), lambda c: c),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -452,12 +453,27 @@ def test_passes_stay_within_the_point_limit(monkeypatch):
         boxes.append(math.prod(np.broadcast_shapes(*shapes)) if shapes else 1)
         return resolve(name, env, defs)
 
-    stmt = parse_statement("D(i, j, k) = A(i, j) * B(j, k)", {"i": 2, "j": 71, "k": 70})
+    stmt = parse_statement("D(i, j, k) = A(i, j) * B(j, k)", {"i": 2, "j": 71, "k": 286})
     cin = split(lower_to_cin(stmt), "k", "ko", "ki", 8)
     monkeypatch.setattr(cin_module, "var_interval", recording)
     interpret(cin, special_inputs(stmt, 0))
-    # i is walked; j goes in chunks of 4096 // 72 == 56 rows: 56 and 15
-    assert sorted(set(boxes)) == [15 * 72, 56 * 72]
+    # i is walked; j goes in chunks of 16384 // 288 == 56 rows: 56 and 15
+    assert sorted(set(boxes)) == [15 * 288, 56 * 288]
+
+
+def test_working_memory_does_not_grow_with_the_box():
+    # a pass holds a few arrays of at most _PASS_POINTS lanes, so beyond its
+    # output one call's traced peak stays under a fixed bound at any box
+    for n in (64, 128):
+        stmt = parse_statement("C(i, j) = A(i, k) * B(k, j)", {"i": n, "j": n, "k": n})
+        cin, ins = lower_to_cin(stmt), special_inputs(stmt, n)
+        tracemalloc.start()
+        try:
+            out = interpret(cin, ins)["C"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.data.nbytes < 512 * 1024, (n, peak)
 
 
 def test_nan_sign_is_numpys_array_choice():
@@ -482,11 +498,11 @@ def test_nan_sign_is_numpys_array_choice():
 def test_reduce_adds_colliding_points_in_chain_order():
     # many points per output element, on values whose sum depends on the
     # order of the additions: one pass (3 x 64), passes cut along j
-    # (2 x 9000) and every point of three passes on one scalar
+    # (2 x 40000) and every point of one pass on one scalar
     rng = np.random.default_rng(7)
     pattern = [1e16, 1.0, -1e16, 1.0, 3.0, -1e16, 1e16, 0.5]
     cases = [(parse_statement("d(i) = A(i, j)", {"i": 3, "j": 64}), (3, 64)),
-             (parse_statement("d(i) = A(i, j)", {"i": 2, "j": 9000}), (2, 9000)),
+             (parse_statement("d(i) = A(i, j)", {"i": 2, "j": 40000}), (2, 40000)),
              (parse_statement("a = A(i) * 1", {"i": 9000}), (9000,))]
     for stmt, dims in cases:
         ins = {"A": DenseTensor(dims, rng.choice(pattern, size=dims))}

@@ -405,8 +405,9 @@ def test_verify_accepts_nan_where_the_reference_has_it():
 
 
 def test_verify_reads_the_output_from_inputs_when_given():
-    # the run starts C at zeros; the reference does so only when `inputs`
-    # holds no C, so a nonzero C there, which the run drops, fails verify
+    # the run starts C at zeros and refuses a C in `inputs`; the reference
+    # starts at zeros only when `inputs` holds no C, so a nonzero C there
+    # fails verify against a zero-start run
     stmt = parse_statement("C(i) = C(i) + A(i)", {"i": 5})
     machine = grid(2)
     rows = TensorDistribution((5,), machine, [(("x",), ("x",))])
@@ -416,8 +417,8 @@ def test_verify_reads_the_output_from_inputs_when_given():
     assert res.output.data.tolist() == [1, -2, 3, 4, -5]
     verify_result(stmt, inputs, res)
     with_c = {**inputs, "C": DenseTensor((5,), [7] * 5)}
-    res = run_statement(stmt, machine, {"A": rows, "C": rows}, with_c, sched)
-    assert res.output.data.tolist() == [1, -2, 3, 4, -5]
+    with pytest.raises(ConfigError, match="output C"):
+        run_statement(stmt, machine, {"A": rows, "C": rows}, with_c, sched)
     with pytest.raises(VerifyFail):
         verify_result(stmt, with_c, res)
 
