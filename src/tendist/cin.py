@@ -274,8 +274,8 @@ def _walk_box(leaf, loops, defs, read_store, out_store) -> None:
     binds its loops to aranges on their own broadcast axes and resolves
     every name with one var_interval call, which keeps each name on the axes
     it reads. Liveness and bounds are computed on those small arrays before
-    any write. Where a lane is phantom, each name is clipped into the
-    dimensions it indexes, so that lane gathers in range; it is never
+    any write. Each name is then clipped into the dimensions it indexes,
+    which moves only phantom lanes, so they gather in range; they are never
     written. The rhs, compiled once per box, is evaluated once on the names'
     arrays; only its values and the flat lhs index grow to the pass's shape,
     and the live points' results are written in chain order: a reduction
@@ -324,15 +324,13 @@ def _walk_box(leaf, loops, defs, read_store, out_store) -> None:
                 coord = tuple(at[n] for n in a.var_names)
                 if not all(0 <= c < e for c, e in zip(coord, dims)):
                     raise OOBAccess(f"{a.tensor.name}{coord} outside dims {dims}")
-        full = live.all()
-        if not full:  # phantom lanes gather in range and are never written
-            for k, d in limits:
-                values[k] = np.clip(values[k], 0, d - 1)
+        for k, d in limits:  # phantom lanes gather in range and are never written
+            values[k] = np.clip(values[k], 0, d - 1)
         index = lget(values)  # a bare array for a one-index lhs
         at = np.ravel_multi_index(index if isinstance(index, tuple) else (index,), out.shape)
         at = np.broadcast_to(at, shape)
         value = np.broadcast_to(rhs(values), shape)
-        at, value = (at.reshape(-1), value.reshape(-1)) if full else (at[live], value[live])
+        at, value = at[live], value[live]
         if assign:
             # repeated fancy assignment promises no order: keep each
             # element's last point in chain order

@@ -498,12 +498,13 @@ def test_nan_sign_is_numpys_array_choice():
 def test_reduce_adds_colliding_points_in_chain_order():
     # many points per output element, on values whose sum depends on the
     # order of the additions: one pass (3 x 64), passes cut along j
-    # (2 x 40000) and every point of one pass on one scalar
+    # (2 x 40000) and passes cut along i on one scalar (20000)
     rng = np.random.default_rng(7)
     pattern = [1e16, 1.0, -1e16, 1.0, 3.0, -1e16, 1e16, 0.5]
     cases = [(parse_statement("d(i) = A(i, j)", {"i": 3, "j": 64}), (3, 64)),
              (parse_statement("d(i) = A(i, j)", {"i": 2, "j": 40000}), (2, 40000)),
-             (parse_statement("a = A(i) * 1", {"i": 9000}), (9000,))]
+             (parse_statement("a = A(i) * 1", {"i": 20000}), (20000,))]
+    assert all(math.prod(dims) > cin_module._PASS_POINTS for _, dims in cases[1:])
     for stmt, dims in cases:
         ins = {"A": DenseTensor(dims, rng.choice(pattern, size=dims))}
         cin = lower_to_cin(stmt)
@@ -517,10 +518,11 @@ def test_reduce_adds_colliding_points_in_chain_order():
 
 def test_assign_keeps_the_last_point_per_element():
     # every j writes d(i); the last j must win, within a pass (n=5) and
-    # across passes cut along j (n=5000)
+    # across passes cut along j (n=20000)
     rng = np.random.default_rng(8)
     d = TensorVar("d", (3,))
-    for n in (5, 5000):
+    for n in (5, 20000):
+        assert n < 16 or n > cin_module._PASS_POINTS
         A = TensorVar("A", (3, n))
         stmt = LoopNest((Forall("i", 0, 3), Forall("j", 0, n)), Assign(d("i"), A("i", "j")))
         ins = {"A": DenseTensor((3, n), rng.standard_normal((3, n)))}
