@@ -485,13 +485,18 @@ def _fold(plan: LaunchPlan, tasks: list, result: dict, region: Region) -> None:
             region.tensor.data[sl] = partial[sl]
 
 
-def _write_back(plan: LaunchPlan, task: TaskInfo, region: Region, events: list) -> None:
+def _write_back(plan: LaunchPlan, task: TaskInfo, region: Region, homes: dict,
+                events: list) -> None:
     """Record a write-back of the task's output rect to each home of it that
-    is not the task itself."""
+    is not the task itself. `homes` maps an output rect to its parts for
+    one launch, so the tasks of a reduction's fan-in, which write one rect,
+    look its homes up once."""
     rect = task.out_rect
     if rect is None:
         return
-    for _, part, procs in region.dist.parts(rect):
+    if rect not in homes:
+        homes[rect] = list(region.dist.parts(rect))
+    for _, part, procs in homes[rect]:
         targets = procs if plan.out_kind == "copy" else procs[:1]
         for h in targets:
             if h != task.coord:
@@ -501,7 +506,8 @@ def _write_back(plan: LaunchPlan, task: TaskInfo, region: Region, events: list) 
 
 def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None:
     """Ledger every transfer of one launch and bump memory, step by step,
-    then each task's write-back in task order.
+    then each task's write-back in task order, the homes of each distinct
+    output rect looked up once per launch.
 
     Each task's needs are cut down by what it already holds, split along the
     owning distribution's pieces, and sourced by _pick_source from the
@@ -561,8 +567,9 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
         prev_temps = cur_temps
     if plan.out_name is not None:
         region = store[plan.out_name]
+        homes: dict = {}
         for task in plan.tasks:
-            _write_back(plan, task, region, events)
+            _write_back(plan, task, region, homes, events)
 
 
 def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,

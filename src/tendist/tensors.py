@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .errors import ExtentMismatch
+from .errors import ConfigError, ExtentMismatch
 
 
 class DenseTensor:
@@ -26,7 +26,11 @@ class DenseTensor:
             raise ExtentMismatch(f"non-positive extent in {dims}")
         self.dims = dims
         if data is None:
-            self.data = np.zeros(dims, dtype=np.float64)
+            try:
+                self.data = np.zeros(dims, dtype=np.float64)
+            except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+                raise ConfigError(f"cannot allocate {8 * math.prod(dims):,} bytes for "
+                                  f"a float64 tensor of dims {dims}") from None
         else:
             arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
             if arr.shape != dims:

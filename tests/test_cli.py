@@ -146,6 +146,13 @@ def test_explain_two_level_placements(capsys):
     assert "communicate(C, m2)" in out
 
 
+def test_a_tensor_too_large_to_allocate_exits_2(capsys):
+    code = run(["--algorithm", "summa", "--n", "100000000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: cannot allocate 80,000,000,000,000,000 bytes" in err
+
+
 def test_explain_rejects_algorithm_mode(capsys):
     code = run(["--algorithm", "summa", "--explain"])
     err = capsys.readouterr().err

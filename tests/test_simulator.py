@@ -326,6 +326,25 @@ def test_source_search_is_per_color(monkeypatch):
     assert calls[0] <= 3 * len(result.trace.events)
 
 
+def test_write_back_looks_up_each_output_block_once(monkeypatch):
+    # johnson's g tasks along k write one C block, so g**3 tasks write g**2
+    # blocks; summa's tasks each write their own
+    out, calls = [None], [0]
+    parts = TensorDistribution.parts
+
+    def counted(self, rect):
+        calls[0] += self is out[0]
+        return parts(self, rect)
+
+    monkeypatch.setattr(TensorDistribution, "parts", counted)
+    for bundle, lookups in ((johnson(2, 2, 2), 4),
+                            (johnson(3, 3, 3, dims=(9, 9, 9)), 9),
+                            (bundle_from_config("summa", grid(3, 3), (6, 6, 6), 1), 9)):
+        out[0], calls[0] = bundle.distributions["C"], 0
+        bundle.run()
+        assert calls[0] == lookups
+
+
 def test_piece_table_is_built_once_per_distribution(monkeypatch):
     # the color scans of fetch and _commit read each distribution's piece
     # table; rebuilding bounds and holders per scanned color made 68,800

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tendist import DenseTensor, zeros
-from tendist.errors import ExtentMismatch
+from tendist.errors import ConfigError, ExtentMismatch
 from tendist.tensors import load_tensor, save_tensor
 
 
@@ -29,6 +29,16 @@ def test_rejects_nonpositive_extent():
         DenseTensor((2, 0))
     with pytest.raises(ExtentMismatch):
         DenseTensor((-1,))
+
+
+def test_an_allocation_that_fails_is_a_config_error():
+    # 71 PiB fails at allocation on any host; 10**20 elements is past
+    # numpy's size limit, which it refuses before allocating
+    with pytest.raises(ConfigError, match=r"80,000,000,000,000,000 bytes .* dims "
+                                          r"\(100000000, 100000000\)"):
+        DenseTensor((10**8, 10**8))
+    with pytest.raises(ConfigError, match=r"dims \(10000000000, 10000000000\)"):
+        DenseTensor((10**10, 10**10))
 
 
 def test_indexing_and_copy():
