@@ -18,7 +18,7 @@ The pipeline, bottom to top:
 
 from . import errors
 from .errors import ConfigError, TendistError, VerifyFail
-from .tensors import DenseTensor, load_tensor, save_tensor, zeros
+from .tensors import DenseTensor, load_tensor, save_tensor
 from .machine import Machine, grid, make_machine, parse_machine
 from .ir import (
     Access,
@@ -53,8 +53,6 @@ from .cin import (
 from .distribution import (
     HyperRect,
     TensorDistribution,
-    block_range,
-    full_rect,
     lower_placement,
     parse_distribution,
     subtract_rects,
@@ -110,7 +108,6 @@ __all__ = [
     "ConfigError",
     "VerifyFail",
     "DenseTensor",
-    "zeros",
     "save_tensor",
     "load_tensor",
     "Machine",
@@ -143,8 +140,6 @@ __all__ = [
     "interpret",
     "pretty",
     "HyperRect",
-    "full_rect",
-    "block_range",
     "subtract_rects",
     "TensorDistribution",
     "parse_distribution",

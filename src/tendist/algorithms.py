@@ -10,6 +10,7 @@ command line builds from.
 from __future__ import annotations
 
 import functools
+import inspect
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -74,10 +75,15 @@ KERNELS = {
 }
 
 
-def _registered(name: str, extents: int, default_machine: str, chunked=False):
+def _registered(name: str, default_machine: str):
     """Make a builder return an AlgorithmBundle called `name` and enter it in
-    REGISTRY. A chunked builder refuses a chunk below 1 before it builds."""
+    REGISTRY. The row's extents count the builder's default dims, and it is
+    chunked when the builder takes a chunk; a chunked builder refuses a chunk
+    below 1 before it builds."""
     def wrap(parts):
+        params = inspect.signature(parts).parameters
+        extents, chunked = len(params["dims"].default), "chunk" in params
+
         @functools.wraps(parts)
         def build(*args, **kwargs) -> AlgorithmBundle:
             chunk = kwargs.get("chunk", 1)
@@ -98,10 +104,8 @@ def random_inputs(stmt: TensorIndexStmt, seed: int = 0) -> dict:
         if name == out_name:
             continue
         var = stmt.tensors()[name]
-        t = DenseTensor(var.dims)
-        flat = t.data.reshape(-1)
-        for i in range(t.volume):
-            flat[i] = float(rng.randint(-4, 4))
+        t = DenseTensor(var.dims)  # before drawing: a shape too large fails here
+        t.data.reshape(-1)[:] = rng.choices(range(-4, 5), k=t.volume)
         out[name] = t
     return out
 
@@ -132,7 +136,7 @@ def _gemm(dims, out="C", a="A", b="B"):
 _BLOCKS = [("xy", ("x", "y"))]  # a block per processor of a 2D grid
 
 
-@_registered("summa", 3, "2x2", chunked=True)
+@_registered("summa", "2x2")
 def summa(gx: int, gy: int, *, dims=(8, 8, 8), chunk: int = 1):
     """Stationary-C: A panels broadcast at task scope, B panels per k step."""
     _check_grid(gx, gy)
@@ -145,7 +149,7 @@ def summa(gx: int, gy: int, *, dims=(8, 8, 8), chunk: int = 1):
     return machine, stmt, _dists(stmt, machine, A=_BLOCKS, B=_BLOCKS, C=_BLOCKS), sched
 
 
-@_registered("cannon", 3, "2x2")
+@_registered("cannon", "2x2")
 def cannon(gx: int, gy: int, *, dims=(8, 8, 8)):
     """Skewed systolic: A shifts along rows, B along columns, each step."""
     if gx != gy:
@@ -162,7 +166,7 @@ def cannon(gx: int, gy: int, *, dims=(8, 8, 8)):
     return machine, stmt, _dists(stmt, machine, A=_BLOCKS, B=_BLOCKS, C=_BLOCKS), sched
 
 
-@_registered("pumma", 3, "2x2")
+@_registered("pumma", "2x2")
 def pumma(gx: int, gy: int, *, dims=(8, 8, 8)):
     """A broadcast once per task; B pulled skewed along columns per step."""
     if gx != gy:
@@ -178,7 +182,7 @@ def pumma(gx: int, gy: int, *, dims=(8, 8, 8)):
     return machine, stmt, _dists(stmt, machine, A=_BLOCKS, B=_BLOCKS, C=_BLOCKS), sched
 
 
-@_registered("johnson", 3, "2x2x2")
+@_registered("johnson", "2x2x2")
 def johnson(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
     """3D: inputs on cube faces, every task one block product, C reduced."""
     if not gx == gy == gz:
@@ -196,7 +200,7 @@ def johnson(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
     return machine, stmt, dists, sched
 
 
-@_registered("solomonik", 3, "2x2x2")
+@_registered("solomonik", "2x2x2")
 def solomonik(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
     """2.5D: inputs replicated across depth, each layer shifts through its
     own share of the reduction blocks, partial outputs reduced to the front
@@ -222,7 +226,7 @@ def solomonik(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
     return machine, stmt, dists, sched
 
 
-@_registered("cosma-like", 3, "2x2x1", chunked=True)
+@_registered("cosma-like", "2x2x1")
 def cosma_like(pi: int, pj: int, pk: int, *, dims=(8, 8, 8), chunk: int = 1):
     """Factor each loop into a parallel part, the grid, and k also into
     `chunk` sequential parts, which become in-task rounds."""
@@ -240,7 +244,7 @@ def cosma_like(pi: int, pj: int, pk: int, *, dims=(8, 8, 8), chunk: int = 1):
     return machine, stmt, dists, sched
 
 
-@_registered("summa-hier", 3, "2x2/2", chunked=True)
+@_registered("summa-hier", "2x2/2")
 def summa_hier(gx: int = 2, gy: int = 2, k: int = 2, *, dims=(8, 8, 8), chunk: int = 1):
     """Two-level grid (gx x gy nodes of k): rows split again inside each node."""
     _check_grid(gx, gy, k)
@@ -260,7 +264,7 @@ def summa_hier(gx: int = 2, gy: int = 2, k: int = 2, *, dims=(8, 8, 8), chunk: i
 
 # other kernels
 
-@_registered("ttv", 3, "2")
+@_registered("ttv", "2")
 def ttv(g: int, *, dims=(6, 5, 4)):
     """Tensor times vector: rows distributed, vector replicated; no traffic."""
     _check_grid(g)
@@ -275,7 +279,7 @@ def ttv(g: int, *, dims=(6, 5, 4)):
     return machine, stmt, dists, sched
 
 
-@_registered("ttm", 4, "2")
+@_registered("ttm", "2")
 def ttm(g: int, *, dims=(5, 4, 6, 3)):
     """Tensor times matrix: rows distributed, the matrix replicated."""
     _check_grid(g)
@@ -290,7 +294,7 @@ def ttm(g: int, *, dims=(5, 4, 6, 3)):
     return machine, stmt, dists, sched
 
 
-@_registered("innerprod", 2, "2")
+@_registered("innerprod", "2")
 def innerprod(g: int, *, dims=(6, 5)):
     """Frobenius inner product; partials reduced to processor zero."""
     _check_grid(g)
@@ -304,7 +308,7 @@ def innerprod(g: int, *, dims=(6, 5)):
     return machine, stmt, dists, sched
 
 
-@_registered("mttkrp", 4, "2x2")
+@_registered("mttkrp", "2x2")
 def mttkrp(g1: int, g2: int, *, dims=(6, 4, 5, 3)):
     """B stays put on a 2D grid; factor matrices move; A reduced per row."""
     _check_grid(g1, g2)

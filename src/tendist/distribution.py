@@ -101,10 +101,6 @@ class HyperRect:
         return "x".join(f"[{a},{b})" for a, b in zip(self.lo, self.hi))
 
 
-def full_rect(dims) -> HyperRect:
-    return HyperRect(tuple(0 for _ in dims), tuple(dims))
-
-
 def subtract_rects(rects, covers) -> list:
     """Union(rects) minus union(covers), as disjoint rects."""
     out = [r for r in rects if not r.is_empty]
@@ -114,12 +110,6 @@ def subtract_rects(rects, covers) -> list:
             nxt.extend(r.minus(c))
         out = nxt
     return out
-
-
-def block_range(extent: int, parts: int, index: int) -> tuple:
-    """Half-open block `index` of `extent` cut into `parts` ceil-sized blocks."""
-    b = -(-extent // parts)
-    return (min(index * b, extent), min((index + 1) * b, extent))
 
 
 def _is_var(y) -> bool:
@@ -223,10 +213,6 @@ class TensorDistribution:
             out.append((color, bounds, holders))
         return tuple(out)
 
-    def colors(self) -> list:
-        """All colors, lexicographic; components follow machine dim order."""
-        return [color for color, _, _ in self.pieces]
-
     def _piece(self, color) -> tuple:
         entry = self._by_color.get(tuple(color))
         if entry is None:
@@ -234,15 +220,6 @@ class TensorDistribution:
                 raise RankMismatch(f"color {color} has {len(color)} components")
             raise OutOfBounds(f"color {color} is not one of {len(self.pieces)} colors")
         return entry
-
-    def color_of(self, coord) -> tuple:
-        if len(coord) != len(self.tensor_dims):
-            raise RankMismatch(f"coordinate {coord} for order {len(self.tensor_dims)}")
-        for c, d in zip(coord, self.tensor_dims):
-            if not 0 <= c < d:
-                raise OutOfBounds(f"coordinate {coord} outside dims {self.tensor_dims}")
-        unit = HyperRect(tuple(coord), tuple(c + 1 for c in coord))
-        return next(self.parts(unit))[0]
 
     def parts(self, rect: HyperRect):
         """(color, part, holders) for each piece `rect` meets, in table

@@ -138,10 +138,6 @@ class TensorIndexStmt:
     reduction_vars: tuple  # rhs-only variables, first rhs appearance order
 
     @property
-    def mode(self) -> str:
-        return "sum-reduce" if self.reduction_vars else "assign"
-
-    @property
     def var_order(self) -> tuple:
         return self.free_vars + self.reduction_vars
 

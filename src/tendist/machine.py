@@ -38,13 +38,6 @@ class Machine:
     def num_levels(self) -> int:
         return len(self.levels)
 
-    @property
-    def size(self) -> int:
-        n = 1
-        for d in self.flat_dims:
-            n *= d
-        return n
-
     def enumerate(self) -> tuple:
         """All processors in lexicographic order of their flat coordinates.
 
@@ -52,14 +45,6 @@ class Machine:
         selection among replicas, reduction combine order, task ordering.
         """
         return self._procs
-
-    def level_slices(self):
-        """Per-level (start, stop) into a flat coordinate tuple."""
-        out, at = [], 0
-        for lvl in self.levels:
-            out.append((at, at + len(lvl)))
-            at += len(lvl)
-        return out
 
     def __str__(self):
         return "/".join("x".join(str(d) for d in lvl) for lvl in self.levels)

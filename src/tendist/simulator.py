@@ -203,7 +203,7 @@ class ExecutionTrace:
             "launches": [dict(launch) for launch in self.launches],
         }
         if self.machine.num_levels > 1:
-            end0 = self.machine.level_slices()[0][1]
+            end0 = len(self.machine.levels[0])
             intra = [e for e in self.events if e.src[:end0] == e.dst[:end0]]
             inter = [e for e in self.events if e.src[:end0] != e.dst[:end0]]
             out["levels"] = {
@@ -238,9 +238,6 @@ class Region:
         self.dist = dist
         self.residency = dist.residency()
 
-    def held_at(self, coord) -> list:
-        return self.residency.get(coord, [])
-
 
 class RegionStore:
     """All regions on one machine."""
@@ -260,7 +257,7 @@ class RegionStore:
         return region
 
     def persistent_volume(self, coord) -> int:
-        return sum(r.volume for reg in self.regions.values() for r in reg.held_at(coord))
+        return sum(r.volume for reg in self.regions.values() for r in reg.residency[coord])
 
     def __contains__(self, name) -> bool:
         return name in self.regions
@@ -527,7 +524,7 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
     def fetch(task, tensor, rect, step, scope, cur_temps):
         region = store[tensor]
         p = task.coord
-        held = list(region.held_at(p))
+        held = list(region.residency[p])
         for temps in (launch_temps, prev_temps, cur_temps):
             held += temps.by_holder.get((p, tensor), [])
         sink = launch_temps if scope == "launch" else cur_temps
@@ -605,7 +602,7 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
         for _, bounds, procs in out_region.dist.pieces:
             for q in procs[1:]:
                 out_region.residency[q] = [
-                    r for r in out_region.residency.get(q, []) if r != bounds]
+                    r for r in out_region.residency[q] if r != bounds]
 
     trace.num_steps = max(trace.num_steps, plan.num_steps)
     trace.launches.append({

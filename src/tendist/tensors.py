@@ -68,10 +68,6 @@ class DenseTensor:
         return f"DenseTensor(dims={self.dims})"
 
 
-def zeros(dims) -> DenseTensor:
-    return DenseTensor(dims)
-
-
 _HEADER_WORD = struct.Struct("<Q")
 
 

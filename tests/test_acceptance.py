@@ -10,6 +10,7 @@ import random
 import numpy as np
 
 from tendist import (
+    HyperRect,
     TensorDistribution,
     cannon,
     cosma_like,
@@ -40,11 +41,12 @@ def test_criterion_01_partition_and_placement_maps():
     on the two processors that share that face position."""
     machine = grid(2, 2, 2)
     dist = TensorDistribution((2, 2), machine, [(("x", "y"), ("x", "y", "*"))])
-    partition = {pt: dist.color_of(pt)
+    # the colors each coordinate's unit rect meets
+    partition = {pt: [c for c, _, _ in dist.parts(HyperRect(pt, (pt[0] + 1, pt[1] + 1)))]
                  for pt in itertools.product(range(2), range(2))}
-    assert partition == {(0, 0): (0, 0), (0, 1): (0, 1),
-                         (1, 0): (1, 0), (1, 1): (1, 1)}
-    placement = {c: set(dist.processors_of(c)) for c in dist.colors()}
+    assert partition == {(0, 0): [(0, 0)], (0, 1): [(0, 1)],
+                         (1, 0): [(1, 0)], (1, 1): [(1, 1)]}
+    placement = {c: set(holders) for c, _, holders in dist.pieces}
     assert placement == {
         (0, 0): {(0, 0, 0), (0, 0, 1)},
         (0, 1): {(0, 1, 0), (0, 1, 1)},

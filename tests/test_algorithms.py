@@ -228,6 +228,14 @@ def test_registry_rows_name_their_default_machine():
         assert str(bundle_from_config(name).machine) == row.default_machine
 
 
+def test_registry_rows_count_their_statements_extents():
+    # a row's extents and chunked are read off its builder's signature
+    for name, row in REGISTRY.items():
+        assert row.extents == len(bundle_from_config(name).statement.extents)
+    assert [n for n, row in REGISTRY.items() if row.chunked] == [
+        "summa", "cosma-like", "summa-hier"]
+
+
 def test_ttv_and_ttm_are_communication_free():
     for bundle in (ttv(2), ttm(2)):
         trace = run_and_check(bundle).trace

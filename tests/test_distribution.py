@@ -6,7 +6,6 @@ import pytest
 from tendist import (
     HyperRect,
     TensorDistribution,
-    block_range,
     grid,
     lower_placement,
     make_machine,
@@ -15,7 +14,7 @@ from tendist import (
     summa_hier,
 )
 from tendist.cin import interpret
-from tendist.distribution import full_rect, subtract_rects
+from tendist.distribution import subtract_rects
 from tendist.errors import (
     ConfigError,
     DuplicateName,
@@ -31,6 +30,22 @@ def points(rect):
     return set(itertools.product(*[range(a, b) for a, b in zip(rect.lo, rect.hi)]))
 
 
+def block_range(extent: int, parts: int, index: int) -> tuple:
+    """Half-open block `index` of `extent` cut into `parts` ceil-sized blocks."""
+    b = -(-extent // parts)
+    return (min(index * b, extent), min((index + 1) * b, extent))
+
+
+def color_of(d, pt) -> tuple:
+    """The color of one coordinate: its unit rect meets exactly one piece."""
+    (color, _, _), = d.parts(HyperRect(tuple(pt), tuple(c + 1 for c in pt)))
+    return color
+
+
+def colors(d) -> list:
+    return [color for color, _, _ in d.pieces]
+
+
 # hyper-rectangles
 
 def test_rect_basics():
@@ -39,7 +54,6 @@ def test_rect_basics():
     assert not r.is_empty
     assert str(r) == "[0,2)x[2,5)"
     assert HyperRect((1, 1), (1, 4)).is_empty
-    assert full_rect((3, 4)) == HyperRect((0, 0), (3, 4))
     assert str(HyperRect((), ())) == "[scalar]"
     assert HyperRect((), ()).volume == 1
     assert not HyperRect((), ()).is_empty
@@ -104,11 +118,11 @@ def test_block_range_partitions_exhaustively():
 
 def test_row_distribution():
     d = TensorDistribution((4, 4), grid(2), [(("x", "y"), ("x",))])
-    assert list(d.colors()) == [(0,), (1,)]
+    assert colors(d) == [(0,), (1,)]
     assert d.piece_bounds((0,)) == HyperRect((0, 0), (2, 4))
     assert d.piece_bounds((1,)) == HyperRect((2, 0), (4, 4))
-    assert d.color_of((1, 3)) == (0,)
-    assert d.color_of((2, 0)) == (1,)
+    assert color_of(d, (1, 3)) == (0,)
+    assert color_of(d, (2, 0)) == (1,)
     assert d.processors_of((1,)) == ((1,),)
     assert d.processors_of((1,))[0] == (1,)
     assert not d.replicated
@@ -118,7 +132,7 @@ def test_row_distribution():
 def test_block_block_distribution():
     d = TensorDistribution((4, 6), grid(2, 2), [(("x", "y"), ("x", "y"))])
     assert d.piece_bounds((0, 1)) == HyperRect((0, 3), (2, 6))
-    assert d.color_of((3, 2)) == (1, 0)
+    assert color_of(d, (3, 2)) == (1, 0)
     assert d.processors_of((1, 0)) == ((1, 0),)
     res = d.residency()
     assert res[(0, 1)] == [HyperRect((0, 3), (2, 6))]
@@ -156,7 +170,7 @@ def test_ragged_blocks_clip():
 
 def test_scalar_distribution():
     d = TensorDistribution((), grid(2), [((), (0,))])
-    assert list(d.colors()) == [()]
+    assert colors(d) == [()]
     assert d.piece_bounds(()) == HyperRect((), ())
     assert d.processors_of(()) == ((0,),)
     assert d.residency()[(1,)] == []
@@ -186,7 +200,7 @@ def test_composition_law_exhaustive():
                 d = TensorDistribution(dims, m, [(x, y)])
                 res = d.residency()
                 for pt in itertools.product(*[range(e) for e in dims]):
-                    color = d.color_of(pt)
+                    color = color_of(d, pt)
                     piece = d.piece_bounds(color)
                     assert pt in points(piece)
                     holders = set(d.processors_of(color))
@@ -258,7 +272,7 @@ def test_piece_table_matches_block_range_cascade():
         levels = _random_levels(rng, m, x)
         d = TensorDistribution(dims, m, levels)
         want = _cascade(dims, m, levels)
-        assert list(d.colors()) == [color for color, _, _ in want]
+        assert colors(d) == [color for color, _, _ in want]
         for (color, bounds, holders), (_, want_bounds, want_holders) in zip(d.pieces, want):
             assert holders == want_holders
             if want_bounds.is_empty:
@@ -331,7 +345,7 @@ def test_two_level_distribution():
     assert d.piece_bounds((0, 0, 0)) == HyperRect((0, 0), (2, 4))
     assert d.piece_bounds((0, 0, 1)) == HyperRect((2, 0), (4, 4))
     assert d.piece_bounds((1, 1, 1)) == HyperRect((6, 4), (8, 8))
-    assert d.color_of((5, 1)) == (1, 0, 0)
+    assert color_of(d, (5, 1)) == (1, 0, 0)
     assert d.describe() == "xy -> xy ; xy -> x"
 
 
@@ -348,12 +362,12 @@ def test_hierarchical_color_bounds_consistency():
     ]
     for dims, m, levels in cases:
         d = TensorDistribution(dims, m, levels)
-        for color in d.colors():
+        for color in colors(d):
             piece = d.piece_bounds(color)
             for pt in points(piece):
-                assert d.color_of(pt) == color
+                assert color_of(d, pt) == color
         for pt in itertools.product(*[range(e) for e in dims]):
-            assert pt in points(d.piece_bounds(d.color_of(pt)))
+            assert pt in points(d.piece_bounds(color_of(d, pt)))
 
 
 # validation
@@ -393,12 +407,10 @@ def test_fixed_out_of_range_rejected():
         TensorDistribution((4, 4), grid(2), [(("x", "y"), (5,))])
 
 
-def test_color_of_bounds_checked():
+def test_piece_lookups_are_bounds_checked():
     d = TensorDistribution((4, 4), grid(2), [(("x", "y"), ("x",))])
-    with pytest.raises(OutOfBounds):
-        d.color_of((4, 0))
-    with pytest.raises(RankMismatch):
-        d.color_of((1,))
+    # a rect outside the tensor meets no piece
+    assert list(d.parts(HyperRect((4, 0), (5, 1)))) == []
     for lookup in (d.piece_bounds, d.processors_of):
         with pytest.raises(OutOfBounds):
             lookup((2,))

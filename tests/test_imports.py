@@ -11,7 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in (ROOT / "src" / "tendist", ROOT / "tests")
                  for p in d.glob("*.py") if p.name != "__init__.py")
-SEARCHED = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+SEARCHED = MODULES + PERFBENCH
 
 
 def unused_imports(source: str) -> list:
@@ -92,3 +93,25 @@ def test_no_unreferenced_definitions():
     # searches the package, its tests and perfbench, so a helper whose last
     # caller is gone fails here until it is deleted
     assert unreferenced({p: p.read_text() for p in SEARCHED}) == []
+
+
+# the definitions that nothing but the tests reaches, each kept on purpose
+TEST_ONLY = {
+    "load_tensor": "reads back what --output writes with save_tensor",
+    "redistribute": "the library's move of a placed tensor to a new distribution",
+    "piece_bounds": "perfbench's bench_trace counts its calls by name",
+    "processors_of": "perfbench's bench_trace counts its calls by name",
+}
+
+
+def test_no_definition_is_reached_only_from_tests():
+    # the package and perfbench without the tests: a name only tests call
+    # fails here unless TEST_ONLY says why it stays. The registry builders
+    # are reached through REGISTRY. Being name-based, the scan cannot see a
+    # property or method whose name something else also uses.
+    from tendist.algorithms import REGISTRY
+    builders = {row.build.__name__ for row in REGISTRY.values()}
+    package = sorted((ROOT / "src" / "tendist").glob("*.py"))
+    found = {name for _, name in unreferenced({p: p.read_text() for p in package + PERFBENCH})}
+    assert found - builders == set(TEST_ONLY)
+    assert len(builders) == 11

@@ -13,6 +13,7 @@ from tendist import (
     parse_statement,
     sequential_evaluate,
 )
+from tendist.cin import Assign, Reduce
 from tendist.errors import ExtentMismatch, MissingInput, TendistError
 from tendist.ir import MAX_DEPTH, Access, Add, Const, Expr, Mul, compile_expr
 
@@ -26,7 +27,7 @@ def test_parse_gemm_classification():
     assert stmt.free_vars == ("i", "j")
     assert stmt.reduction_vars == ("k",)
     assert stmt.var_order == ("i", "j", "k")
-    assert stmt.mode == "sum-reduce"
+    assert isinstance(lower_to_cin(stmt).leaf, Reduce)
     assert stmt.tensors()["A"].dims == (2, 4)
     assert stmt.tensors()["B"].dims == (4, 3)
     assert stmt.tensors()["C"].dims == (2, 3)
@@ -34,7 +35,7 @@ def test_parse_gemm_classification():
 
 def test_parse_assign_mode():
     stmt = parse_statement("D(i, j) = A(i, j) + B(i, j)", {"i": 2, "j": 2})
-    assert stmt.mode == "assign"
+    assert isinstance(lower_to_cin(stmt).leaf, Assign)
     assert stmt.reduction_vars == ()
 
 

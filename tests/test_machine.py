@@ -8,7 +8,7 @@ def test_flat_grid():
     m = grid(2, 3)
     assert m.flat_dims == (2, 3)
     assert m.num_levels == 1
-    assert m.size == 6
+    assert len(m.enumerate()) == 6
     assert str(m) == "2x3"
 
 
@@ -26,9 +26,8 @@ def test_hierarchical_machine():
     m = make_machine([(2, 2), (3,)])
     assert m.num_levels == 2
     assert m.flat_dims == (2, 2, 3)
-    assert m.size == 12
+    assert len(m.enumerate()) == 12
     assert str(m) == "2x2/3"
-    assert m.level_slices() == [(0, 2), (2, 3)]
 
 
 def test_empty_machine_rejected():

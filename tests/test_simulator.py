@@ -361,7 +361,7 @@ def test_piece_table_is_built_once_per_distribution(monkeypatch):
     bundle = bundle_from_config("summa", grid(8, 8), (16, 16, 16), 1)
     result, _ = bundle.run()
     assert len(result.trace.events) == 1344
-    colors = sum(len(list(d.colors())) for d in bundle.distributions.values())
+    colors = sum(len(d.pieces) for d in bundle.distributions.values())
     assert colors == 192
     assert calls["piece_bounds"] <= colors and calls["processors_of"] <= colors
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from tendist import DenseTensor, zeros
+from tendist import DenseTensor
 from tendist.errors import ConfigError, ExtentMismatch
 from tendist.tensors import load_tensor, save_tensor
 
 
 def test_zeros_and_shape():
-    t = zeros((2, 3))
+    t = DenseTensor((2, 3))
     assert t.dims == (2, 3)
     assert t.order == 2
     assert t.volume == 6
@@ -16,7 +16,7 @@ def test_zeros_and_shape():
 
 
 def test_scalar_tensor():
-    t = zeros(())
+    t = DenseTensor(())
     assert t.dims == ()
     assert t.order == 0
     assert t.volume == 1
