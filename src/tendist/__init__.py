@@ -74,7 +74,6 @@ from .simulator import (
     ExecutionTrace,
     RegionStore,
     RunResult,
-    access_rect,
     execute,
     lower_to_tasks,
     redistribute,
@@ -155,7 +154,6 @@ __all__ = [
     "communicate",
     "rotate",
     "var_interval",
-    "access_rect",
     "CommEvent",
     "ExecutionTrace",
     "RegionStore",

@@ -12,17 +12,17 @@ Derived-variable arithmetic:
     rotate(t, I, r):          t = (r + sum(I)) mod extent(t)
 
 One resolver, `var_interval`, carries that arithmetic from loop-variable
-intervals to derived-variable intervals; the simulator asks it for the box a
-task touches. The interpreter resolves a loop box at once: it binds each loop
-variable to the unit intervals (v, v + 1) of an arange on its own broadcast
-axis, so a derived variable comes out as one unit interval per lane of the
-axes it reads, or empty where a divide or split guard fails: such a point is
-phantom and does nothing. A box is resolved in passes of at most 16,384
-points, and each pass evaluates the leaf's right-hand side, compiled once
-(`ir.compile_expr`), at once, each access one gather with broadcast index
-arrays. The writes land in chain order (`np.add.at` for a reduction, the last
-point per element for an assignment), so every element sees the float64
-operations of a plain loop nest in the same order.
+intervals to derived-variable intervals, also on lanes: `lane_env` binds each
+loop to the unit intervals of an arange on its own broadcast axis, so a
+derived variable comes out as one interval per lane of the axes it reads,
+empty where a divide or split guard fails. The simulator's launch loops are
+lanes, one per task (`lane_boxes`); so are the interpreter's loops, and a
+point with an empty lane is phantom and does nothing. A box is resolved in
+passes of at most 16,384 points, each evaluating the leaf's right-hand side,
+compiled once (`ir.compile_expr`), at once, each access one gather with
+broadcast index arrays. The writes land in chain order (`np.add.at` for a
+reduction, the last point per element for an assignment), so every element
+sees the float64 operations of a plain loop nest in the same order.
 """
 
 from __future__ import annotations
@@ -259,9 +259,21 @@ def var_interval(name: str, env: dict, defs: dict) -> tuple:
     return _pick(empty, 0, lo), _pick(empty, 0, hi)
 
 
-def unit_env(env: dict) -> dict:
-    """Interval env pinning each variable of an integer env."""
-    return {k: (v, v + 1) for k, v in env.items()}
+def lane_env(loops) -> dict:
+    """Interval env binding each loop (var, lo, hi) to the unit intervals
+    (v, v + 1) of an arange on its own broadcast axis, one lane per value."""
+    axes = np.ix_(*(np.arange(lo, hi) for _, lo, hi in loops))
+    return {var: (lanes, lanes + 1) for (var, _, _), lanes in zip(loops, axes)}
+
+
+def lane_boxes(names, env, defs) -> tuple:
+    """lo and hi of each name at each point of env's lane grid in C order, as
+    two int64 arrays of points x names: one var_interval call per name."""
+    grid = np.broadcast_shapes(*(np.shape(b) for iv in env.values() for b in iv))
+    lo, hi = np.empty((2, len(names)) + grid, np.int64)
+    for k, n in enumerate(names):
+        lo[k], hi[k] = var_interval(n, env, defs)
+    return tuple(a.reshape(len(names), math.prod(grid)).T for a in (lo, hi))
 
 
 _PASS_POINTS = 16384  # most points one vectorised resolution covers
@@ -304,9 +316,7 @@ def _walk_box(leaf, loops, defs, read_store, out_store) -> None:
 
     def run_pass(loops, env):
         shape = tuple(hi - lo for _, lo, hi in loops)
-        for axis, (var, lo, hi) in enumerate(loops):
-            lanes = np.arange(lo, hi).reshape([-1 if k == axis else 1 for k in range(len(loops))])
-            env[var] = (lanes, lanes + 1)
+        env.update(lane_env(loops))
         values, live = [], True  # each on the axes of the loops it reads
         for n in names:
             lo, hi = var_interval(n, env, defs)

@@ -11,8 +11,8 @@ an expansion (color to processor set). Its meaning is its placement statement
 (`lower_placement`): one divide per partitioned machine dimension, each level
 re-blocking the previous level's block with ceil division, so trailing blocks
 may be short or empty. TensorDistribution reads its piece table off that
-statement with `var_interval`, the resolver the simulator uses for every
-access; it keeps no block arithmetic of its own.
+statement as the simulator resolves a launch, the partition loops as lanes
+(`lane_boxes`, one lane per color); it keeps no block arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from .cin import (
     Forall,
     LoopNest,
     Place,
+    lane_boxes,
+    lane_env,
     relation_defs,
-    unit_env,
-    var_interval,
 )
 from .errors import (
     ConfigError,
@@ -193,9 +193,9 @@ class TensorDistribution:
         """(color, bounds, holders) per color. The colors are the values of
         the partition loops (the outer loops of the placement's divides) in
         launch order, which is lexicographic; a color's bounds are the placed
-        access resolved with those loops pinned and every other loop at its
-        full range; its holders are the launch loops' ranges under the same
-        pins, in enumeration order."""
+        access resolved with those loops as lanes, one lane per color, and
+        every other loop at its full range; its holders are the launch loops'
+        ranges with the color's values pinned, in enumeration order."""
         stmt = lower_placement(TensorVar("", self.tensor_dims), self)
         rels = stmt.relations
         defs = relation_defs(rels)
@@ -204,13 +204,14 @@ class TensorDistribution:
         outers = {r.outer for r in rels if isinstance(r, Divide)}
         part = [f.var for f in launch if f.var in outers]
         full = {f.var: (f.lo, f.hi) for f in stmt.loops}
+        env = {**full, **lane_env([(v, *full[v]) for v in part])}
+        lo, hi = lane_boxes(stmt.leaf.access.var_names, env, defs)
         out = []
-        for color in itertools.product(*(range(*full[v]) for v in part)):
-            env = {**full, **unit_env(dict(zip(part, color)))}
-            ivs = [var_interval(v, env, defs) for v in stmt.leaf.access.var_names]
-            bounds = HyperRect(tuple(a for a, _ in ivs), tuple(b for _, b in ivs))
-            holders = tuple(itertools.product(*(range(*env[f.var]) for f in launch)))
-            out.append((color, bounds, holders))
+        for color, a, b in zip(itertools.product(*(range(*full[v]) for v in part)),
+                               lo.tolist(), hi.tolist()):
+            pins = {**full, **{v: (c, c + 1) for v, c in zip(part, color)}}
+            holders = tuple(itertools.product(*(range(*pins[f.var]) for f in launch)))
+            out.append((color, HyperRect(tuple(a), tuple(b)), holders))
         return tuple(out)
 
     def _piece(self, color) -> tuple:

@@ -29,6 +29,10 @@ class ArityMismatch(TendistError):
     """An access supplies the wrong number of indices for its tensor."""
 
 
+class NonAffineAccess(TendistError):
+    """An access index is not a plain index variable."""
+
+
 class MissingInput(TendistError):
     """Evaluation asked for a tensor value that was not supplied."""
 
@@ -95,10 +99,6 @@ class IBelowT(TendistError):
 
 class UnboundVariable(TendistError):
     """An access variable is neither loop-bound nor defined by a relation."""
-
-
-class NonAffineAccess(TendistError):
-    """Bounds analysis met an access it cannot describe as a hyper-rectangle."""
 
 
 class MissingDistribution(TendistError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityMismatch, ExtentMismatch, MissingInput, TendistError
+from .errors import ArityMismatch, ExtentMismatch, MissingInput, NonAffineAccess, TendistError
 from .tensors import DenseTensor
 
 
@@ -71,6 +71,9 @@ class Access(Expr):
                 f"{self.tensor.name} has order {len(self.tensor.dims)}, "
                 f"got {len(self.indices)} indices"
             )
+        for v in self.indices:
+            if not isinstance(v, IndexVar):
+                raise NonAffineAccess(f"access index {v!r} is not a plain variable")
 
     @property
     def var_names(self) -> tuple:

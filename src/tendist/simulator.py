@@ -1,8 +1,9 @@
 """Deterministic execution of distributed statements: tasks, events, memory.
 
 execute() launches one task per processor from the leading distributed loops,
-replays communication in lockstep timesteps, runs the numeric work one wave
-of tasks at a time, and commits write-backs. The replay takes each missing
+resolved as lanes (each access's rects for every task at once), replays
+communication in lockstep timesteps, runs the numeric work one wave of tasks
+at a time, and commits write-backs. The replay takes each missing
 piece from last step's temporary holder (so shifting algorithms come out as
 neighbor traffic), then a launch temporary holder, then the first home that
 is not the receiver.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,12 +27,12 @@ from .cin import (
     Place,
     Reduce,
     interpret,
+    lane_boxes,
+    lane_env,
     leaf_accesses,
     lower_to_cin,
     reached_vars,
     relation_defs,
-    unit_env,
-    var_interval,
 )
 from .distribution import HyperRect, TensorDistribution, lower_placement, subtract_rects
 from .errors import (
@@ -40,36 +41,30 @@ from .errors import (
     GridMismatch,
     MissingDistribution,
     MissingInput,
-    NonAffineAccess,
     OOBAccess,
     OverlappingWrites,
     VerifyFail,
     WriteToReplica,
 )
-from .ir import Access, IndexVar, TensorIndexStmt, TensorVar, sequential_evaluate
+from .ir import Access, TensorIndexStmt, TensorVar, sequential_evaluate
 from .machine import Machine
 from .tensors import DenseTensor
 
 
 # interval bounds for loop nests
 
-def access_rect(access: Access, env: dict, defs: dict):
-    """Index box one access touches under interval env; None when empty."""
-    lo, hi = [], []
-    for v in access.indices:
-        if not isinstance(v, IndexVar):
-            raise NonAffineAccess(f"access index {v!r} is not a plain variable")
-        a, b = var_interval(v.name, env, defs)
-        lo.append(a)
-        hi.append(b)
-    rect = HyperRect(tuple(lo), tuple(hi))
-    if rect.is_empty and rect.lo:
-        return None
-    dims = access.tensor.dims
-    for a, b, d in zip(rect.lo, rect.hi, dims):
-        if a < 0 or b > d:
-            raise OOBAccess(f"{access.tensor.name} rows {rect} outside dims {dims}")
-    return rect
+def _task_rects(access: Access, env: dict, defs: dict) -> list:
+    """Index box one access touches at each point of launch env `env` (its
+    launch loops as lanes), in task order; None where it is empty."""
+    lo, hi = lane_boxes(access.var_names, env, defs)
+    empty = (lo >= hi).any(axis=1)
+    rects = [None if e else HyperRect(tuple(a), tuple(b))
+             for e, a, b in zip(empty.tolist(), lo.tolist(), hi.tolist())]
+    bad = ~empty & ((lo < 0) | (hi > access.tensor.dims)).any(axis=1)
+    if bad.any():
+        raise OOBAccess(f"{access.tensor.name} rows {rects[int(np.argmax(bad))]} "
+                        f"outside dims {access.tensor.dims}")
+    return rects
 
 
 # events and traces
@@ -91,9 +86,7 @@ class CommEvent:
 @dataclass(frozen=True)
 class TaskInfo:
     coord: tuple
-    # launch box: loop var -> (lo, hi) of every loop, the launch loops pinned
-    box: dict = field(hash=False, compare=False, default_factory=dict)
-    out_rect: object = None
+    out_rect: object
 
 
 class ExecutionTrace:
@@ -232,8 +225,7 @@ def write_edge_csv(trace: ExecutionTrace, path) -> None:
 class Region:
     """One tensor's canonical values plus who holds which piece."""
 
-    def __init__(self, name: str, tensor: DenseTensor, dist: TensorDistribution):
-        self.name = name
+    def __init__(self, tensor: DenseTensor, dist: TensorDistribution):
         self.tensor = tensor
         self.dist = dist
         self.residency = dist.residency()
@@ -252,9 +244,8 @@ class RegionStore:
             raise ConfigError(f"distribution machine {dist.machine} is not the store's {self.machine}")
         if tensor.dims != dist.tensor_dims:
             raise ConfigError(f"{name} has dims {tensor.dims}, distribution wants {dist.tensor_dims}")
-        region = Region(name, tensor.copy(), dist)
-        self.regions[name] = region
-        return region
+        self.regions[name] = Region(tensor.copy(), dist)
+        return self.regions[name]
 
     def persistent_volume(self, coord) -> int:
         return sum(r.volume for reg in self.regions.values() for r in reg.residency[coord])
@@ -302,6 +293,7 @@ class LaunchPlan:
     launch_vars: tuple      # its leading distributed Foralls, outermost first
     task_loops: tuple       # the Foralls below them, outermost first
     defs: dict
+    env: dict               # every loop at its range, the launch loops as lanes
     step_var: object        # Forall | None
     num_steps: int
     fetch_plan: list        # (tensor name, accesses tuple, scope)
@@ -368,19 +360,15 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
         if n == out_name:
             continue
         named = [c for c in comms if n in c.tensors]
-        if named and named[0].var in dist_names:
-            scope = "launch"
-        elif step_var is not None:
-            scope = "step"
-        else:
-            scope = "launch"
+        by_launch = bool(named) and named[0].var in dist_names
+        scope = "launch" if by_launch or step_var is None else "step"
         fetch_plan.append((n, tuple(accs_by_name[n]), scope))
 
-    intervals = {f.var: (f.lo, f.hi) for f in stmt.loops}
-    tasks = []
-    for coord in itertools.product(*(range(f.lo, f.hi) for f in group)):
-        box = {**intervals, **unit_env({f.var: c for f, c in zip(group, coord)})}
-        tasks.append(TaskInfo(coord, box, out_access and access_rect(out_access, box, defs)))
+    env = {f.var: (f.lo, f.hi) for f in task_loops}
+    env.update(lane_env([(f.var, f.lo, f.hi) for f in group]))
+    coords = itertools.product(*(range(f.lo, f.hi) for f in group))
+    out_rects = _task_rects(out_access, env, defs) if out_access else itertools.repeat(None)
+    tasks = [TaskInfo(coord, rect) for coord, rect in zip(coords, out_rects)]
 
     pair = _overlap(tasks) if out_kind == "copy" else None
     if pair is not None:
@@ -388,7 +376,7 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
         raise OverlappingWrites(f"tasks {a.coord} and {b.coord} both write "
                                 f"{a.out_rect.intersect(b.out_rect)} of {out_name}")
 
-    return LaunchPlan(stmt, group, task_loops, defs, step_var, num_steps,
+    return LaunchPlan(stmt, group, task_loops, defs, env, step_var, num_steps,
                       fetch_plan, out_name, out_kind, out_access, tasks)
 
 
@@ -539,23 +527,21 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
                                             part.volume, "copy", phase))
                 sink.add(p, tensor, color, part)
 
+    env = dict(plan.env)  # the step loop pinned to each step in turn
     for s in range(plan.num_steps):
         cur_temps = _Temps()
-        for task in plan.tasks:
-            for tensor, accs, scope in plan.fetch_plan:
-                if scope == "launch" and s > 0:
-                    continue
-                # launch-scope needs span every step; step scope pins one
-                box = task.box
-                if scope == "step":
-                    box = {**box, plan.step_var.var: (s, s + 1)}
-                seen = []
-                for acc in accs:
-                    rect = access_rect(acc, box, plan.defs)
-                    if rect is None or rect in seen:
-                        continue
-                    seen.append(rect)
-                    fetch(task, tensor, rect, s, scope, cur_temps)
+        if plan.step_var is not None:
+            env[plan.step_var.var] = (s, s + 1)
+        # each access resolved once for all tasks; launch-scope needs span
+        # every step, step scope pins one
+        needs = [(tensor, scope, [_task_rects(a, env if scope == "step" else plan.env, plan.defs)
+                                  for a in accs])
+                 for tensor, accs, scope in plan.fetch_plan if scope == "step" or s == 0]
+        for k, task in enumerate(plan.tasks):
+            for tensor, scope, rects in needs:
+                for rect in dict.fromkeys(r[k] for r in rects):  # a task's repeats once
+                    if rect is not None:
+                        fetch(task, tensor, rect, s, scope, cur_temps)
         for p in order:
             vol = persist[p] + buffers.get(p, 0)
             for temps in (launch_temps, prev_temps, cur_temps):

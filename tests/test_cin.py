@@ -41,6 +41,7 @@ from tendist import cin as cin_module
 from tendist.errors import (
     ExtentMismatch,
     MissingInput,
+    NonAffineAccess,
     OOBAccess,
     TendistError,
     UnboundVariable,
@@ -230,6 +231,15 @@ def test_interpret_oob_access_raises():
     with pytest.raises(OOBAccess) as err:
         interpret(lower_to_cin(stmt), {"A": DenseTensor((18000,))})
     assert str(err.value) == "A(18000,) outside dims (18000,)"
+
+
+def test_constant_index_is_refused_before_interpret():
+    # the access refuses it when it is built, so the walker never meets an
+    # index without a name
+    D, A = TensorVar("D", (4,)), TensorVar("A", (4,))
+    with pytest.raises(NonAffineAccess, match="access index 0 is not a plain variable"):
+        interpret(LoopNest((Forall("x", 0, 4),), Assign(D("x"), A(0))),
+                  {"A": DenseTensor((4,))})
 
 
 def test_interpret_missing_input_raises():

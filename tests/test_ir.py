@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from tendist import (
     sequential_evaluate,
 )
 from tendist.cin import Assign, Reduce
-from tendist.errors import ExtentMismatch, MissingInput, TendistError
+from tendist.errors import ExtentMismatch, MissingInput, NonAffineAccess, TendistError
 from tendist.ir import MAX_DEPTH, Access, Add, Const, Expr, Mul, compile_expr
 
 
@@ -209,6 +210,18 @@ def test_extent_conflict_rejected():
     C = TensorVar("C", (2, 2))
     with pytest.raises(ExtentMismatch):
         build_statement(C("i", "j"), B("i", "i"))
+
+
+def test_constant_index_is_refused_before_build_statement():
+    # the access refuses an index that is not a variable when it is built,
+    # however it is built, so no statement ever holds one
+    A, B = TensorVar("A", (4,)), TensorVar("B", (4,))
+    with pytest.raises(NonAffineAccess, match="access index 0 is not a plain variable"):
+        build_statement(A("i"), B(0))
+    for build in (lambda: B[2], lambda: Access(B, (1.5,)),
+                  lambda: replace(B("i"), indices=(None,))):
+        with pytest.raises(NonAffineAccess):
+            build()
 
 
 def test_missing_extent_rejected():

@@ -12,7 +12,6 @@ from tendist import (
     HyperRect,
     RegionStore,
     TensorDistribution,
-    access_rect,
     bundle_from_config,
     execute,
     grid,
@@ -33,6 +32,7 @@ from tendist import (
     verify_result,
     write_edge_csv,
 )
+import tendist.distribution as distribution
 import tendist.simulator as simulator
 from tendist.algorithms import REGISTRY
 from tendist.cin import (
@@ -43,6 +43,7 @@ from tendist.cin import (
     LoopNest,
     Rotate,
     Split,
+    lane_env,
 )
 from tendist.errors import (
     ConfigError,
@@ -91,15 +92,38 @@ def test_var_interval_unbound():
         var_interval("q", {}, {})
 
 
-def test_access_rect():
+def test_task_rects():
     A = TensorVar("A", (5, 4))
     acc = A("i", "j")
-    assert access_rect(acc, {"i": (0, 2), "j": (1, 3)}, {}) == HyperRect((0, 1), (2, 3))
-    assert access_rect(acc, {"i": (0, 2), "j": (2, 2)}, {}) is None
-    with pytest.raises(OOBAccess):
-        access_rect(acc, {"i": (4, 6), "j": (0, 1)}, {})
-    with pytest.raises(NonAffineAccess):
-        access_rect(TensorVar("A", (5,))(3), {}, {})
+    rects = simulator._task_rects
+    assert rects(acc, {"i": (0, 2), "j": (1, 3)}, {}) == [HyperRect((0, 1), (2, 3))]
+    assert rects(acc, {"i": (0, 2), "j": (2, 2)}, {}) == [None]
+    with pytest.raises(OOBAccess, match=r"A rows \[4,6\)x\[0,1\) outside dims \(5, 4\)"):
+        rects(acc, {"i": (4, 6), "j": (0, 1)}, {})
+    # lanes: one rect per point of the lane grid in C order, None where a
+    # ragged divide leaves a lane empty
+    env = {"ii": (0, 2), "j": (1, 3), **lane_env([("io", 0, 3)])}
+    assert rects(acc, env, {"i": Divide("i", "io", "ii", 3, 4)}) == [
+        HyperRect((0, 1), (2, 3)), HyperRect((2, 1), (4, 3)), None]
+    assert rects(acc, lane_env([("i", 1, 3), ("j", 2, 4)]), {}) == [
+        HyperRect((i, j), (i + 1, j + 1)) for i in (1, 2) for j in (2, 3)]
+    # the first lane out of bounds in C order is named
+    with pytest.raises(OOBAccess, match=r"A rows \[1,2\)x\[4,5\)"):
+        rects(acc, lane_env([("i", 1, 3), ("j", 2, 5)]), {})
+    assert rects(TensorVar("a", ())(), lane_env([("i", 0, 3)]), {}) == [HyperRect((), ())] * 3
+
+
+def test_constant_index_is_refused_before_lower_to_tasks():
+    # the access refuses it when it is built, so lowering never meets an
+    # index without a name
+    A, B = TensorVar("A", (4,)), TensorVar("B", (4,))
+    machine = grid(2)
+    store = RegionStore(machine)
+    for name in "AB":
+        store.place(name, DenseTensor((4,)), _block((4,), machine))
+    with pytest.raises(NonAffineAccess, match="access index 0 is not a plain variable"):
+        lower_to_tasks(LoopNest((Forall("i", 0, 2),), Assign(A("i"), B(0)),
+                                (Distribute("i"),)), store)
 
 
 # a small broadcast-style run with every number pinned down
@@ -652,7 +676,7 @@ def test_scalar_copy_output_on_two_tasks_overlaps():
 
 def test_overlap_sweep_names_the_earlier_task_first():
     def task(k, lo=None, hi=None):
-        return simulator.TaskInfo((k,), {}, None if lo is None else HyperRect(lo, hi))
+        return simulator.TaskInfo((k,), None if lo is None else HyperRect(lo, hi))
 
     # sorted by lower bound task 1 comes first; the pair is still (0, 1)
     tasks = [task(0, (1,), (5,)), task(1, (0,), (2,)), task(2)]
@@ -712,3 +736,93 @@ def test_single_processor_grid_moves_nothing():
                         inputs, sched)
     verify_result(stmt, inputs, res)
     assert res.trace.total_messages == 0
+
+
+# a launch resolved on lanes
+
+def access_rect(access, env, defs):
+    """Index box one access touches under interval env, one var_interval
+    call per index; None when empty. The per-task resolution the launch's
+    lanes replaced, kept here as the oracle."""
+    ivs = [var_interval(v, env, defs) for v in access.var_names]
+    rect = HyperRect(tuple(a for a, _ in ivs), tuple(b for _, b in ivs))
+    if rect.is_empty and rect.lo:
+        return None
+    dims = access.tensor.dims
+    for a, b, d in zip(rect.lo, rect.hi, dims):
+        if a < 0 or b > d:
+            raise OOBAccess(f"{access.tensor.name} rows {rect} outside dims {dims}")
+    return rect
+
+
+def _per_task_resolution(plan):
+    """Each task's out_rect, then the need rects the replay fetches in its
+    order (steps, tasks, fetch plan, accesses, a task's repeats dropped), each
+    resolved on its own box: every loop at its range, the launch loops
+    pinned to the task's coordinate, and a step-scope need's step pinned.
+    Also counts the empty resolutions."""
+    intervals = {f.var: (f.lo, f.hi) for f in plan.stmt.loops}
+    boxes = [{**intervals, **{f.var: (c, c + 1) for f, c in zip(plan.launch_vars, t.coord)}}
+             for t in plan.tasks]
+    out = [plan.out_access and access_rect(plan.out_access, box, plan.defs) for box in boxes]
+    needs, empty = [], out.count(None) if plan.out_access else 0
+    for s in range(plan.num_steps):
+        for box in boxes:
+            for _, accs, scope in plan.fetch_plan:
+                if scope == "launch" and s > 0:
+                    continue
+                at = box if scope == "launch" else {**box, plan.step_var.var: (s, s + 1)}
+                seen = []
+                for acc in accs:
+                    rect = access_rect(acc, at, plan.defs)
+                    empty += rect is None
+                    if rect is not None and rect not in seen:
+                        seen.append(rect)
+                needs += seen
+    return out, needs, empty
+
+
+# every bundle at ragged extents on its default machine, and the ragged
+# rotates: cannon and solomonik shift blocks of which some are empty
+@pytest.mark.parametrize("name, machine, n", [(n, None, 7) for n in REGISTRY] + [
+    ("cannon", "5x5", 7), ("solomonik", "4x4x2", 9), ("summa-hier", "4x2/2", 7)])
+def test_launch_lanes_match_per_task_resolution(monkeypatch, name, machine, n):
+    plans, needs = [], []
+    lower, subtract = simulator.lower_to_tasks, simulator.subtract_rects
+
+    def lowering(stmt, store):
+        plans.append(lower(stmt, store))
+        return plans[-1]
+
+    def subtracting(rects, covers):  # fetch cuts each need by what is held
+        needs.extend(rects)
+        return subtract(rects, covers)
+
+    monkeypatch.setattr(simulator, "lower_to_tasks", lowering)
+    monkeypatch.setattr(simulator, "subtract_rects", subtracting)
+    dims = (n,) * REGISTRY[name].extents
+    bundle_from_config(name, machine and parse_machine(machine), dims).run()
+    (plan,) = plans
+    out, want, empty = _per_task_resolution(plan)
+    assert [t.out_rect for t in plan.tasks] == out
+    assert needs == want
+    assert empty > 0 or machine is None
+
+
+def test_one_resolution_per_access_per_step(monkeypatch):
+    # summa fetches A at launch scope and B once per k step, and one more
+    # resolution gives every task's out_rect: 1 + 16 + 1 on any grid
+    calls = [0]
+    resolve = simulator.lane_boxes
+
+    def counted(names, env, defs):
+        calls[0] += 1
+        return resolve(names, env, defs)
+
+    monkeypatch.setattr(simulator, "lane_boxes", counted)
+    monkeypatch.setattr(distribution, "lane_boxes", counted)
+    for g in (4, 8):
+        bundle = bundle_from_config("summa", grid(g, g), (16, 16, 16), 1)
+        calls[0] = 0
+        bundle.run()
+        assert calls[0] == 18
