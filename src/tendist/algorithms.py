@@ -78,17 +78,27 @@ KERNELS = {
 def _registered(name: str, default_machine: str):
     """Make a builder return an AlgorithmBundle called `name` and enter it in
     REGISTRY. The row's extents count the builder's default dims, and it is
-    chunked when the builder takes a chunk; a chunked builder refuses a chunk
-    below 1 before it builds."""
+    chunked when the builder takes a chunk. Before it builds, the bundle
+    refuses a grid dimension (a positional parameter) below 1, dims of
+    another length and a chunk below 1, keyword arguments included."""
     def wrap(parts):
-        params = inspect.signature(parts).parameters
+        sig = inspect.signature(parts)
+        params = sig.parameters
         extents, chunked = len(params["dims"].default), "chunk" in params
+        grid_names = [k for k, p in params.items() if p.kind == p.POSITIONAL_OR_KEYWORD]
 
         @functools.wraps(parts)
         def build(*args, **kwargs) -> AlgorithmBundle:
-            chunk = kwargs.get("chunk", 1)
-            if chunked and chunk < 1:
-                raise ConfigError(f"{name} needs a positive chunk, got {chunk}")
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            given = bound.arguments
+            gdims = tuple(given[k] for k in grid_names)
+            if any(int(d) < 1 for d in gdims):
+                raise BadGrid(f"grid dimensions must be positive, got {gdims}")
+            if len(given["dims"]) != extents:
+                raise ConfigError(f"{name} takes {extents} extents, got {len(given['dims'])}")
+            if chunked and given["chunk"] < 1:
+                raise ConfigError(f"{name} needs a positive chunk, got {given['chunk']}")
             return AlgorithmBundle(name, *parts(*args, **kwargs))
         REGISTRY[name] = Registered(build, extents, default_machine, chunked)
         return build
@@ -108,11 +118,6 @@ def random_inputs(stmt: TensorIndexStmt, seed: int = 0) -> dict:
         t.data.reshape(-1)[:] = rng.choices(range(-4, 5), k=t.volume)
         out[name] = t
     return out
-
-
-def _check_grid(*dims) -> None:
-    if any(int(d) < 1 for d in dims):
-        raise BadGrid(f"grid dimensions must be positive, got {dims}")
 
 
 def _dists(stmt, machine, **formats) -> dict:
@@ -139,7 +144,6 @@ _BLOCKS = [("xy", ("x", "y"))]  # a block per processor of a 2D grid
 @_registered("summa", "2x2")
 def summa(gx: int, gy: int, *, dims=(8, 8, 8), chunk: int = 1):
     """Stationary-C: A panels broadcast at task scope, B panels per k step."""
-    _check_grid(gx, gy)
     machine = grid(gx, gy)
     stmt = _gemm(dims)
     sched = (schedule()
@@ -154,7 +158,6 @@ def cannon(gx: int, gy: int, *, dims=(8, 8, 8)):
     """Skewed systolic: A shifts along rows, B along columns, each step."""
     if gx != gy:
         raise NonSquareGrid(f"cannon needs a square grid, got {gx}x{gy}")
-    _check_grid(gx, gy)
     g = gx
     machine = grid(g, g)
     stmt = _gemm(dims)
@@ -171,7 +174,6 @@ def pumma(gx: int, gy: int, *, dims=(8, 8, 8)):
     """A broadcast once per task; B pulled skewed along columns per step."""
     if gx != gy:
         raise NonSquareGrid(f"pumma needs a square grid, got {gx}x{gy}")
-    _check_grid(gx, gy)
     machine = grid(gx, gy)
     stmt = _gemm(dims)
     sched = (schedule()
@@ -187,7 +189,6 @@ def johnson(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
     """3D: inputs on cube faces, every task one block product, C reduced."""
     if not gx == gy == gz:
         raise NonCubeGrid(f"johnson needs a cube, got {gx}x{gy}x{gz}")
-    _check_grid(gx)
     g = gx
     machine = grid(g, g, g)
     stmt = _gemm(dims)
@@ -209,7 +210,6 @@ def solomonik(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
         raise NonSquareGrid(f"solomonik needs square slices, got {gx}x{gy}")
     if gy % gz:
         raise BadGrid(f"depth {gz} must divide the slice side {gy}")
-    _check_grid(gx, gy, gz)
     machine = grid(gx, gy, gz)
     stmt = _gemm(dims, "A", "B", "C")
     dists = _dists(stmt, machine, A=[("xy", ("x", "y", 0))], B=[("xy", ("x", "y", "*"))],
@@ -230,7 +230,6 @@ def solomonik(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
 def cosma_like(pi: int, pj: int, pk: int, *, dims=(8, 8, 8), chunk: int = 1):
     """Factor each loop into a parallel part, the grid, and k also into
     `chunk` sequential parts, which become in-task rounds."""
-    _check_grid(pi, pj, pk)
     machine = grid(pi, pj, pk)
     stmt = _gemm(dims, "A", "B", "C")
     dists = _dists(stmt, machine, A=[("xy", ("x", "y", 0))], B=[("xy", ("x", 0, "y"))],
@@ -247,7 +246,6 @@ def cosma_like(pi: int, pj: int, pk: int, *, dims=(8, 8, 8), chunk: int = 1):
 @_registered("summa-hier", "2x2/2")
 def summa_hier(gx: int = 2, gy: int = 2, k: int = 2, *, dims=(8, 8, 8), chunk: int = 1):
     """Two-level grid (gx x gy nodes of k): rows split again inside each node."""
-    _check_grid(gx, gy, k)
     machine = make_machine([(gx, gy), (k,)])
     stmt = _gemm(dims)
     two_level = _BLOCKS + [("xy", ("x",))]
@@ -267,7 +265,6 @@ def summa_hier(gx: int = 2, gy: int = 2, k: int = 2, *, dims=(8, 8, 8), chunk: i
 @_registered("ttv", "2")
 def ttv(g: int, *, dims=(6, 5, 4)):
     """Tensor times vector: rows distributed, vector replicated; no traffic."""
-    _check_grid(g)
     di, dj, dk = dims
     machine = grid(g)
     stmt = parse_statement(KERNELS["ttv"], {"i": di, "j": dj, "k": dk})
@@ -282,7 +279,6 @@ def ttv(g: int, *, dims=(6, 5, 4)):
 @_registered("ttm", "2")
 def ttm(g: int, *, dims=(5, 4, 6, 3)):
     """Tensor times matrix: rows distributed, the matrix replicated."""
-    _check_grid(g)
     di, dj, dk, dl = dims
     machine = grid(g)
     stmt = parse_statement(KERNELS["ttm"], {"i": di, "j": dj, "k": dk, "l": dl})
@@ -297,7 +293,6 @@ def ttm(g: int, *, dims=(5, 4, 6, 3)):
 @_registered("innerprod", "2")
 def innerprod(g: int, *, dims=(6, 5)):
     """Frobenius inner product; partials reduced to processor zero."""
-    _check_grid(g)
     di, dj = dims
     machine = grid(g)
     stmt = parse_statement(KERNELS["innerprod"], {"i": di, "j": dj})
@@ -311,7 +306,6 @@ def innerprod(g: int, *, dims=(6, 5)):
 @_registered("mttkrp", "2x2")
 def mttkrp(g1: int, g2: int, *, dims=(6, 4, 5, 3)):
     """B stays put on a 2D grid; factor matrices move; A reduced per row."""
-    _check_grid(g1, g2)
     di, dj, dk, dl = dims
     machine = grid(g1, g2)
     stmt = parse_statement(KERNELS["mttkrp"], {"i": di, "j": dj, "k": dk, "l": dl})
@@ -336,9 +330,7 @@ def bundle_from_config(name: str, machine: Machine = None, dims=None,
     key = name.lower().replace("_", "-")
     if key not in REGISTRY:
         raise ConfigError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
-    build, extents, default_machine, chunked = REGISTRY[key]
-    if dims and len(dims) != extents:
-        raise ConfigError(f"{name} takes {extents} extents, got {len(dims)}")
+    build, _, default_machine, chunked = REGISTRY[key]
     if chunk != 1 and not chunked:
         raise ConfigError(f"{key} takes no chunk, got {chunk}")
     kwargs = {"dims": tuple(dims)} if dims else {}

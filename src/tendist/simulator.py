@@ -296,7 +296,7 @@ class LaunchPlan:
     env: dict               # every loop at its range, the launch loops as lanes
     step_var: object        # Forall | None
     num_steps: int
-    fetch_plan: list        # (tensor name, accesses tuple, scope)
+    fetch_plan: list        # (access, scope): the rhs accesses as written, by tensor name
     out_name: str           # None for a Place leaf, as are the two below
     out_kind: str           # "copy" | "reduce"
     out_access: Access
@@ -350,11 +350,6 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
     step_var = next((f for f in task_loops if f.var in seq_comm_vars), None)
     num_steps = step_var.extent if step_var is not None else 1
 
-    accs_by_name: dict = {}
-    for acc in accesses:
-        lst = accs_by_name.setdefault(acc.tensor.name, [])
-        if acc.var_names not in [a.var_names for a in lst]:
-            lst.append(acc)
     fetch_plan = []
     for n in names:
         if n == out_name:
@@ -362,7 +357,7 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
         named = [c for c in comms if n in c.tensors]
         by_launch = bool(named) and named[0].var in dist_names
         scope = "launch" if by_launch or step_var is None else "step"
-        fetch_plan.append((n, tuple(accs_by_name[n]), scope))
+        fetch_plan += [(a, scope) for a in accesses if a.tensor.name == n]
 
     env = {f.var: (f.lo, f.hi) for f in task_loops}
     env.update(lane_env([(f.var, f.lo, f.hi) for f in group]))
@@ -494,11 +489,13 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
     then each task's write-back in task order, the homes of each distinct
     output rect looked up once per launch.
 
-    Each task's needs are cut down by what it already holds, split along the
-    owning distribution's pieces, and sourced by _pick_source from the
-    holders of each part's color. Memory at each step counts resident
-    pieces, the output buffer and every live temporary. No transfer depends
-    on values, so the ledger is whole before any numeric work runs.
+    Each task's needs, the non-empty rects of its fetch-plan entries in plan
+    order, are cut down by what it already holds (so a rect the task fetched
+    before sends nothing), split along the owning distribution's pieces, and
+    sourced by _pick_source from the holders of each part's color. Memory at
+    each step counts resident pieces, the output buffer and every live
+    temporary. No transfer depends on values, so the ledger is whole before
+    any numeric work runs.
     """
     order = list(store.machine.enumerate())
     events = trace.events
@@ -532,16 +529,15 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
         cur_temps = _Temps()
         if plan.step_var is not None:
             env[plan.step_var.var] = (s, s + 1)
-        # each access resolved once for all tasks; launch-scope needs span
+        # each entry resolved once for all tasks; launch-scope needs span
         # every step, step scope pins one
-        needs = [(tensor, scope, [_task_rects(a, env if scope == "step" else plan.env, plan.defs)
-                                  for a in accs])
-                 for tensor, accs, scope in plan.fetch_plan if scope == "step" or s == 0]
+        needs = [(a.tensor.name, scope,
+                  _task_rects(a, env if scope == "step" else plan.env, plan.defs))
+                 for a, scope in plan.fetch_plan if scope == "step" or s == 0]
         for k, task in enumerate(plan.tasks):
             for tensor, scope, rects in needs:
-                for rect in dict.fromkeys(r[k] for r in rects):  # a task's repeats once
-                    if rect is not None:
-                        fetch(task, tensor, rect, s, scope, cur_temps)
+                if rects[k] is not None:
+                    fetch(task, tensor, rects[k], s, scope, cur_temps)
         for p in order:
             vol = persist[p] + buffers.get(p, 0)
             for temps in (launch_temps, prev_temps, cur_temps):
@@ -575,7 +571,7 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
     _replay(plan, store, trace)
     out_region = store[plan.out_name]
 
-    read_store = {n: store[n].tensor for n, _, _ in plan.fetch_plan}
+    read_store = {a.tensor.name: store[a.tensor.name].tensor for a, _ in plan.fetch_plan}
     if plan.out_name in (a.tensor.name for a in leaf_accesses(plan.stmt.leaf)[1:]):
         # the commits below change the output; the rhs reads its old values
         read_store[plan.out_name] = out_region.tensor.copy()

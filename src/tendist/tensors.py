@@ -33,6 +33,9 @@ class DenseTensor:
                                   f"a float64 tensor of dims {dims}") from None
         else:
             arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+            if arr.size != math.prod(dims):
+                raise ExtentMismatch(f"data holds {arr.size} elements, dims {dims} "
+                                     f"need {math.prod(dims)}")
             if arr.shape != dims:
                 arr = arr.reshape(dims)
             self.data = arr

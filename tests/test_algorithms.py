@@ -277,6 +277,18 @@ def test_grid_shape_rejections():
         cosma_like(2, 2, 0)
     with pytest.raises(ConfigError, match="needs a positive chunk, got 0"):
         bundle_from_config("cosma-like", chunk=0)
+    # the registry wrapper checks the bound arguments, keywords included,
+    # before a builder's own shape checks run
+    with pytest.raises(BadGrid):
+        solomonik(2, 2, 0)  # not a ZeroDivisionError from the depth check
+    with pytest.raises(BadGrid):
+        summa_hier(gx=0)
+    with pytest.raises(BadGrid):
+        cannon(-1, -2)  # non-positive before non-square
+    with pytest.raises(ConfigError, match="johnson takes 3 extents, got 2"):
+        johnson(2, 2, 2, dims=(4, 4))
+    with pytest.raises(ConfigError, match="ttv takes 3 extents, got 4"):
+        bundle_from_config("ttv", dims=(2, 2, 2, 2))
 
 
 @pytest.mark.parametrize("build", [

@@ -37,7 +37,10 @@ from tendist import (
     lower_to_cin,
     parse_distribution,
     parse_schedule,
+    parse_statement,
+    random_inputs,
     redistribute,
+    run_statement,
     verify_result,
 )
 from tendist.algorithms import bundle_from_config
@@ -213,3 +216,34 @@ def test_task_local_rewrites_keep_the_ledger(alg, machine, dims, rewrite):
     verify_result(bundle.statement, inputs, after)
     assert after.trace.canonical_rows() == before.trace.canonical_rows()
     assert after.trace.stats() == before.trace.stats()
+
+
+def _run_text(expr, g, n, dists, inputs=None):
+    """Run `expr` (indices i, j, n each) on a g x g grid under the
+    `distribute i,j io,jo ii,ji` schedule and `dists`, tensor name ->
+    distribution text; returns (statement, inputs, RunResult)."""
+    machine = grid(g, g)
+    stmt = parse_statement(expr, {"i": n, "j": n})
+    tensors = stmt.tensors()
+    dist = {name: TensorDistribution(tensors[name].dims, machine,
+                                     parse_distribution(text)[1])
+            for name, text in dists.items()}
+    inputs = inputs or random_inputs(stmt, seed=3)
+    sched = parse_schedule(f"distribute i,j io,jo ii,ji {g}x{g}")
+    return stmt, inputs, run_statement(stmt, machine, dist, inputs, sched)
+
+
+# A tensor read twice is fetched once per access as written: every access
+# after the first finds its rect held, so the reads add no event
+@pytest.mark.parametrize("g, n", [(2, 4), (3, 7)])
+@pytest.mark.parametrize("a_dist", ["xy -> yx", "xy -> x*", "xy -> 0y"])
+def test_repeated_accesses_keep_the_ledger(g, n, a_dist):
+    dists = {"C": "xy -> xy", "A": a_dist}
+    stmt, inputs, once = _run_text("C(i, j) = A(i, j)", g, n, dists)
+    stmt3, _, thrice = _run_text("C(i, j) = A(i, j) * A(i, j) + A(i, j)", g, n, dists, inputs)
+    verify_result(stmt3, inputs, thrice)
+    assert thrice.trace.canonical_rows() == once.trace.canonical_rows()
+    assert thrice.trace.stats() == once.trace.stats()
+    # a transposed second read: diagonal tasks resolve both reads to one rect
+    stmt, inputs, result = _run_text("C(i, j) = A(i, j) * A(j, i)", g, n, dists)
+    verify_result(stmt, inputs, result)

@@ -186,7 +186,7 @@ def test_broadcast_run_event_hygiene():
         assert e.src in trace.memory and e.dst in trace.memory
     # A is fetched once per task at launch scope, B once per k step
     plan = lower_to_tasks(sched.apply(lower_to_cin(stmt)), result.store)
-    assert {name: scope for name, _, scope in plan.fetch_plan} == {
+    assert {acc.tensor.name: scope for acc, scope in plan.fetch_plan} == {
         "A": "launch", "B": "step"}
 
 
@@ -757,10 +757,10 @@ def access_rect(access, env, defs):
 
 def _per_task_resolution(plan):
     """Each task's out_rect, then the need rects the replay fetches in its
-    order (steps, tasks, fetch plan, accesses, a task's repeats dropped), each
-    resolved on its own box: every loop at its range, the launch loops
-    pinned to the task's coordinate, and a step-scope need's step pinned.
-    Also counts the empty resolutions."""
+    order (steps, tasks, fetch-plan entries), each resolved on its own box:
+    every loop at its range, the launch loops pinned to the task's
+    coordinate, and a step-scope need's step pinned. Also counts the empty
+    resolutions."""
     intervals = {f.var: (f.lo, f.hi) for f in plan.stmt.loops}
     boxes = [{**intervals, **{f.var: (c, c + 1) for f, c in zip(plan.launch_vars, t.coord)}}
              for t in plan.tasks]
@@ -768,17 +768,14 @@ def _per_task_resolution(plan):
     needs, empty = [], out.count(None) if plan.out_access else 0
     for s in range(plan.num_steps):
         for box in boxes:
-            for _, accs, scope in plan.fetch_plan:
+            for acc, scope in plan.fetch_plan:
                 if scope == "launch" and s > 0:
                     continue
                 at = box if scope == "launch" else {**box, plan.step_var.var: (s, s + 1)}
-                seen = []
-                for acc in accs:
-                    rect = access_rect(acc, at, plan.defs)
-                    empty += rect is None
-                    if rect is not None and rect not in seen:
-                        seen.append(rect)
-                needs += seen
+                rect = access_rect(acc, at, plan.defs)
+                empty += rect is None
+                if rect is not None:
+                    needs.append(rect)
     return out, needs, empty
 
 

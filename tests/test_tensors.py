@@ -31,6 +31,16 @@ def test_rejects_nonpositive_extent():
         DenseTensor((-1,))
 
 
+def test_data_of_another_size_is_an_extent_mismatch():
+    with pytest.raises(ExtentMismatch, match=r"data holds 3 elements, dims \(2,\) need 2"):
+        DenseTensor((2,), [1, 2, 3])
+    with pytest.raises(ExtentMismatch, match=r"data holds 4 elements, dims \(\) need 1"):
+        DenseTensor((), np.zeros((2, 2)))
+    # same element count, other shape: reshaped row-major as before
+    assert DenseTensor((3, 2), np.arange(6).reshape(2, 3)).data.tolist() == [
+        [0, 1], [2, 3], [4, 5]]
+
+
 def test_an_allocation_that_fails_is_a_config_error():
     # 71 PiB fails at allocation on any host; 10**20 elements is past
     # numpy's size limit, which it refuses before allocating
