@@ -24,7 +24,6 @@ from .ir import (
     Access,
     Add,
     Const,
-    IndexVar,
     Mul,
     TensorIndexStmt,
     TensorVar,
@@ -113,7 +112,6 @@ __all__ = [
     "grid",
     "make_machine",
     "parse_machine",
-    "IndexVar",
     "TensorVar",
     "Access",
     "Add",

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtentMismatch, MissingInput, OOBAccess, TendistError, UnboundVariable
+from .errors import (ExtentMismatch, MissingInput, OOBAccess, TendistError, UnboundVariable,
+                     UnknownVar)
 from .ir import Access, TensorIndexStmt, accesses_of, compile_expr, format_expr, index_getter
 from .tensors import DenseTensor
 
@@ -146,7 +147,7 @@ def claimed_names(stmt) -> set:
         if isinstance(rel, (Split, Divide, Rotate)):
             names.update(_relation_names(rel))
     for acc in leaf_accesses(stmt.leaf):
-        names.update(acc.var_names)
+        names.update(acc.indices)
     return names
 
 
@@ -157,7 +158,8 @@ def leaf_accesses(leaf) -> list:
 
 
 def check_statement(stmt) -> None:
-    """Well-formedness: one loop chain binding each variable once, and every
+    """Well-formedness: one loop chain binding each variable once, every
+    distribute and communicate relation on one of its loops, and every
     access variable resolvable."""
     defs = relation_defs(stmt.relations)
     env: dict = {}
@@ -165,8 +167,11 @@ def check_statement(stmt) -> None:
         if f.var in env:
             raise TendistError(f"{f.var} bound twice in the loop chain")
         env[f.var] = (0, 1)
+    for rel in stmt.relations:
+        if isinstance(rel, (Distribute, Communicate)) and rel.var not in env:
+            raise UnknownVar(f"{pretty_relation(rel)}: no loop binds {rel.var}")
     for acc in leaf_accesses(stmt.leaf):
-        for v in acc.var_names:
+        for v in acc.indices:
             var_interval(v, env, defs)
 
 
@@ -300,12 +305,11 @@ def _walk_box(leaf, loops, defs, read_store, out_store) -> None:
     if isinstance(leaf, Place) or any(size <= 0 for size in sizes):
         return
     accesses = [(leaf.lhs, out_store)] + [(a, read_store) for a in accesses_of(leaf.rhs)]
-    names = tuple(dict.fromkeys(v for a, _ in accesses for v in a.var_names))
-    shaped = [(a, store[a.tensor.name].dims) for a, store in accesses
-              if a.tensor.name in store]
+    names = tuple(dict.fromkeys(v for a, _ in accesses for v in a.indices))
+    shaped = [(a, store[a.tensor.name].dims) for a, store in accesses]
     limit: dict = {}
     for a, dims in shaped:
-        for v, d in zip(a.var_names, dims):
+        for v, d in zip(a.indices, dims):
             limit[v] = min(limit.get(v, d), d)
     limits = tuple((names.index(v), d) for v, d in limit.items())
     lget = index_getter(leaf.lhs, names)
@@ -331,7 +335,7 @@ def _walk_box(leaf, loops, defs, read_store, out_store) -> None:
             first = np.unravel_index(int(np.argmax(bad)), shape)
             at = {n: int(np.broadcast_to(v, shape)[first]) for n, v in zip(names, values)}
             for a, dims in shaped:
-                coord = tuple(at[n] for n in a.var_names)
+                coord = tuple(at[n] for n in a.indices)
                 if not all(0 <= c < e for c, e in zip(coord, dims)):
                     raise OOBAccess(f"{a.tensor.name}{coord} outside dims {dims}")
         for k, d in limits:  # phantom lanes gather in range and are never written

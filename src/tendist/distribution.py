@@ -205,7 +205,7 @@ class TensorDistribution:
         part = [f.var for f in launch if f.var in outers]
         full = {f.var: (f.lo, f.hi) for f in stmt.loops}
         env = {**full, **lane_env([(v, *full[v]) for v in part])}
-        lo, hi = lane_boxes(stmt.leaf.access.var_names, env, defs)
+        lo, hi = lane_boxes(stmt.leaf.access.indices, env, defs)
         out = []
         for color, a, b in zip(itertools.product(*(range(*full[v]) for v in part)),
                                lo.tolist(), hi.tolist()):
@@ -318,6 +318,4 @@ def parse_distribution(text: str):
         if any(not (isinstance(ch, int) or ch == BROADCAST or ch.isalpha()) for ch in y):
             raise ConfigError(f"bad machine-side names in {part!r}")
         levels.append((x, y))
-    if not levels:
-        raise ConfigError(f"empty distribution {text!r}")
     return tensor_name, levels

@@ -19,14 +19,6 @@ from .errors import ArityMismatch, ExtentMismatch, MissingInput, NonAffineAccess
 from .tensors import DenseTensor
 
 
-@dataclass(frozen=True)
-class IndexVar:
-    name: str
-
-    def __repr__(self):
-        return f"IndexVar({self.name!r})"
-
-
 class Expr:
     """Base for rhs expression nodes; carries the operator sugar."""
 
@@ -63,7 +55,7 @@ class Mul(Expr):
 @dataclass(frozen=True)
 class Access(Expr):
     tensor: "TensorVar"
-    indices: tuple  # tuple[IndexVar, ...]
+    indices: tuple  # tuple[str, ...]: an index is its variable's name
 
     def __post_init__(self):
         if len(self.indices) != len(self.tensor.dims):
@@ -72,12 +64,8 @@ class Access(Expr):
                 f"got {len(self.indices)} indices"
             )
         for v in self.indices:
-            if not isinstance(v, IndexVar):
+            if not isinstance(v, str):
                 raise NonAffineAccess(f"access index {v!r} is not a plain variable")
-
-    @property
-    def var_names(self) -> tuple:
-        return tuple(v.name for v in self.indices)
 
 
 def _wrap(x) -> Expr:
@@ -97,13 +85,7 @@ class TensorVar:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 
     def __call__(self, *indices) -> Access:
-        vs = tuple(IndexVar(v) if isinstance(v, str) else v for v in indices)
-        return Access(self, vs)
-
-    def __getitem__(self, indices) -> Access:
-        if not isinstance(indices, tuple):
-            indices = (indices,)
-        return self(*indices)
+        return Access(self, indices)
 
 
 def accesses_of(expr: Expr):
@@ -164,21 +146,21 @@ def build_statement(lhs: Access, rhs) -> TensorIndexStmt:
     for acc in [lhs] + accesses_of(rhs):
         for pos, v in enumerate(acc.indices):
             ext = acc.tensor.dims[pos]
-            prev = extents.setdefault(v.name, ext)
+            prev = extents.setdefault(v, ext)
             if prev != ext:
                 raise ExtentMismatch(
-                    f"{v.name} bound to extent {prev} and {ext} "
+                    f"{v} bound to extent {prev} and {ext} "
                     f"(at {acc.tensor.name} dim {pos})"
                 )
     free = []
     for v in lhs.indices:
-        if v.name not in free:
-            free.append(v.name)
+        if v not in free:
+            free.append(v)
     reduction = []
     for acc in accesses_of(rhs):
         for v in acc.indices:
-            if v.name not in free and v.name not in reduction:
-                reduction.append(v.name)
+            if v not in free and v not in reduction:
+                reduction.append(v)
     return TensorIndexStmt(lhs, rhs, extents, tuple(free), tuple(reduction))
 
 
@@ -189,7 +171,7 @@ def format_expr(expr: Expr, under_mul: bool = False) -> str:
     if isinstance(expr, Access):
         if not expr.indices:
             return expr.tensor.name
-        return f"{expr.tensor.name}({', '.join(v.name for v in expr.indices)})"
+        return f"{expr.tensor.name}({', '.join(expr.indices)})"
     if isinstance(expr, Add):
         s = f"{format_expr(expr.lhs)} + {format_expr(expr.rhs)}"
         return f"({s})" if under_mul else s
@@ -205,7 +187,7 @@ def format_statement(stmt: TensorIndexStmt) -> str:
 def index_getter(access: Access, names):
     """Function from a row (row[k] the value of names[k]) to the index that
     `access` reads at it: a tuple, a bare value for one index, () for none."""
-    at = [names.index(v) for v in access.var_names]
+    at = [names.index(v) for v in access.indices]
     if not at:
         return lambda row: ()
     return operator.itemgetter(*at)
@@ -320,10 +302,11 @@ class _Parser:
         vars_: list = []
         if self.peek() == ("sym", "("):
             self.take("sym", "(")
-            while self.peek() != ("sym", ")"):
+            if self.peek() != ("sym", ")"):  # names, a comma between each two
                 vars_.append(self.take("name"))
-                if self.peek() == ("sym", ","):
+                while self.peek() == ("sym", ","):
                     self.take("sym", ",")
+                    vars_.append(self.take("name"))
             self.take("sym", ")")
         try:
             dims = tuple(self.extents[v] for v in vars_)

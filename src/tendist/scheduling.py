@@ -210,8 +210,6 @@ class Schedule:
         return self._push("divide", i, io, ii, parts)
 
     def reorder(self, *order):
-        if len(order) == 1 and not isinstance(order[0], str):
-            order = tuple(order[0])
         return self._push("reorder", *order)
 
     def distribute(self, i):

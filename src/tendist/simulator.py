@@ -5,8 +5,8 @@ resolved as lanes (each access's rects for every task at once), replays
 communication in lockstep timesteps, runs the numeric work one wave of tasks
 at a time, and commits write-backs. The replay takes each missing
 piece from last step's temporary holder (so shifting algorithms come out as
-neighbor traffic), then a launch temporary holder, then the first home that
-is not the receiver.
+neighbor traffic), then a launch temporary holder, then the piece's home,
+which keeps it resident and so is never the receiver.
 redistribute() replays a placement statement the same way, so later
 receivers of a replicated piece get it from an earlier one. Event order is
 machine enumeration order throughout, so traces are identical run to run.
@@ -56,7 +56,7 @@ from .tensors import DenseTensor
 def _task_rects(access: Access, env: dict, defs: dict) -> list:
     """Index box one access touches at each point of launch env `env` (its
     launch loops as lanes), in task order; None where it is empty."""
-    lo, hi = lane_boxes(access.var_names, env, defs)
+    lo, hi = lane_boxes(access.indices, env, defs)
     empty = (lo >= hi).any(axis=1)
     rects = [None if e else HyperRect(tuple(a), tuple(b))
              for e, a, b in zip(empty.tolist(), lo.tolist(), hi.tolist())]
@@ -393,14 +393,14 @@ class _Temps:
 
 
 def _pick_source(part, p, homes, prev_holders, launch_holders):
+    """The sender of `part` to p: a holder of it among last step's
+    temporaries, then the launch's, else the piece's first home, which keeps
+    the piece resident and so is never p."""
     for holders in (prev_holders, launch_holders):
         for q, r in holders:
             if q != p and r.contains(part):
                 return q
-    for q in homes:
-        if q != p:
-            return q
-    return None
+    return homes[0]
 
 
 def _overlap(tasks):
@@ -433,7 +433,7 @@ def _waves(plan: LaunchPlan) -> list:
     task order) meet each element in task order. Otherwise every launch
     loop is pinned, one task per wave.
     """
-    reached = reached_vars(plan.out_access.var_names, plan.defs)
+    reached = reached_vars(plan.out_access.indices, plan.defs)
     pinned = [k for k, f in enumerate(plan.launch_vars) if f.var not in reached]
     by_pins: dict = {}
     for task in plan.tasks:
@@ -519,9 +519,8 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
                 src = _pick_source(part, p, homes,
                                    prev_temps.by_color.get(key, []),
                                    launch_temps.by_color.get(key, []))
-                if src is not None:
-                    events.append(CommEvent(step, src, p, tensor, part,
-                                            part.volume, "copy", phase))
+                events.append(CommEvent(step, src, p, tensor, part,
+                                        part.volume, "copy", phase))
                 sink.add(p, tensor, color, part)
 
     env = dict(plan.env)  # the step loop pinned to each step in turn
@@ -601,7 +600,6 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
 @dataclass
 class RunResult:
     output: DenseTensor
-    output_name: str
     trace: ExecutionTrace
     store: RegionStore
 
@@ -646,15 +644,19 @@ def run_statement(stmt, machine: Machine, distributions: dict, inputs: dict,
 
     trace = ExecutionTrace(machine)
     execute(cin, store, trace=trace, label=label)
-    return RunResult(store[out_name].tensor, out_name, trace, store)
+    return RunResult(store[out_name].tensor, trace, store)
 
 
-def verify_result(stmt, inputs: dict, result: RunResult, atol: float = 1e-9) -> None:
+# largest difference verify_result accepts between two elements that are not NaN
+TOLERANCE = 1e-9
+
+
+def verify_result(stmt, inputs: dict, result: RunResult) -> None:
     """Compare a run against the single-memory reference evaluation.
 
     The output must have NaNs exactly where the reference does; everywhere
     else, elements that differ (an infinity against anything else included)
-    must lie within `atol`. An output missing from `inputs` starts at the
+    must lie within TOLERANCE. An output missing from `inputs` starts at the
     zeros the run starts from.
     """
     out = stmt.lhs.tensor
@@ -667,5 +669,5 @@ def verify_result(stmt, inputs: dict, result: RunResult, atol: float = 1e-9) -> 
         raise VerifyFail("output NaNs differ from the reference's")
     off = ~nan & (expected.data != got.data)
     err = float(np.max(np.abs(expected.data[off] - got.data[off]))) if off.any() else 0.0
-    if err > atol:
-        raise VerifyFail(f"max deviation {err} above {atol}")
+    if err > TOLERANCE:
+        raise VerifyFail(f"max deviation {err} above {TOLERANCE}")

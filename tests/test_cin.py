@@ -378,13 +378,13 @@ def per_point(stmt, store):
         if isinstance(expr, Const):
             return expr.value
         if isinstance(expr, Access):
-            return store[expr.tensor.name].data[tuple(at[v] for v in expr.var_names)]
+            return store[expr.tensor.name].data[tuple(at[v] for v in expr.indices)]
         a, b = value(expr.lhs, at), value(expr.rhs, at)
         return a + b if isinstance(expr, Add) else a * b
 
     chain, leaf = stmt.loops, stmt.leaf
     defs = relation_defs(stmt.relations)
-    names = [v for a in leaf_accesses(leaf) for v in a.var_names]
+    names = [v for a in leaf_accesses(leaf) for v in a.indices]
     out = DenseTensor(leaf.lhs.tensor.dims).data
     for point in itertools.product(*(range(f.lo, f.hi) for f in chain)):
         env = {f.var: (v, v + 1) for f, v in zip(chain, point)}
@@ -392,7 +392,7 @@ def per_point(stmt, store):
         if any(lo >= hi for lo, hi in at.values()):
             continue
         at = {n: lo for n, (lo, _) in at.items()}
-        coord = tuple(at[v] for v in leaf.lhs.var_names)
+        coord = tuple(at[v] for v in leaf.lhs.indices)
         if isinstance(leaf, Assign):
             out[coord] = value(leaf.rhs, at)
         else:

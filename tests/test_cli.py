@@ -172,8 +172,14 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     cases = [
         # nothing to run
         ["--stats", str(tmp_path / "s.json")],
-        # custom needs a machine
+        # custom needs a machine, and a schedule
         ["--expr", "b(i) = A(i, j) * c(j)",
+         "--schedule", "divide i io ii 2; distribute io"],
+        ["--kernel", "gemm", "--n", "4", "--machine", "2x2",
+         "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy"],
+        # an access's index names need commas between them
+        ["--expr", "C(i j) = A(i, j)", "--n", "4", "--machine", "2",
+         "--dist", "A: xy -> x", "--dist", "C: xy -> x",
          "--schedule", "divide i io ii 2; distribute io"],
         # bad machine text
         ["--kernel", "gemm", "--machine", "2xq",
@@ -246,6 +252,16 @@ def test_over_deep_expr_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: expression nests deeper than 256 levels\n"
 
 
+def test_orphaned_communicate_exits_2(tmp_path, capsys):
+    # the split leaves communicate(B, k) on no loop; the run used to ignore it
+    code = run(["--kernel", "gemm", "--n", "4", "--machine", "2",
+                "--dist", "A: xy -> x", "--dist", "B: xy -> x", "--dist", "C: xy -> x",
+                "--schedule", "divide i io ii 2; distribute io; communicate B k; split k ko ki 1",
+                "--stats", str(tmp_path / "s.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: communicate(B, k): no loop binds k\n"
+
+
 def test_summa_hier_takes_its_grid(tmp_path, capsys):
     for machine in ("4x2/2", "2x2/3"):
         assert run(["--algorithm", "summa-hier", "--machine", machine, "--n", "12",
@@ -259,7 +275,7 @@ def test_summa_hier_takes_its_grid(tmp_path, capsys):
 def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     import tendist.cli as cli
 
-    def broken(stmt, inputs, result, atol=1e-9):
+    def broken(stmt, inputs, result):
         raise VerifyFail("forced for the exit-code path")
 
     monkeypatch.setattr(cli, "verify_result", broken)

@@ -492,3 +492,5 @@ def test_parse_distribution_rejects_garbage():
         parse_distribution("A: xy")
     with pytest.raises(ConfigError):
         parse_distribution("A: x+y -> xy")
+    with pytest.raises(ConfigError, match="bad machine-side names"):
+        parse_distribution("A: xy -> x?")

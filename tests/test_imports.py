@@ -115,3 +115,70 @@ def test_no_definition_is_reached_only_from_tests():
     found = {name for _, name in unreferenced({p: p.read_text() for p in package + PERFBENCH})}
     assert found - builders == set(TEST_ONLY)
     assert len(builders) == 11
+
+
+def unread_fields(sources: dict) -> list:
+    """(path, "Class.field") of each field of a `src/tendist` class in
+    `sources` (path -> text) that nothing in `sources` reads. A field is an
+    annotated name of the class body (a dataclass or NamedTuple field) or an
+    attribute its `__init__` sets on self. Name-based like `unreferenced`: a
+    read of any object's attribute of that name counts, and so does a name
+    of that name that an assignment unpacks, which is how a NamedTuple's
+    fields are read without attributes."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    read = set()
+    for n in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            read.add(n.attr)
+        elif isinstance(n, ast.Assign):
+            read.update(e.id for t in n.targets if isinstance(t, ast.Tuple)
+                        for e in t.elts if isinstance(e, ast.Name))
+    out = []
+    for path, tree in trees.items():
+        if Path(path).parent.name != "tendist":
+            continue
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            fields = [n.target.id for n in cls.body
+                      if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+            for init in (n for n in cls.body
+                         if isinstance(n, ast.FunctionDef) and n.name == "__init__"):
+                fields += [n.attr for n in ast.walk(init)
+                           if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                           and isinstance(n.value, ast.Name) and n.value.id == "self"]
+            out += [(path, f"{cls.name}.{f}") for f in dict.fromkeys(fields) if f not in read]
+    return out
+
+
+def test_field_scanner_flags_only_unread_fields():
+    module = ("from dataclasses import dataclass\n"
+              "from typing import NamedTuple\n"
+              "@dataclass\n"
+              "class Row:\n"
+              "    kept: int\n"
+              "    spare: int\n"
+              "class Pair(NamedTuple):\n"
+              "    first: int\n"
+              "    second: int\n"
+              "class Box:\n"
+              "    def __init__(self):\n"
+              "        self.used, self.idle = 1, 2\n"
+              "        self.used += self.used\n")
+    elsewhere = "print(Row(1, 2).kept, Box().used)\nfirst, _ = Pair(1, 2)\n"
+    sources = {"tendist/m.py": module, "tests/t.py": elsewhere}
+    assert unread_fields(sources) == [("tendist/m.py", "Row.spare"),
+                                      ("tendist/m.py", "Pair.second"),
+                                      ("tendist/m.py", "Box.idle")]
+
+
+# the fields that nothing but the tests reads, each kept on purpose
+FIELDS_TESTS_READ = {
+    "RunResult.store": "the regions a run leaves behind, which tests inspect",
+}
+
+
+def test_every_field_is_read():
+    # the package and perfbench without the tests: a field that nothing
+    # reads fails here unless FIELDS_TESTS_READ says why it stays
+    package = sorted((ROOT / "src" / "tendist").glob("*.py"))
+    found = unread_fields({p: p.read_text() for p in package + PERFBENCH})
+    assert {field for _, field in found} == set(FIELDS_TESTS_READ)

@@ -15,7 +15,8 @@ from tendist import (
     sequential_evaluate,
 )
 from tendist.cin import Assign, Reduce
-from tendist.errors import ExtentMismatch, MissingInput, NonAffineAccess, TendistError
+from tendist.errors import (ArityMismatch, ExtentMismatch, MissingInput, NonAffineAccess,
+                            TendistError)
 from tendist.ir import MAX_DEPTH, Access, Add, Const, Expr, Mul, compile_expr
 
 
@@ -124,7 +125,7 @@ def _scalar_loop(stmt, inputs):
         if isinstance(expr, Const):
             return expr.value
         if isinstance(expr, Access):
-            coord = tuple(env[v.name] for v in expr.indices)
+            coord = tuple(env[v] for v in expr.indices)
             return float(inputs[expr.tensor.name].data[coord])
         a, b = value(expr.lhs, env), value(expr.rhs, env)
         return a + b if isinstance(expr, Add) else a * b
@@ -135,7 +136,7 @@ def _scalar_loop(stmt, inputs):
     out = np.zeros(stmt.lhs.tensor.dims)
     for free in points(stmt.free_vars):
         env = dict(zip(stmt.free_vars, free))
-        coord = tuple(env[v.name] for v in stmt.lhs.indices)
+        coord = tuple(env[v] for v in stmt.lhs.indices)
         if stmt.reduction_vars:
             acc = 0.0
             for red in points(stmt.reduction_vars):
@@ -218,10 +219,15 @@ def test_constant_index_is_refused_before_build_statement():
     A, B = TensorVar("A", (4,)), TensorVar("B", (4,))
     with pytest.raises(NonAffineAccess, match="access index 0 is not a plain variable"):
         build_statement(A("i"), B(0))
-    for build in (lambda: B[2], lambda: Access(B, (1.5,)),
+    for build in (lambda: Access(B, (1.5,)),
                   lambda: replace(B("i"), indices=(None,))):
         with pytest.raises(NonAffineAccess):
             build()
+
+
+def test_access_arity_must_match_the_order():
+    with pytest.raises(ArityMismatch, match="B has order 2, got 1 indices"):
+        TensorVar("B", (4, 4))("i")
 
 
 def test_missing_extent_rejected():
@@ -234,6 +240,11 @@ def test_parse_garbage_rejected():
         parse_statement("C(i, j) = A(i, k) ? B(k, j)", {"i": 2, "j": 2, "k": 2})
     with pytest.raises(TendistError):
         parse_statement("C(i, j) = A(i, k) * B(k, j) extra", {"i": 2, "j": 2, "k": 2})
+    # a comma stands between every two index names, and nowhere else
+    for text in ("C(i j) = A(i, j)", "C(i,) = A(i)"):
+        with pytest.raises(TendistError, match="unexpected token"):
+            parse_statement(text, {"i": 2, "j": 2})
+    assert parse_statement("C() = A(i)", {"i": 2}).lhs.indices == ()
 
 
 def test_statement_depth_is_bounded():

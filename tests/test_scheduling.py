@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tendist import (
 from tendist.cin import (
     Communicate,
     Distribute,
+    Forall,
     interpret,
     pretty,
 )
@@ -102,6 +104,12 @@ def test_split_unknown_var():
 def test_split_bad_chunk():
     with pytest.raises(ConfigError):
         split(lower_to_cin(gemm()), "k", "ko", "ki", 0)
+    with pytest.raises(ConfigError, match="divide parts must be positive, got 0"):
+        divide(lower_to_cin(gemm()), "k", "ko", "ki", 0)
+    cin = lower_to_cin(gemm())
+    pinned = replace(cin, loops=(Forall("i", 1, 2),) + cin.loops[1:])
+    with pytest.raises(ConfigError, match="cannot split pinned loop i"):
+        split(pinned, "i", "io", "ii", 1)
 
 
 def test_reorder():
@@ -145,6 +153,9 @@ def test_distribute_marks():
     assert Distribute("io") in out.relations
     with pytest.raises(UnknownVar):
         distribute(cin, "nope")
+    # rewriting the distributed loop away would leave the relation on no loop
+    with pytest.raises(UnknownVar, match=r"distribute\(io\): no loop binds io"):
+        split(out, "io", "ioo", "ioi", 1)
 
 
 def test_distribute_grid_compound():
@@ -167,6 +178,11 @@ def test_communicate_validates_tensor():
         communicate(cin, "Z", "io")
     with pytest.raises(UnknownVar):
         communicate(cin, "A", "zz")
+    # so would rewriting the communicate loop, which the run would then ignore
+    with pytest.raises(UnknownVar, match=r"communicate\(\{A, B\}, io\): no loop binds io"):
+        divide(out, "io", "ioo", "ioi", 1)
+    with pytest.raises(UnknownVar, match=r"communicate\(B, k\): no loop binds k"):
+        schedule().communicate("B", "k").split("k", "ko", "ki", 1).apply(lower_to_cin(gemm()))
 
 
 def test_rotate_replaces_loop():

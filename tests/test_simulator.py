@@ -427,6 +427,8 @@ def test_verify_catches_tampering():
     res.output.data[0, 0] += 1.0
     with pytest.raises(VerifyFail):
         verify_result(stmt, inputs, res)
+    with pytest.raises(VerifyFail, match=r"output dims \(4, 2\) != reference \(4, 4\)"):
+        verify_result(stmt, inputs, replace(res, output=DenseTensor((4, 2))))
 
 
 def test_verify_catches_nan_and_inf():
@@ -691,13 +693,22 @@ def test_overlap_sweep_names_the_earlier_task_first():
 def test_grid_mismatch():
     stmt = parse_statement("C(i, j) = A(i, k) * B(k, j)",
                            {"i": 4, "j": 4, "k": 4})
-    machine = grid(2, 2)
-    block = TensorDistribution((4, 4), machine, [(("x", "y"), ("x", "y"))])
-    sched = (schedule().divide("i", "io", "ii", 2)
-             .reorder("io", "ii").distribute("io"))
     inputs = {"A": DenseTensor((4, 4)), "B": DenseTensor((4, 4))}
-    with pytest.raises(GridMismatch):
-        run_statement(stmt, machine, {n: block for n in "ABC"}, inputs, sched)
+    cases = [
+        (grid(2, 2), schedule().divide("i", "io", "ii", 2).reorder("io", "ii").distribute("io"),
+         "1 distributed loops for machine 2x2 with 2 dimensions"),
+        (grid(2), schedule().divide("i", "io", "ii", 2).distribute("ii"),
+         "no leading distributed loops"),
+        (grid(2), schedule().divide("i", "io", "ii", 2).distribute("io").distribute("k"),
+         r"distributed loops \['k'\] are not outermost"),
+        (grid(2), schedule().divide("i", "io", "ii", 3).distribute("io"),
+         r"loop io spans \[0,3\) over a machine dimension of extent 2"),
+    ]
+    for machine, sched, message in cases:
+        names = ("x", "y")[:len(machine.flat_dims)]
+        rows = TensorDistribution((4, 4), machine, [(("x", "y"), names)])
+        with pytest.raises(GridMismatch, match=message):
+            run_statement(stmt, machine, {n: rows for n in "ABC"}, inputs, sched)
 
 
 def test_missing_pieces_rejected():
@@ -710,6 +721,10 @@ def test_missing_pieces_rejected():
     bad["B"] = DenseTensor((2, 2))
     with pytest.raises(ExtentMismatch):
         run_statement(stmt, machine, dists, bad, sched)
+    store = RegionStore(machine)  # B and C never placed
+    store.place("A", inputs["A"], dists["A"])
+    with pytest.raises(MissingDistribution, match="tensor B has no placed region"):
+        lower_to_tasks(sched.apply(lower_to_cin(stmt)), store)
 
 
 def test_placement_statement_rejected():
@@ -744,7 +759,7 @@ def access_rect(access, env, defs):
     """Index box one access touches under interval env, one var_interval
     call per index; None when empty. The per-task resolution the launch's
     lanes replaced, kept here as the oracle."""
-    ivs = [var_interval(v, env, defs) for v in access.var_names]
+    ivs = [var_interval(v, env, defs) for v in access.indices]
     rect = HyperRect(tuple(a for a, _ in ivs), tuple(b for _, b in ivs))
     if rect.is_empty and rect.lo:
         return None
