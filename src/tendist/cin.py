@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import (ExtentMismatch, MissingInput, OOBAccess, TendistError, UnboundVariable,
                      UnknownVar)
-from .ir import Access, TensorIndexStmt, accesses_of, compile_expr, format_expr, index_getter
+from .ir import (_PASS_POINTS, Access, TensorIndexStmt, accesses_of, compile_expr, format_expr,
+                 index_getter)
 from .tensors import DenseTensor
 
 
@@ -279,9 +280,6 @@ def lane_boxes(names, env, defs) -> tuple:
     for k, n in enumerate(names):
         lo[k], hi[k] = var_interval(n, env, defs)
     return tuple(a.reshape(len(names), math.prod(grid)).T for a in (lo, hi))
-
-
-_PASS_POINTS = 16384  # most points one vectorised resolution covers
 
 
 def _walk_box(leaf, loops, defs, read_store, out_store) -> None:

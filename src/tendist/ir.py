@@ -9,6 +9,7 @@ they index and must agree across all uses.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -217,14 +218,22 @@ def compile_expr(expr: Expr, names, store: dict):
     raise TendistError(f"cannot evaluate {expr!r}")
 
 
+# most points or terms one vectorised pass covers, here and in cin's walker
+_PASS_POINTS = 16384
+
+
 def sequential_evaluate(stmt: TensorIndexStmt, inputs: dict) -> DenseTensor:
     """Reference evaluation in a single memory.
 
-    Free variables are vectorized; reduction points are visited one at a time
-    in lexicographic order (reduction_vars order, each ascending), each adding
-    its whole box to an accumulator that starts at 0.0. Every output element
-    thus sees the same float64 operations as a scalar loop, bit for bit (NaN
-    sign and payload aside, which IEEE 754 leaves open).
+    Free variables are vectorized. Reduction points are taken in
+    lexicographic order (reduction_vars order, each ascending), in blocks of
+    at most _PASS_POINTS terms (points x free box): one rhs call per block,
+    its points on a leading axis. The block's terms are then added to an
+    accumulator that starts at 0.0 one point at a time, in point order. When
+    the free box alone fills more than half a pass, the points are visited
+    one at a time. Every output element thus sees the same float64
+    operations as a scalar loop, bit for bit (NaN sign and payload aside,
+    which IEEE 754 leaves open).
     """
     for acc in accesses_of(stmt.rhs):
         t = acc.tensor
@@ -240,15 +249,24 @@ def sequential_evaluate(stmt: TensorIndexStmt, inputs: dict) -> DenseTensor:
         np.arange(ext).reshape([-1 if k == axis else 1 for k in range(len(box))])
         for axis, ext in enumerate(box))
     rhs = compile_expr(stmt.rhs, stmt.var_order, inputs)
-    if stmt.reduction_vars:
-        # a scalar output accumulates in a float: updating a 0-d array
-        # costs more than the addition itself
-        value = np.zeros(box) if box else 0.0
-        red_ext = [stmt.extents[v] for v in stmt.reduction_vars]
+    red_ext = [stmt.extents[v] for v in stmt.reduction_vars]
+    per = _PASS_POINTS // math.prod(box)  # reduction points per block
+    if not red_ext:
+        value = rhs(lanes)
+    elif per < 2:
+        value = np.zeros(box)
         for red_pt in itertools.product(*[range(e) for e in red_ext]):
             value += rhs(lanes + red_pt)
     else:
-        value = rhs(lanes)
+        # a scalar output accumulates in a float: updating a 0-d array
+        # costs more than the addition itself
+        value = np.zeros(box) if box else 0.0
+        points = math.prod(red_ext)
+        for start in range(0, points, per):
+            at = np.arange(start, min(start + per, points)).reshape((-1,) + (1,) * len(box))
+            terms = rhs(lanes + np.unravel_index(at, red_ext))
+            for term in terms if box else terms.tolist():
+                value += term
     out.data[index_getter(stmt.lhs, stmt.free_vars)(lanes)] = value
     return out
 

@@ -11,9 +11,14 @@ The text syntax is `2x3` for a flat grid and `2x2/4` for two levels.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, EmptyGrid
+
+# most processors a machine may have: every one is enumerated up front, and
+# 2^16 is 64 times the 1,024 GPUs of the paper's largest runs
+MAX_PROCESSORS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -28,6 +33,10 @@ class Machine:
             for d in lvl:
                 if d <= 0:
                     raise EmptyGrid(f"non-positive machine extent in {self.levels}")
+        count = math.prod(self.flat_dims)
+        if count > MAX_PROCESSORS:
+            raise ConfigError(f"machine {self} has {count:,} processors, "
+                              f"more than the {MAX_PROCESSORS:,} that can be enumerated")
         object.__setattr__(self, "_procs", tuple(itertools.product(*[range(d) for d in self.flat_dims])))
 
     @property

@@ -235,6 +235,8 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
         ["--algorithm", "summa", "--machine", "", "--stats", str(tmp_path / "s.json")],
         ["--explain", "--kernel", "gemm", "--n", "4", "--machine", "",
          "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy"],
+        # 10^10 processors, refused before any is enumerated
+        ["--algorithm", "summa", "--machine", "100000x100000", "--stats", str(tmp_path / "s.json")],
     ]
     for argv in cases:
         assert run(argv) == 2

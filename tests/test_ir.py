@@ -156,21 +156,37 @@ def _wide_floats(rng, dims):
     return DenseTensor(dims, vals)
 
 
-@pytest.mark.parametrize("text", [
-    "A(i, j) = B(i, k) * C(k, j)",
-    "a = B(i, j) * C(i, j)",
-    "A(i, l) = B(i, j, k) * C(j, l) * D(k, l)",
-    "A(i) = B(i, i) + 1",
-    "A(i, i) = B(i, k) * C(k)",
-    "A(i, j) = B(i) + C(j) * 2.5",
-    "A(j, i) = B(i, j)",
-    "A(i, j) = (B(i, k) + C(i, k)) * D(k, j)",
+_SMALL = {"i": 3, "j": 4, "k": 5, "l": 2}  # every case in one block
+
+
+@pytest.mark.parametrize("text, extents, draws", [
+    *(pytest.param(text, _SMALL, 5, id=text) for text in [
+        "A(i, j) = B(i, k) * C(k, j)",
+        "a = B(i, j) * C(i, j)",
+        "A(i, l) = B(i, j, k) * C(j, l) * D(k, l)",
+        "A(i) = B(i, i) + 1",
+        "A(i, i) = B(i, k) * C(k)",
+        "A(i, j) = B(i) + C(j) * 2.5",
+        "A(j, i) = B(i, j)",
+        "A(i, j) = (B(i, k) + C(i, k)) * D(k, j)",
+    ]),
+    # a free box of 1,000 takes blocks of 16, 16 and 5 reduction points
+    pytest.param("C(i, j) = A(i, k) * B(k, j)", {"i": 40, "j": 25, "k": 37}, 1,
+                 id="gemm 40x25x37"),
+    # a scalar output over 16,384 + 516 points
+    pytest.param("a = A(i, j) * B(i, j)", {"i": 130, "j": 130}, 1, id="innerprod 130x130"),
+    # blocks of 2,730 points end partway along k, the innermost reduction
+    pytest.param("A(i, l) = B(i, j, k) * C(j, l) * D(k, l)",
+                 {"i": 3, "j": 70, "k": 90, "l": 2}, 1, id="mttkrp 3x70x90x2"),
+    # a free box of 16,384 visits the points one at a time
+    pytest.param("C(i, j) = A(i, k) * B(k, j)", {"i": 128, "j": 128, "k": 3}, 1,
+                 id="gemm 128x128x3"),
 ])
-def test_bit_exact_against_scalar_loop(text):
-    stmt = parse_statement(text, {"i": 3, "j": 4, "k": 5, "l": 2})
+def test_bit_exact_against_scalar_loop(text, extents, draws):
+    stmt = parse_statement(text, extents)
     out_name = stmt.lhs.tensor.name
     rng = np.random.default_rng(list(text.encode()))
-    for _ in range(5):
+    for _ in range(draws):
         ins = {name: _wide_floats(rng, var.dims)
                for name, var in stmt.tensors().items() if name != out_name}
         want = _scalar_loop(stmt, ins).tobytes()

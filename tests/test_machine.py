@@ -2,6 +2,7 @@ import pytest
 
 from tendist import grid, make_machine, parse_machine
 from tendist.errors import ConfigError, EmptyGrid
+from tendist.machine import MAX_PROCESSORS
 
 
 def test_flat_grid():
@@ -45,3 +46,13 @@ def test_parse_machine():
     assert parse_machine("5") == grid(5)
     with pytest.raises(ConfigError):
         parse_machine("2xq")
+
+
+def test_machine_too_large_to_enumerate_rejected():
+    assert len(grid(256, 256).enumerate()) == MAX_PROCESSORS == 65536
+    with pytest.raises(ConfigError, match="65,537 processors"):
+        grid(65537)
+    with pytest.raises(ConfigError, match="10,000,000,000 processors"):
+        parse_machine("100000x100000")
+    with pytest.raises(ConfigError, match="131,072 processors"):
+        make_machine([(256, 256), (2,)])
