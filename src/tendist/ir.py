@@ -8,7 +8,6 @@ they index and must agree across all uses.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -227,13 +226,13 @@ def sequential_evaluate(stmt: TensorIndexStmt, inputs: dict) -> DenseTensor:
 
     Free variables are vectorized. Reduction points are taken in
     lexicographic order (reduction_vars order, each ascending), in blocks of
-    at most _PASS_POINTS terms (points x free box): one rhs call per block,
-    its points on a leading axis. The block's terms are then added to an
-    accumulator that starts at 0.0 one point at a time, in point order. When
-    the free box alone fills more than half a pass, the points are visited
-    one at a time. Every output element thus sees the same float64
-    operations as a scalar loop, bit for bit (NaN sign and payload aside,
-    which IEEE 754 leaves open).
+    at most _PASS_POINTS terms (points x free box), or of one point when the
+    free box alone fills more than half of that: one rhs call per block, its
+    points on a leading axis. The block's terms are then added to an
+    accumulator that starts at 0.0 one point at a time, in point order.
+    Every output element thus sees the same float64 operations as a scalar
+    loop, bit for bit (NaN sign and payload aside, which IEEE 754 leaves
+    open).
     """
     for acc in accesses_of(stmt.rhs):
         t = acc.tensor
@@ -249,24 +248,20 @@ def sequential_evaluate(stmt: TensorIndexStmt, inputs: dict) -> DenseTensor:
         np.arange(ext).reshape([-1 if k == axis else 1 for k in range(len(box))])
         for axis, ext in enumerate(box))
     rhs = compile_expr(stmt.rhs, stmt.var_order, inputs)
-    red_ext = [stmt.extents[v] for v in stmt.reduction_vars]
-    per = _PASS_POINTS // math.prod(box)  # reduction points per block
-    if not red_ext:
-        value = rhs(lanes)
-    elif per < 2:
-        value = np.zeros(box)
-        for red_pt in itertools.product(*[range(e) for e in red_ext]):
-            value += rhs(lanes + red_pt)
-    else:
+    if stmt.reduction_vars:
         # a scalar output accumulates in a float: updating a 0-d array
         # costs more than the addition itself
         value = np.zeros(box) if box else 0.0
+        red_ext = [stmt.extents[v] for v in stmt.reduction_vars]
         points = math.prod(red_ext)
+        per = max(1, _PASS_POINTS // math.prod(box))  # reduction points per block
         for start in range(0, points, per):
             at = np.arange(start, min(start + per, points)).reshape((-1,) + (1,) * len(box))
             terms = rhs(lanes + np.unravel_index(at, red_ext))
             for term in terms if box else terms.tolist():
                 value += term
+    else:
+        value = rhs(lanes)
     out.data[index_getter(stmt.lhs, stmt.free_vars)(lanes)] = value
     return out
 

@@ -178,7 +178,7 @@ _SMALL = {"i": 3, "j": 4, "k": 5, "l": 2}  # every case in one block
     # blocks of 2,730 points end partway along k, the innermost reduction
     pytest.param("A(i, l) = B(i, j, k) * C(j, l) * D(k, l)",
                  {"i": 3, "j": 70, "k": 90, "l": 2}, 1, id="mttkrp 3x70x90x2"),
-    # a free box of 16,384 visits the points one at a time
+    # a free box of 16,384 takes blocks of one point
     pytest.param("C(i, j) = A(i, k) * B(k, j)", {"i": 128, "j": 128, "k": 3}, 1,
                  id="gemm 128x128x3"),
 ])

@@ -49,10 +49,10 @@ def test_parse_machine():
 
 
 def test_machine_too_large_to_enumerate_rejected():
-    assert len(grid(256, 256).enumerate()) == MAX_PROCESSORS == 65536
-    with pytest.raises(ConfigError, match="65,537 processors"):
-        grid(65537)
+    assert len(grid(1024, 1024).enumerate()) == MAX_PROCESSORS == 1048576
+    with pytest.raises(ConfigError, match="1,048,577 processors"):
+        grid(1048577)
     with pytest.raises(ConfigError, match="10,000,000,000 processors"):
         parse_machine("100000x100000")
-    with pytest.raises(ConfigError, match="131,072 processors"):
-        make_machine([(256, 256), (2,)])
+    with pytest.raises(ConfigError, match="2,097,152 processors"):
+        make_machine([(1024, 1024), (2,)])
