@@ -18,7 +18,7 @@ The pipeline, bottom to top:
 
 from . import errors
 from .errors import ConfigError, TendistError, VerifyFail
-from .tensors import DenseTensor, load_tensor, save_tensor
+from .tensors import DenseTensor
 from .machine import Machine, grid, make_machine, parse_machine
 from .ir import (
     Access,
@@ -78,7 +78,6 @@ from .simulator import (
     redistribute,
     run_statement,
     verify_result,
-    write_edge_csv,
 )
 from .algorithms import (
     ALGORITHMS,
@@ -106,8 +105,6 @@ __all__ = [
     "ConfigError",
     "VerifyFail",
     "DenseTensor",
-    "save_tensor",
-    "load_tensor",
     "Machine",
     "grid",
     "make_machine",
@@ -161,7 +158,6 @@ __all__ = [
     "run_statement",
     "redistribute",
     "verify_result",
-    "write_edge_csv",
     "ALGORITHMS",
     "AlgorithmBundle",
     "bundle_from_config",

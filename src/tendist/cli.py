@@ -3,8 +3,8 @@
 Two ways to run: a registry algorithm (--algorithm summa) or a custom
 statement (--kernel gemm / --expr "C(i, j) = A(i, k) * B(k, j)" plus
 --machine, --dist per tensor, and a --schedule script). Runs write a stats
-JSON, and with --output the result tensor; --verify checks the result
-against the single-memory reference.
+JSON, and with --output the result tensor as a .npy file; --verify checks
+the result against the single-memory reference.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration errors
 (unreadable or unwritable paths included).
@@ -17,6 +17,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .algorithms import ALGORITHMS, KERNELS, REGISTRY, bundle_from_config, random_inputs
 from .cin import lower_to_cin, pretty
 from .distribution import TensorDistribution, lower_placement, parse_distribution
@@ -24,8 +26,7 @@ from .errors import ConfigError, TendistError, VerifyFail
 from .ir import format_statement, index_names, parse_statement
 from .machine import parse_machine
 from .scheduling import parse_schedule
-from .simulator import run_statement, verify_result, write_edge_csv
-from .tensors import save_tensor
+from .simulator import run_statement, verify_result
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -64,10 +65,9 @@ def _parser() -> argparse.ArgumentParser:
                      help="stats JSON path (default stats.json)")
     out.add_argument("--dump-trace", action="store_true",
                      help="print every transfer as a JSON ledger row")
-    out.add_argument("--edges-csv", metavar="PATH",
-                     help="write the per-edge aggregate as CSV")
     out.add_argument("--output", metavar="PATH",
-                     help="write the result tensor (binary, see save_tensor)")
+                     help="write the result tensor as .npy at exactly PATH "
+                          "(read it with numpy.load)")
     out.add_argument("--explain", action="store_true",
                      help="print placements and the statement after each "
                           "schedule command instead of running")
@@ -145,9 +145,12 @@ def _explain(args) -> int:
 
 
 def _check_outputs(args) -> None:
-    """Refuse, before the run, an output path its end could not write."""
-    for flag, path in (("--stats", args.stats), ("--edges-csv", args.edges_csv),
-                       ("--output", args.output)):
+    """Refuse, before the run, an output path its end could not write, and
+    one file named by both outputs."""
+    if args.stats and args.output and (
+            os.path.realpath(args.stats) == os.path.realpath(args.output)):
+        raise ConfigError(f"--stats and --output both name {args.output}")
+    for flag, path in (("--stats", args.stats), ("--output", args.output)):
         if not path:
             continue
         folder = os.path.dirname(path) or "."
@@ -166,10 +169,9 @@ def _finish(args, result, stmt, inputs, config) -> int:
     if args.stats:
         with open(args.stats, "w") as fh:
             json.dump(stats, fh, indent=2, sort_keys=True)
-    if args.edges_csv:
-        write_edge_csv(trace, args.edges_csv)
     if args.output:
-        save_tensor(result.output, args.output)
+        with open(args.output, "wb") as fh:  # np.save on a path appends .npy
+            np.save(fh, result.output.data)
     t = stats["totals"]
     print(f"machine {stats['machine']}: {t['messages']} messages, "
           f"{t['elements']} elements moved, {stats['num_steps']} steps, "
@@ -230,6 +232,8 @@ def main(argv=None) -> int:
         if args.chunk is not None and not args.algorithm:
             raise ConfigError("--chunk is for --algorithm runs; a custom run's "
                               "chunks belong in --schedule (split k ko ki N)")
+        if args.n is not None and args.dims is not None:
+            raise ConfigError("pass --n or --dims, not both")
         if args.explain:
             if args.algorithm:
                 raise ConfigError("--explain works with --kernel/--expr runs")

@@ -14,7 +14,6 @@ machine enumeration order throughout, so traces are identical run to run.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, replace
 
@@ -204,20 +203,6 @@ class ExecutionTrace:
                 "inter_node": tally(inter),
             }
         return out
-
-
-def write_edge_csv(trace: ExecutionTrace, path) -> None:
-    """Per-edge aggregate as CSV: src,dst,messages,elements."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["src", "dst", "messages", "elements"])
-        for row in trace.per_edge():
-            w.writerow([
-                "x".join(str(c) for c in row["src"]),
-                "x".join(str(c) for c in row["dst"]),
-                row["messages"],
-                row["elements"],
-            ])
 
 
 # regions

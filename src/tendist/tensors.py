@@ -1,14 +1,12 @@
-"""Dense tensor values and their on-disk form.
+"""Dense tensor values.
 
-A DenseTensor is a row-major float64 array with explicit dims. The file
-format is a little-endian header (order, then each extent, unsigned 64-bit)
-followed by the row-major float64 payload.
+A DenseTensor is a row-major float64 array with explicit dims. The command
+line's --output writes its array as a .npy file.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
@@ -41,10 +39,6 @@ class DenseTensor:
             self.data = arr
 
     @property
-    def order(self) -> int:
-        return len(self.dims)
-
-    @property
     def volume(self) -> int:
         v = 1
         for d in self.dims:
@@ -69,27 +63,3 @@ class DenseTensor:
 
     def __repr__(self):
         return f"DenseTensor(dims={self.dims})"
-
-
-_HEADER_WORD = struct.Struct("<Q")
-
-
-def save_tensor(t: DenseTensor, path) -> None:
-    head = _HEADER_WORD.pack(t.order) + b"".join(_HEADER_WORD.pack(d) for d in t.dims)
-    with open(path, "wb") as fh:
-        fh.write(head + np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-
-
-def load_tensor(path) -> DenseTensor:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    order = _HEADER_WORD.unpack_from(raw)[0] if len(raw) >= 8 else 0
-    head = 8 * (1 + order)
-    if len(raw) < head:
-        raise ExtentMismatch(f"{len(raw)} bytes cannot hold a header of order {order}")
-    dims = struct.unpack_from(f"<{order}Q", raw, 8)
-    need = 8 * math.prod(dims)
-    if len(raw) - head != need:
-        raise ExtentMismatch(f"payload holds {len(raw) - head} bytes, dims {dims} need {need}")
-    data = np.frombuffer(raw, dtype="<f8", offset=head).astype(np.float64)
-    return DenseTensor(dims, data.reshape(dims))

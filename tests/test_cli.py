@@ -1,6 +1,8 @@
 import json
 
-from tendist import bundle_from_config, load_tensor, parse_machine, random_inputs
+import numpy as np
+
+from tendist import bundle_from_config, parse_machine, random_inputs
 from tendist.cli import main
 from tendist.errors import VerifyFail
 
@@ -93,25 +95,21 @@ def test_dump_trace_lines(tmp_path, capsys):
     assert lines[-1].startswith("machine 2x2: 8 messages")
 
 
-def test_edges_csv(tmp_path):
-    csv_path = tmp_path / "edges.csv"
-    code = run(["--algorithm", "summa", "--dims", "4x4x4", "--chunk", "2",
-                "--edges-csv", str(csv_path),
-                "--stats", str(tmp_path / "s.json")])
-    assert code == 0
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "src,dst,messages,elements"
-    assert sum(int(l.split(",")[3]) for l in lines[1:]) == 32
-
-
 def test_output_writes_the_result(tmp_path):
-    out_path = tmp_path / "C.bin"
-    code = run(["--algorithm", "cannon", "--n", "6", "--machine", "3x3", "--seed", "4",
-                "--output", str(out_path), "--stats", str(tmp_path / "s.json")])
-    assert code == 0
-    bundle = bundle_from_config("cannon", parse_machine("3x3"), (6, 6, 6), 1)
-    result, _ = bundle.run(inputs=random_inputs(bundle.statement, 4))
-    assert load_tensor(out_path) == result.output
+    # a 2-D result and innerprod's 0-d one, each as .npy at exactly the path given
+    for name, machine, dims, shape in (("cannon", "3x3", (6, 6, 6), (6, 6)),
+                                       ("innerprod", "2", (6, 6), ())):
+        folder = tmp_path / name
+        folder.mkdir()
+        code = run(["--algorithm", name, "--n", "6", "--machine", machine, "--seed", "4",
+                    "--output", str(folder / "C.bin"), "--stats", str(folder / "s.json")])
+        assert code == 0
+        bundle = bundle_from_config(name, parse_machine(machine), dims, 1)
+        want = bundle.run(inputs=random_inputs(bundle.statement, 4))[0].output
+        got = np.load(folder / "C.bin", allow_pickle=False)
+        assert got.shape == want.dims == shape
+        assert got.dtype == np.float64 and got.tobytes() == want.data.tobytes()
+        assert sorted(p.name for p in folder.iterdir()) == ["C.bin", "s.json"]
 
 
 def test_explain(tmp_path, capsys):
@@ -223,8 +221,6 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
          "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy",
          "--schedule", str(tmp_path)],
         ["--algorithm", "summa", "--stats", str(tmp_path / "missing" / "s.json")],
-        ["--algorithm", "summa", "--stats", str(tmp_path / "s.json"),
-         "--edges-csv", str(tmp_path / "missing" / "e.csv")],
         ["--algorithm", "summa", "--stats", str(tmp_path)],
         ["--algorithm", "summa", "--stats", str(tmp_path / "s.json"),
          "--output", str(tmp_path / "missing" / "C.bin")],
@@ -235,6 +231,16 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
         ["--algorithm", "summa", "--machine", "", "--stats", str(tmp_path / "s.json")],
         ["--explain", "--kernel", "gemm", "--n", "4", "--machine", "",
          "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy"],
+        # --n and --dims together, for a bundle, a custom run and --explain
+        ["--algorithm", "summa", "--n", "4", "--dims", "8x8x8",
+         "--stats", str(tmp_path / "s.json")],
+        ["--kernel", "gemm", "--n", "4", "--dims", "8x8x8", "--machine", "2x2",
+         "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy",
+         "--schedule", SUMMA_SCRIPT, "--stats", str(tmp_path / "s.json")],
+        ["--explain", "--kernel", "gemm", "--n", "4", "--dims", "8x8x8"],
+        # --stats and --output on one file, however the path is spelt
+        ["--algorithm", "summa", "--stats", str(tmp_path / "s.json"),
+         "--output", f"{tmp_path}/./s.json"],
         # 10^10 processors, refused before any is enumerated
         ["--algorithm", "summa", "--machine", "100000x100000", "--stats", str(tmp_path / "s.json")],
     ]

@@ -97,7 +97,6 @@ def test_no_unreferenced_definitions():
 
 # the definitions that nothing but the tests reaches, each kept on purpose
 TEST_ONLY = {
-    "load_tensor": "reads back what --output writes with save_tensor",
     "redistribute": "the library's move of a placed tensor to a new distribution",
     "piece_bounds": "perfbench's bench_trace counts its calls by name",
     "processors_of": "perfbench's bench_trace counts its calls by name",

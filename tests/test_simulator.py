@@ -1,4 +1,3 @@
-import csv
 import tracemalloc
 from dataclasses import replace
 
@@ -30,7 +29,6 @@ from tendist import (
     sequential_evaluate,
     var_interval,
     verify_result,
-    write_edge_csv,
 )
 import tendist.distribution as distribution
 import tendist.simulator as simulator
@@ -406,19 +404,6 @@ def test_stats_rows_reuse_coordinate_tuples():
     assert any(edge["src"] is e.src for e in trace.events)
     row = stats["memory_high_water"]["per_processor"][0]
     assert row["processor"] is trace.machine.enumerate()[0]
-
-
-def test_edge_csv(tmp_path):
-    stmt, machine, dists, inputs, sched = _gemm_setup()
-    trace = run_statement(stmt, machine, dists, inputs, sched).trace
-    path = tmp_path / "edges.csv"
-    write_edge_csv(trace, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["src", "dst", "messages", "elements"]
-    assert len(rows) == 1 + len(trace.per_edge())
-    assert rows[1][0].count("x") == 1  # coordinates joined as 0x1
-    assert sum(int(r[3]) for r in rows[1:]) == 32
 
 
 def test_verify_catches_tampering():

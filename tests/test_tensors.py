@@ -3,13 +3,11 @@ import pytest
 
 from tendist import DenseTensor
 from tendist.errors import ConfigError, ExtentMismatch
-from tendist.tensors import load_tensor, save_tensor
 
 
 def test_zeros_and_shape():
     t = DenseTensor((2, 3))
     assert t.dims == (2, 3)
-    assert t.order == 2
     assert t.volume == 6
     assert t.data.shape == (2, 3)
     assert float(t.data.sum()) == 0.0
@@ -18,7 +16,6 @@ def test_zeros_and_shape():
 def test_scalar_tensor():
     t = DenseTensor(())
     assert t.dims == ()
-    assert t.order == 0
     assert t.volume == 1
     t[()] = 2.5
     assert t[()] == 2.5
@@ -60,43 +57,3 @@ def test_indexing_and_copy():
     assert c[1, 0] == 9.0
     assert t == DenseTensor((2, 2), [[1, 2], [3, 4]])
     assert t != c
-
-
-def test_bytes_header_layout(tmp_path):
-    t = DenseTensor((2, 3), np.arange(6, dtype=float).reshape(2, 3))
-    p = tmp_path / "t.bin"
-    save_tensor(t, p)
-    raw = p.read_bytes()
-    # header: order then each extent, little-endian u64
-    assert raw[:8] == (2).to_bytes(8, "little")
-    assert raw[8:16] == (2).to_bytes(8, "little")
-    assert raw[16:24] == (3).to_bytes(8, "little")
-    assert len(raw) == 24 + 6 * 8
-    assert load_tensor(p) == t
-
-
-def test_bytes_roundtrip_scalar(tmp_path):
-    t = DenseTensor((), None)
-    t[()] = -7.25
-    p = tmp_path / "t.bin"
-    save_tensor(t, p)
-    assert load_tensor(p) == t
-
-
-def test_bytes_payload_size_checked(tmp_path):
-    t = DenseTensor((2, 2), [[1, 2], [3, 4]])
-    p = tmp_path / "t.bin"
-    save_tensor(t, p)
-    raw = p.read_bytes()
-    # a short payload, a payload cut mid-value, a header cut short, no header
-    for cut in (raw[:-8], raw[:-3], raw[:12], raw[:5]):
-        p.write_bytes(cut)
-        with pytest.raises(ExtentMismatch):
-            load_tensor(p)
-
-
-def test_file_roundtrip(tmp_path):
-    t = DenseTensor((3, 2), np.arange(6, dtype=float).reshape(3, 2))
-    p = tmp_path / "t.bin"
-    save_tensor(t, p)
-    assert load_tensor(p) == t
