@@ -277,9 +277,9 @@ def ttv(g: int, *, dims=(6, 5, 4)):
 
 
 @_registered("ttm", "2")
-def ttm(g: int, *, dims=(5, 4, 6, 3)):
+def ttm(g: int, *, dims=(5, 4, 3, 6)):
     """Tensor times matrix: rows distributed, the matrix replicated."""
-    di, dj, dk, dl = dims
+    di, dj, dl, dk = dims
     machine = grid(g)
     stmt = parse_statement(KERNELS["ttm"], {"i": di, "j": dj, "k": dk, "l": dl})
     dists = _dists(stmt, machine, Y=[("xyz", ("x",))], B=[("xyz", ("x",))],

@@ -43,8 +43,9 @@ def _parser() -> argparse.ArgumentParser:
                      "'C(i, j) = A(i, k) * B(k, j)'")
     shape = p.add_argument_group("problem shape")
     shape.add_argument("--n", type=int, help="set every index extent to N")
-    shape.add_argument("--dims", help="per-index extents like 8x4x6, "
-                       "applied in index order")
+    shape.add_argument("--dims", help="per-index extents like 8x4x6, in the "
+                       "order the statement names its indices, for --algorithm "
+                       "too (ttm: i x j x l x k)")
     shape.add_argument("--chunk", type=int,
                        help="sequential chunk/round factor of the algorithms "
                        + ", ".join(n for n, r in REGISTRY.items() if r.chunked)
@@ -91,7 +92,7 @@ def _statement_text(args) -> str:
 
 def _extents(args, text: str) -> dict:
     names = index_names(text)
-    if args.dims:
+    if args.dims is not None:
         sizes = _dims(args.dims)
         if len(sizes) != len(names):
             raise ConfigError(
@@ -185,7 +186,7 @@ def _finish(args, result, stmt, inputs, config) -> int:
 def _run_algorithm(args) -> int:
     machine = parse_machine(args.machine) if args.machine is not None else None
     dims = None
-    if args.dims:
+    if args.dims is not None:
         dims = _dims(args.dims)
     elif args.n is not None:
         dims = (args.n,) * REGISTRY[args.algorithm].extents

@@ -136,9 +136,9 @@ class TensorIndexStmt:
 def build_statement(lhs: Access, rhs) -> TensorIndexStmt:
     """Bind variable extents and classify variables.
 
-    Extents come from the tensor dimensions each variable indexes; a variable
-    indexing dimensions of different extents is an ExtentMismatch. An rhs
-    more than MAX_DEPTH levels deep is refused.
+    Extents come from the tensor dimensions each variable indexes; an extent
+    below 1, or a variable indexing dimensions of different extents, is an
+    ExtentMismatch. An rhs more than MAX_DEPTH levels deep is refused.
     """
     rhs = _wrap(rhs)
     _check_depth(rhs)
@@ -146,6 +146,9 @@ def build_statement(lhs: Access, rhs) -> TensorIndexStmt:
     for acc in [lhs] + accesses_of(rhs):
         for pos, v in enumerate(acc.indices):
             ext = acc.tensor.dims[pos]
+            if ext < 1:
+                raise ExtentMismatch(f"{v} has extent {ext} (at {acc.tensor.name} dim "
+                                     f"{pos}); every extent must be at least 1")
             prev = extents.setdefault(v, ext)
             if prev != ext:
                 raise ExtentMismatch(

@@ -450,18 +450,15 @@ def _fold(plan: LaunchPlan, tasks: list, result: dict, region: Region) -> None:
             region.tensor.data[sl] = partial[sl]
 
 
-def _write_back(plan: LaunchPlan, task: TaskInfo, region: Region, homes: dict,
-                events: list) -> None:
+def _write_back(plan: LaunchPlan, task: TaskInfo, parts, events: list) -> None:
     """Record a write-back of the task's output rect to each home of it that
-    is not the task itself. `homes` maps an output rect to its parts for
-    one launch, so the tasks of a reduction's fan-in, which write one rect,
-    look its homes up once."""
+    is not the task itself. `parts(tensor, rect)` is the launch's memo, so
+    the tasks of a reduction's fan-in, which write one rect, look its homes
+    up once."""
     rect = task.out_rect
     if rect is None:
         return
-    if rect not in homes:
-        homes[rect] = list(region.dist.parts(rect))
-    for _, part, procs in homes[rect]:
+    for _, part, procs in parts(plan.out_name, rect):
         targets = procs if plan.out_kind == "copy" else procs[:1]
         for h in targets:
             if h != task.coord:
@@ -471,8 +468,13 @@ def _write_back(plan: LaunchPlan, task: TaskInfo, region: Region, homes: dict,
 
 def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None:
     """Ledger every transfer of one launch and bump memory, step by step,
-    then each task's write-back in task order, the homes of each distinct
-    output rect looked up once per launch.
+    then each task's write-back in task order.
+
+    One memo per launch maps (tensor, rect) to the rect's parts: the pieces
+    of launch-scope needs and the output rects of the write-back are looked
+    up (`parts`) once per launch, however many tasks share them (a 3D
+    algorithm's fiber reads one input block and writes one output block).
+    Step-scope pieces are looked up afresh, as they live for a step or two.
 
     Each task's needs, the non-empty rects of its fetch-plan entries in plan
     order, are cut down by what it already holds (so a rect the task fetched
@@ -490,6 +492,13 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
     persist = {p: store.persistent_volume(p) for p in order}
     buffers = {t.coord: (t.out_rect.volume if t.out_rect is not None else 0)
                for t in plan.tasks}
+    memo: dict = {}
+
+    def parts(tensor, rect):
+        key = (tensor, rect)
+        if key not in memo:
+            memo[key] = list(store[tensor].dist.parts(rect))
+        return memo[key]
 
     def fetch(task, tensor, rect, step, scope, cur_temps):
         region = store[tensor]
@@ -499,7 +508,8 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
             held += temps.by_holder.get((p, tensor), [])
         sink = launch_temps if scope == "launch" else cur_temps
         for piece in subtract_rects([rect], held):
-            for color, part, homes in region.dist.parts(piece):
+            found = parts(tensor, piece) if scope == "launch" else region.dist.parts(piece)
+            for color, part, homes in found:
                 key = (tensor, color)
                 src = _pick_source(part, p, homes,
                                    prev_temps.by_color.get(key, []),
@@ -529,10 +539,8 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
             trace.bump_memory(p, vol)
         prev_temps = cur_temps
     if plan.out_name is not None:
-        region = store[plan.out_name]
-        homes: dict = {}
         for task in plan.tasks:
-            _write_back(plan, task, region, homes, events)
+            _write_back(plan, task, parts, events)
 
 
 def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,

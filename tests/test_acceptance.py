@@ -130,7 +130,7 @@ def test_criterion_03_bundles_match_the_reference():
         summa_hier(dims=(8, 8, 8), chunk=2),
         summa_hier(dims=(7, 6, 5), chunk=3),
         ttv(2), ttv(3, dims=(7, 5, 4)),
-        ttm(2), ttm(3, dims=(5, 4, 7, 3)),
+        ttm(2), ttm(3, dims=(5, 4, 3, 7)),
         innerprod(2), innerprod(3, dims=(7, 5)),
         mttkrp(2, 2), mttkrp(2, 2, dims=(5, 3, 7, 2)),
     ]

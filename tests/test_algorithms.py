@@ -31,6 +31,7 @@ from tendist.errors import (
     NonCubeGrid,
     NonSquareGrid,
 )
+from tendist.ir import index_names
 
 
 def run_and_check(bundle, seed=0):
@@ -55,7 +56,7 @@ def test_registry_defaults_verify(name):
     lambda: cosma_like(2, 2, 1, chunk=2, dims=(5, 4, 7)),
     lambda: summa_hier(dims=(7, 6, 5), chunk=3),
     lambda: ttv(3, dims=(7, 5, 4)),
-    lambda: ttm(3, dims=(5, 4, 7, 3)),
+    lambda: ttm(3, dims=(5, 4, 3, 7)),
     lambda: innerprod(3, dims=(7, 5)),
     lambda: mttkrp(2, 2, dims=(5, 3, 7, 2)),
 ])
@@ -234,6 +235,15 @@ def test_registry_rows_count_their_statements_extents():
         assert row.extents == len(bundle_from_config(name).statement.extents)
     assert [n for n, row in REGISTRY.items() if row.chunked] == [
         "summa", "cosma-like", "summa-hier"]
+
+
+def test_builders_take_dims_in_the_statements_index_order():
+    # the order --dims uses for --kernel and --expr runs: ttm's l comes before k
+    for name, row in REGISTRY.items():
+        dims = (5, 6, 7, 8)[:row.extents]
+        stmt = bundle_from_config(name, dims=dims).statement
+        order = index_names(format_statement(stmt))
+        assert tuple(stmt.extents[v] for v in order) == dims, name
 
 
 def test_ttv_and_ttm_are_communication_free():

@@ -238,6 +238,13 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
          "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy",
          "--schedule", SUMMA_SCRIPT, "--stats", str(tmp_path / "s.json")],
         ["--explain", "--kernel", "gemm", "--n", "4", "--dims", "8x8x8"],
+        # an empty --dims, for a bundle and a custom run
+        ["--algorithm", "summa", "--dims", "", "--stats", str(tmp_path / "s.json")],
+        ["--kernel", "gemm", "--dims", "", "--machine", "2x2",
+         "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy",
+         "--schedule", SUMMA_SCRIPT, "--stats", str(tmp_path / "s.json")],
+        # an extent below 1, refused when the statement is built
+        ["--explain", "--kernel", "gemm", "--n", "0"],
         # --stats and --output on one file, however the path is spelt
         ["--algorithm", "summa", "--stats", str(tmp_path / "s.json"),
          "--output", f"{tmp_path}/./s.json"],

@@ -84,9 +84,9 @@ PINS = [
      "594d90ca30d3978bd2c3322261d1d54e718d29c95bc51e8fe4dc2ed35824a326"),
     ("ttv", (3,), (6, 5, 4), 1,
      "70a3f3f0ac4c92b98b5a120b49fb7ceb1ec57467334e71287a94e4761e504081"),
-    ("ttm", (2,), (5, 4, 6, 3), 1,
+    ("ttm", (2,), (5, 4, 3, 6), 1,
      "18b4424c0b22402919c0c7e264308a361502bfd438fc6b8ef212064b1b7c1c9f"),
-    ("ttm", (4,), (8, 4, 6, 3), 1,
+    ("ttm", (4,), (8, 4, 3, 6), 1,
      "a0f183553f74cf6279a0f0ffe1ccd44feab1b044384a850fcc1f4cd3aed764f7"),
     ("innerprod", (2,), (6, 5), 1,
      "357d66db052a19c3f890718718e94b4c0953115328b29902521f3f8cbe309343"),

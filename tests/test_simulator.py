@@ -367,6 +367,31 @@ def test_write_back_looks_up_each_output_block_once(monkeypatch):
         assert calls[0] == lookups
 
 
+@pytest.mark.parametrize("name, machine, n", [
+    ("johnson", (4, 4, 4), 40), ("johnson", (8, 8, 8), 16), ("mttkrp", (2, 2), None)])
+def test_launch_scope_run_looks_up_no_rect_twice(monkeypatch, name, machine, n):
+    # every fetch of these runs is at launch scope, where a 3D algorithm's
+    # fiber of tasks reads one input block; johnson 4x4x4 n=40 made 112
+    # lookups of 48 distinct pairs before one memo served the launch
+    plans, seen = [], []
+    lower, parts = simulator.lower_to_tasks, TensorDistribution.parts
+
+    def lowering(stmt, store):
+        plans.append(lower(stmt, store))
+        return plans[-1]
+
+    def recorded(self, rect):
+        seen.append((id(self), rect))
+        return parts(self, rect)
+
+    monkeypatch.setattr(simulator, "lower_to_tasks", lowering)
+    monkeypatch.setattr(TensorDistribution, "parts", recorded)
+    dims = None if n is None else (n,) * REGISTRY[name].extents
+    bundle_from_config(name, grid(*machine), dims, 1).run()
+    assert {scope for plan in plans for _, scope in plan.fetch_plan} == {"launch"}
+    assert seen and len(set(seen)) == len(seen)
+
+
 def test_piece_table_is_built_once_per_distribution(monkeypatch):
     # the color scans of fetch and _commit read each distribution's piece
     # table; rebuilding bounds and holders per scanned color made 68,800
