@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cin import (
     Communicate,
     Distribute,
@@ -128,7 +130,7 @@ class TensorDistribution:
         self.machine = machine
         self.levels = tuple((tuple(x), tuple(y)) for x, y in levels)
         self._validate()
-        self.pieces = self._read_pieces()
+        self.pieces, self._lo, self._hi = self._read_pieces()
         self._by_color = {entry[0]: entry for entry in self.pieces}
 
     def _validate(self):
@@ -190,12 +192,14 @@ class TensorDistribution:
     # coloring and expansion, read off the placement statement
 
     def _read_pieces(self) -> tuple:
-        """(color, bounds, holders) per color. The colors are the values of
-        the partition loops (the outer loops of the placement's divides) in
-        launch order, which is lexicographic; a color's bounds are the placed
-        access resolved with those loops as lanes, one lane per color, and
-        every other loop at its full range; its holders are the launch loops'
-        ranges with the color's values pinned, in enumeration order."""
+        """The piece table, (color, bounds, holders) per color, and the
+        bounds' lo and hi as two int64 arrays of colors x order. The colors
+        are the values of the partition loops (the outer loops of the
+        placement's divides) in launch order, which is lexicographic; a
+        color's bounds are the placed access resolved with those loops as
+        lanes, one lane per color, and every other loop at its full range;
+        its holders are the launch loops' ranges with the color's values
+        pinned, in enumeration order."""
         stmt = lower_placement(TensorVar("", self.tensor_dims), self)
         rels = stmt.relations
         defs = relation_defs(rels)
@@ -212,7 +216,7 @@ class TensorDistribution:
             pins = {**full, **{v: (c, c + 1) for v, c in zip(part, color)}}
             holders = tuple(itertools.product(*(range(*pins[f.var]) for f in launch)))
             out.append((color, HyperRect(tuple(a), tuple(b)), holders))
-        return tuple(out)
+        return tuple(out), lo, hi
 
     def _piece(self, color) -> tuple:
         entry = self._by_color.get(tuple(color))
@@ -222,11 +226,25 @@ class TensorDistribution:
             raise OutOfBounds(f"color {color} is not one of {len(self.pieces)} colors")
         return entry
 
-    def parts(self, rect: HyperRect):
+    def meets(self, lo, hi):
+        """Tasks x colors bool mask: whether the lane rect [lo[t], hi[t])
+        shares a point with color c's piece, as `HyperRect.intersect` would
+        say; lo and hi are int64 arrays of tasks x order. One axis at a
+        time, so no temporary is larger than tasks x colors."""
+        mask = np.ones((len(lo), len(self.pieces)), bool)
+        for a, b, c, d in zip(lo.T, hi.T, self._lo.T, self._hi.T):
+            mask &= np.maximum(a[:, None], c) < np.minimum(b[:, None], d)
+        return mask
+
+    def parts(self, rect: HyperRect, among=None):
         """(color, part, holders) for each piece `rect` meets, in table
         order; `part` is the piece's non-empty share of `rect`. This is the
-        one lookup of which pieces a rect meets and who holds each."""
-        for color, bounds, holders in self.pieces:
+        one lookup of which pieces a rect meets and who holds each. `among`,
+        one flag per color in table order that is set for every color `rect`
+        meets (the `meets` row of a rect containing it), limits the scan to
+        the flagged colors; the parts are the same."""
+        pieces = self.pieces if among is None else itertools.compress(self.pieces, among)
+        for color, bounds, holders in pieces:
             part = rect.intersect(bounds)
             if part is not None:
                 yield color, part, holders

@@ -52,9 +52,10 @@ from .tensors import DenseTensor
 
 # interval bounds for loop nests
 
-def _task_rects(access: Access, env: dict, defs: dict) -> list:
+def _task_rects(access: Access, env: dict, defs: dict) -> tuple:
     """Index box one access touches at each point of launch env `env` (its
-    launch loops as lanes), in task order; None where it is empty."""
+    launch loops as lanes), in task order, None where it is empty; and the
+    lanes' lo and hi, two int64 arrays of tasks x order."""
     lo, hi = lane_boxes(access.indices, env, defs)
     empty = (lo >= hi).any(axis=1)
     rects = [None if e else HyperRect(tuple(a), tuple(b))
@@ -63,7 +64,7 @@ def _task_rects(access: Access, env: dict, defs: dict) -> list:
     if bad.any():
         raise OOBAccess(f"{access.tensor.name} rows {rects[int(np.argmax(bad))]} "
                         f"outside dims {access.tensor.dims}")
-    return rects
+    return rects, lo, hi
 
 
 # events and traces
@@ -347,7 +348,7 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
     env = {f.var: (f.lo, f.hi) for f in task_loops}
     env.update(lane_env([(f.var, f.lo, f.hi) for f in group]))
     coords = itertools.product(*(range(f.lo, f.hi) for f in group))
-    out_rects = _task_rects(out_access, env, defs) if out_access else itertools.repeat(None)
+    out_rects = _task_rects(out_access, env, defs)[0] if out_access else itertools.repeat(None)
     tasks = [TaskInfo(coord, rect) for coord, rect in zip(coords, out_rects)]
 
     pair = _overlap(tasks) if out_kind == "copy" else None
@@ -450,39 +451,42 @@ def _fold(plan: LaunchPlan, tasks: list, result: dict, region: Region) -> None:
             region.tensor.data[sl] = partial[sl]
 
 
-def _write_back(plan: LaunchPlan, task: TaskInfo, parts, events: list) -> None:
-    """Record a write-back of the task's output rect to each home of it that
-    is not the task itself. `parts(tensor, rect)` is the launch's memo, so
-    the tasks of a reduction's fan-in, which write one rect, look its homes
-    up once."""
-    rect = task.out_rect
-    if rect is None:
-        return
-    for _, part, procs in parts(plan.out_name, rect):
-        targets = procs if plan.out_kind == "copy" else procs[:1]
-        for h in targets:
-            if h != task.coord:
-                events.append(CommEvent(plan.num_steps - 1, task.coord, h, plan.out_name,
-                                        part, part.volume, plan.out_kind, "compute"))
+def _write_back(plan: LaunchPlan, dist: TensorDistribution, events: list) -> None:
+    """Record, task by task, a write-back of each task's output rect to each
+    home of it that is not the task itself. The tasks of a reduction's
+    fan-in write one rect, so one memo per launch looks each distinct rect's
+    homes up (`parts`) once."""
+    memo: dict = {}
+    for task in plan.tasks:
+        rect = task.out_rect
+        if rect is None:
+            continue
+        if rect not in memo:
+            memo[rect] = list(dist.parts(rect))
+        for _, part, procs in memo[rect]:
+            targets = procs if plan.out_kind == "copy" else procs[:1]
+            for h in targets:
+                if h != task.coord:
+                    events.append(CommEvent(plan.num_steps - 1, task.coord, h, plan.out_name,
+                                            part, part.volume, plan.out_kind, "compute"))
 
 
 def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None:
     """Ledger every transfer of one launch and bump memory, step by step,
     then each task's write-back in task order.
 
-    One memo per launch maps (tensor, rect) to the rect's parts: the pieces
-    of launch-scope needs and the output rects of the write-back are looked
-    up (`parts`) once per launch, however many tasks share them (a 3D
-    algorithm's fiber reads one input block and writes one output block).
-    Step-scope pieces are looked up afresh, as they live for a step or two.
-
     Each task's needs, the non-empty rects of its fetch-plan entries in plan
     order, are cut down by what it already holds (so a rect the task fetched
     before sends nothing), split along the owning distribution's pieces, and
-    sourced by _pick_source from the holders of each part's color. Memory at
-    each step counts resident pieces, the output buffer and every live
-    temporary. No transfer depends on values, so the ledger is whole before
-    any numeric work runs.
+    sourced by _pick_source from the holders of each part's color. A
+    launch-scope entry is resolved at step 0 into every task's lanes, and
+    one tasks x colors mask (`meets`) of those lanes against the piece
+    bounds names the colors each task's need meets: the pieces the need is
+    cut into meet no others, so `parts` scans only those. Step-scope
+    pieces are looked up over every color. Memory at each step counts
+    resident pieces, the output buffer and every live temporary. No
+    transfer depends on values, so the ledger is whole before any numeric
+    work runs.
     """
     order = list(store.machine.enumerate())
     events = trace.events
@@ -492,24 +496,17 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
     persist = {p: store.persistent_volume(p) for p in order}
     buffers = {t.coord: (t.out_rect.volume if t.out_rect is not None else 0)
                for t in plan.tasks}
-    memo: dict = {}
 
-    def parts(tensor, rect):
-        key = (tensor, rect)
-        if key not in memo:
-            memo[key] = list(store[tensor].dist.parts(rect))
-        return memo[key]
-
-    def fetch(task, tensor, rect, step, scope, cur_temps):
+    def fetch(task, tensor, rect, step, among, cur_temps):
         region = store[tensor]
         p = task.coord
         held = list(region.residency[p])
         for temps in (launch_temps, prev_temps, cur_temps):
             held += temps.by_holder.get((p, tensor), [])
-        sink = launch_temps if scope == "launch" else cur_temps
+        # only launch-scope needs come with a mask row
+        sink = cur_temps if among is None else launch_temps
         for piece in subtract_rects([rect], held):
-            found = parts(tensor, piece) if scope == "launch" else region.dist.parts(piece)
-            for color, part, homes in found:
+            for color, part, homes in region.dist.parts(piece, among):
                 key = (tensor, color)
                 src = _pick_source(part, p, homes,
                                    prev_temps.by_color.get(key, []),
@@ -524,14 +521,20 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
         if plan.step_var is not None:
             env[plan.step_var.var] = (s, s + 1)
         # each entry resolved once for all tasks; launch-scope needs span
-        # every step, step scope pins one
-        needs = [(a.tensor.name, scope,
-                  _task_rects(a, env if scope == "step" else plan.env, plan.defs))
-                 for a, scope in plan.fetch_plan if scope == "step" or s == 0]
+        # every step and carry their meet mask, step scope pins one step
+        needs = []
+        for a, scope in plan.fetch_plan:
+            if scope == "step":
+                needs.append((a.tensor.name, _task_rects(a, env, plan.defs)[0], None))
+            elif s == 0:
+                rects, lo, hi = _task_rects(a, plan.env, plan.defs)
+                mask = store[a.tensor.name].dist.meets(lo, hi).tolist()
+                needs.append((a.tensor.name, rects, mask))
         for k, task in enumerate(plan.tasks):
-            for tensor, scope, rects in needs:
+            for tensor, rects, mask in needs:
                 if rects[k] is not None:
-                    fetch(task, tensor, rects[k], s, scope, cur_temps)
+                    among = None if mask is None else mask[k]
+                    fetch(task, tensor, rects[k], s, among, cur_temps)
         for p in order:
             vol = persist[p] + buffers.get(p, 0)
             for temps in (launch_temps, prev_temps, cur_temps):
@@ -539,8 +542,7 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
             trace.bump_memory(p, vol)
         prev_temps = cur_temps
     if plan.out_name is not None:
-        for task in plan.tasks:
-            _write_back(plan, task, parts, events)
+        _write_back(plan, store[plan.out_name].dist, events)
 
 
 def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,

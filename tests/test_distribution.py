@@ -1,11 +1,15 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from tendist import (
+    DenseTensor,
     HyperRect,
+    RegionStore,
     TensorDistribution,
+    bundle_from_config,
     grid,
     lower_placement,
     make_machine,
@@ -13,7 +17,8 @@ from tendist import (
     pretty,
     summa_hier,
 )
-from tendist.cin import interpret
+from tendist.algorithms import REGISTRY
+from tendist.cin import interpret, lower_to_cin
 from tendist.distribution import subtract_rects
 from tendist.errors import (
     ConfigError,
@@ -24,6 +29,7 @@ from tendist.errors import (
     UnboundMachineName,
 )
 from tendist.ir import TensorVar
+from tendist.simulator import _task_rects, lower_to_tasks
 
 
 def points(rect):
@@ -327,6 +333,64 @@ def test_parts_is_a_filter_of_the_piece_table():
         kinds.update(["0-d"] if not dims else [])
     assert kinds == {"rect", "empty rect", "empty piece", "bcast", "fixed", "part",
                      "two-level", "uneven", "0-d"}
+
+
+def _check_meets(rng, d, lo, hi) -> None:
+    """meets(lo, hi) is the HyperRect.intersect filter of the piece table for
+    every lane, and a lane's row, given as `among`, leaves the parts of
+    random sub-rects of that lane as they are."""
+    mask = d.meets(lo, hi)
+    lanes = [HyperRect(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]
+    assert mask.shape == (len(lanes), len(d.pieces))
+    assert mask.tolist() == [[lane.intersect(b) is not None for _, b, _ in d.pieces]
+                             for lane in lanes]
+    for lane, row in zip(lanes, mask.tolist()):
+        for _ in range(3 if not lane.is_empty else 0):
+            a = tuple(rng.randint(x, y) for x, y in zip(lane.lo, lane.hi))
+            r = HyperRect(a, tuple(rng.randint(x, y) for x, y in zip(a, lane.hi)))
+            assert list(d.parts(r, among=row)) == list(d.parts(r))
+
+
+def test_meets_is_the_intersect_filter_of_the_piece_table():
+    # random lanes, empty ones included, on random distributions
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(150):
+        m = rng.choice(_MACHINES)
+        order = rng.randint(0, 3)
+        dims = tuple(rng.randint(1, 7) for _ in range(order))
+        levels = _random_levels(rng, m, tuple("xyz"[:order]))
+        d = TensorDistribution(dims, m, levels)
+        tasks = rng.randint(0, 6)
+        lo = np.array([[rng.randint(-1, e + 1) for e in dims] for _ in range(tasks)],
+                      np.int64).reshape(tasks, order)
+        hi = lo + np.array([[rng.randint(-1, e) for e in dims] for _ in range(tasks)],
+                           np.int64).reshape(tasks, order)
+        _check_meets(rng, d, lo, hi)
+        kinds.update("empty lane" if (a >= b).any() else "lane" for a, b in zip(lo, hi))
+        kinds.update("bcast" if v == "*" else "fixed" if isinstance(v, int) else "part"
+                     for _, y in levels for v in y)
+        kinds.update(["two-level"] if m.num_levels > 1 else [])
+        kinds.update(["0-d"] if not dims else [])
+    assert kinds == {"lane", "empty lane", "bcast", "fixed", "part", "two-level", "0-d"}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_meets_on_every_registry_launch(name):
+    # the lanes of each access of each registry bundle's launch, at its
+    # default extents and at ragged 7 and 13, where trailing blocks are
+    # empty lanes on some grids
+    rng = random.Random(name)
+    for n in (None, 7, 13):
+        bundle = bundle_from_config(name, None, None if n is None else
+                                    (n,) * REGISTRY[name].extents)
+        store = RegionStore(bundle.machine)
+        for tensor_name, d in bundle.distributions.items():
+            store.place(tensor_name, DenseTensor(d.tensor_dims), d)
+        plan = lower_to_tasks(bundle.schedule.apply(lower_to_cin(bundle.statement)), store)
+        for a in [plan.out_access] + [a for a, _ in plan.fetch_plan]:
+            _, lo, hi = _task_rects(a, plan.env, plan.defs)
+            _check_meets(rng, store[a.tensor.name].dist, lo, hi)
 
 
 def test_residency_volume_counts_replicas():

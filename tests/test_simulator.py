@@ -93,9 +93,16 @@ def test_var_interval_unbound():
 def test_task_rects():
     A = TensorVar("A", (5, 4))
     acc = A("i", "j")
-    rects = simulator._task_rects
+
+    def rects(*args):
+        return simulator._task_rects(*args)[0]
+
     assert rects(acc, {"i": (0, 2), "j": (1, 3)}, {}) == [HyperRect((0, 1), (2, 3))]
     assert rects(acc, {"i": (0, 2), "j": (2, 2)}, {}) == [None]
+    # the lanes the rects come from, as tasks x order
+    _, lo, hi = simulator._task_rects(acc, lane_env([("i", 0, 2), ("j", 2, 4)]), {})
+    assert lo.tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]] and hi.tolist() == [
+        [1, 3], [1, 4], [2, 3], [2, 4]]
     with pytest.raises(OOBAccess, match=r"A rows \[4,6\)x\[0,1\) outside dims \(5, 4\)"):
         rects(acc, {"i": (4, 6), "j": (0, 1)}, {})
     # lanes: one rect per point of the lane grid in C order, None where a
@@ -354,9 +361,9 @@ def test_write_back_looks_up_each_output_block_once(monkeypatch):
     out, calls = [None], [0]
     parts = TensorDistribution.parts
 
-    def counted(self, rect):
+    def counted(self, rect, among=None):
         calls[0] += self is out[0]
-        return parts(self, rect)
+        return parts(self, rect, among)
 
     monkeypatch.setattr(TensorDistribution, "parts", counted)
     for bundle, lookups in ((johnson(2, 2, 2), 4),
@@ -367,29 +374,51 @@ def test_write_back_looks_up_each_output_block_once(monkeypatch):
         assert calls[0] == lookups
 
 
-@pytest.mark.parametrize("name, machine, n", [
-    ("johnson", (4, 4, 4), 40), ("johnson", (8, 8, 8), 16), ("mttkrp", (2, 2), None)])
-def test_launch_scope_run_looks_up_no_rect_twice(monkeypatch, name, machine, n):
-    # every fetch of these runs is at launch scope, where a 3D algorithm's
-    # fiber of tasks reads one input block; johnson 4x4x4 n=40 made 112
-    # lookups of 48 distinct pairs before one memo served the launch
-    plans, seen = [], []
-    lower, parts = simulator.lower_to_tasks, TensorDistribution.parts
+@pytest.mark.parametrize("name, machine, n, most", [
+    ("johnson", (4, 4, 4), 40, 384), ("johnson", (8, 8, 8), 16, 5120),
+    ("mttkrp", (2, 2), None, 16)])
+def test_launch_scope_fetches_intersect_only_the_colors_their_need_meets(
+        monkeypatch, name, machine, n, most):
+    # every fetch of these runs is at launch scope. On johnson 4x4x4 n=40
+    # and 8x8x8 n=16, scanning every color per need made 800 and 12,416
+    # HyperRect.intersect calls per run; the write-back's scan of the
+    # distinct output rects makes 256 and 4,096 of them, and the fetches,
+    # whose needs meet one block each, 128 and 1,024
+    plans, among_seen, calls = [], set(), [0]
+    lower, parts, intersect = simulator.lower_to_tasks, TensorDistribution.parts, \
+        HyperRect.intersect
 
     def lowering(stmt, store):
         plans.append(lower(stmt, store))
         return plans[-1]
 
-    def recorded(self, rect):
-        seen.append((id(self), rect))
-        return parts(self, rect)
+    def recorded(self, rect, among=None):
+        if among is not None:
+            among_seen.add((id(self), tuple(among)))
+        return parts(self, rect, among)
+
+    def counted(self, other):
+        calls[0] += 1
+        return intersect(self, other)
 
     monkeypatch.setattr(simulator, "lower_to_tasks", lowering)
     monkeypatch.setattr(TensorDistribution, "parts", recorded)
+    monkeypatch.setattr(HyperRect, "intersect", counted)
     dims = None if n is None else (n,) * REGISTRY[name].extents
-    bundle_from_config(name, grid(*machine), dims, 1).run()
+    bundle = bundle_from_config(name, grid(*machine), dims, 1)
+    bundle.run()
+    assert calls[0] <= most
     assert {scope for plan in plans for _, scope in plan.fetch_plan} == {"launch"}
-    assert seen and len(set(seen)) == len(seen)
+    # each fetch scans exactly the colors that some task's whole need meets
+    need_meets = set()
+    for plan in plans:
+        for a, _ in plan.fetch_plan:
+            d = bundle.distributions[a.tensor.name]
+            for rect in simulator._task_rects(a, plan.env, plan.defs)[0]:
+                if rect is not None:
+                    need_meets.add((id(d), tuple(
+                        intersect(rect, b) is not None for _, b, _ in d.pieces)))
+    assert among_seen and among_seen <= need_meets
 
 
 def test_piece_table_is_built_once_per_distribution(monkeypatch):
