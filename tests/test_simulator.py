@@ -374,6 +374,36 @@ def test_write_back_looks_up_each_output_block_once(monkeypatch):
         assert calls[0] == lookups
 
 
+@pytest.mark.parametrize("name, machine, n", [
+    ("johnson", (4, 4, 4), 40), ("johnson", (8, 8, 8), 16), ("mttkrp", (2, 2), None)])
+def test_launch_scope_run_looks_up_no_rect_twice(monkeypatch, name, machine, n):
+    # every fetch of these runs is at launch scope, so every fetch lookup
+    # scans a mask row's colors and only the write-back scans the whole
+    # piece table, once per distinct output rect; johnson 4x4x4 n=40 made
+    # 112 whole-table lookups of 48 distinct pairs before one memo served
+    # the launch
+    plans, masked, whole = [], [], []
+    lower, parts = simulator.lower_to_tasks, TensorDistribution.parts
+
+    def lowering(stmt, store):
+        plans.append(lower(stmt, store))
+        return plans[-1]
+
+    def recorded(self, rect, among=None):
+        (whole if among is None else masked).append((id(self), rect))
+        return parts(self, rect, among)
+
+    monkeypatch.setattr(simulator, "lower_to_tasks", lowering)
+    monkeypatch.setattr(TensorDistribution, "parts", recorded)
+    dims = None if n is None else (n,) * REGISTRY[name].extents
+    bundle = bundle_from_config(name, grid(*machine), dims, 1)
+    bundle.run()
+    assert {scope for plan in plans for _, scope in plan.fetch_plan} == {"launch"}
+    outputs = {id(bundle.distributions[plan.out_name]) for plan in plans}
+    assert masked and whole and len(set(whole)) == len(whole)
+    assert {d for d, _ in whole} <= outputs
+
+
 @pytest.mark.parametrize("name, machine, n, most", [
     ("johnson", (4, 4, 4), 40, 384), ("johnson", (8, 8, 8), 16, 5120),
     ("mttkrp", (2, 2), None, 16)])
