@@ -90,36 +90,15 @@ class TaskInfo:
 
 
 class ExecutionTrace:
-    """Accumulated events, launches, and per-processor memory high-water."""
+    """The ledger: events, launches and per-processor memory high-water.
+    `stats()` is its only summary and derives `num_steps` and the overall
+    high-water itself."""
 
     def __init__(self, machine: Machine):
         self.machine = machine
         self.events: list = []
         self.launches: list = []
-        self.num_steps = 0
         self.memory = {p: 0 for p in machine.enumerate()}
-
-    def bump_memory(self, coord, elements: int) -> None:
-        if elements > self.memory[coord]:
-            self.memory[coord] = elements
-
-    @property
-    def high_water(self) -> int:
-        return max(self.memory.values(), default=0)
-
-    def events_of(self, kind=None, phase=None, tensor=None, step=None) -> list:
-        out = []
-        for e in self.events:
-            if kind is not None and e.kind != kind:
-                continue
-            if phase is not None and e.phase != phase:
-                continue
-            if tensor is not None and e.tensor != tensor:
-                continue
-            if step is not None and e.timestep != step:
-                continue
-            out.append(e)
-        return out
 
     def canonical_rows(self) -> list:
         """The ledger's one row format, one row per event in event order:
@@ -128,81 +107,57 @@ class ExecutionTrace:
         return [[e.timestep, list(e.src), list(e.dst), e.tensor, list(e.rect.lo),
                  list(e.rect.hi), e.elements, e.kind, e.phase] for e in self.events]
 
-    @property
-    def total_messages(self) -> int:
-        return len(self.events)
-
-    @property
-    def total_elements(self) -> int:
-        return sum(e.elements for e in self.events)
-
-    def per_edge(self) -> list:
-        agg: dict = {}
-        for e in self.events:
-            key = (e.src, e.dst)
-            m, el = agg.get(key, (0, 0))
-            agg[key] = (m + 1, el + e.elements)
-        out = []
-        for (src, dst) in sorted(agg):  # coordinate order is enumeration order
-            m, el = agg[(src, dst)]
-            out.append({"src": src, "dst": dst, "messages": m, "elements": el})
-        return out
-
-    def per_step(self) -> list:
-        agg: dict = {}
-        for e in self.events:
-            if e.phase != "compute":
-                continue
-            m, el = agg.get(e.timestep, (0, 0))
-            agg[e.timestep] = (m + 1, el + e.elements)
-        out = []
-        for s in range(self.num_steps):
-            m, el = agg.get(s, (0, 0))
-            out.append({"step": s, "messages": m, "elements": el})
-        return out
-
     def stats(self, config=None) -> dict:
-        def tally(events):
-            return {"messages": len(events), "elements": sum(e.elements for e in events)}
+        """The ledger's only summary, from plain passes over `events` as they
+        are now. `num_steps` (the most steps of any compute launch, else 0)
+        and the overall high-water are derived here, not stored."""
+        events = self.events
 
-        copies = self.events_of(kind="copy")
-        reduces = self.events_of(kind="reduce")
+        def tally(elements):
+            return {"messages": len(elements), "elements": sum(elements)}
+
+        num_steps = max((launch["steps"] for launch in self.launches
+                         if launch["phase"] == "compute"), default=0)
+        # (src, dst) -> (messages, elements), sorted below into enumeration
+        # order; the same per compute step, with rows for steps < num_steps
+        edges, steps = {}, dict.fromkeys(range(num_steps), (0, 0))
+        for e in events:
+            key = e.src, e.dst
+            m, el = edges.get(key, (0, 0))
+            edges[key] = (m + 1, el + e.elements)
+            if e.phase == "compute":
+                m, el = steps.get(e.timestep, (0, 0))
+                steps[e.timestep] = (m + 1, el + e.elements)
+        copies = [e.elements for e in events if e.kind == "copy"]
+        reduces = [e.elements for e in events if e.kind == "reduce"]
         out = {
             "schema": 1,
             "config": dict(config or {}),
             "machine": str(self.machine),
-            "num_steps": self.num_steps,
-            "totals": {
-                "messages": self.total_messages,
-                "elements": self.total_elements,
-                "copy_messages": len(copies),
-                "copy_elements": sum(e.elements for e in copies),
-                "reduce_messages": len(reduces),
-                "reduce_elements": sum(e.elements for e in reduces),
-            },
+            "num_steps": num_steps,
+            "totals": {"messages": len(events), "elements": sum(e.elements for e in events),
+                       "copy_messages": len(copies), "copy_elements": sum(copies),
+                       "reduce_messages": len(reduces), "reduce_elements": sum(reduces)},
             "phases": {
-                "placement": tally(self.events_of(phase="placement")),
-                "compute": tally(self.events_of(phase="compute")),
+                "placement": tally([e.elements for e in events if e.phase == "placement"]),
+                "compute": tally([e.elements for e in events if e.phase == "compute"]),
             },
-            "per_edge": self.per_edge(),
-            "per_step": self.per_step(),
+            "per_edge": [{"src": src, "dst": dst, "messages": m, "elements": el}
+                         for (src, dst), (m, el) in sorted(edges.items())],
+            "per_step": [{"step": s, "messages": m, "elements": el}
+                         for s, (m, el) in steps.items() if s < num_steps],
             "memory_high_water": {
-                "overall": self.high_water,
-                "per_processor": [
-                    {"processor": p, "elements": self.memory[p]}
-                    for p in self.machine.enumerate()
-                ],
+                "overall": max(self.memory.values(), default=0),
+                "per_processor": [{"processor": p, "elements": self.memory[p]}
+                                  for p in self.machine.enumerate()],
             },
             "launches": [dict(launch) for launch in self.launches],
         }
         if self.machine.num_levels > 1:
             end0 = len(self.machine.levels[0])
-            intra = [e for e in self.events if e.src[:end0] == e.dst[:end0]]
-            inter = [e for e in self.events if e.src[:end0] != e.dst[:end0]]
-            out["levels"] = {
-                "intra_node": tally(intra),
-                "inter_node": tally(inter),
-            }
+            intra = [e.elements for e in events if e.src[:end0] == e.dst[:end0]]
+            inter = [e.elements for e in events if e.src[:end0] != e.dst[:end0]]
+            out["levels"] = {"intra_node": tally(intra), "inter_node": tally(inter)}
         return out
 
 
@@ -539,7 +494,7 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
             vol = persist[p] + buffers.get(p, 0)
             for temps in (launch_temps, prev_temps, cur_temps):
                 vol += temps.volume.get(p, 0)
-            trace.bump_memory(p, vol)
+            trace.memory[p] = max(trace.memory[p], vol)
         prev_temps = cur_temps
     if plan.out_name is not None:
         _write_back(plan, store[plan.out_name].dist, events)
@@ -580,7 +535,6 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
                 out_region.residency[q] = [
                     r for r in out_region.residency[q] if r != bounds]
 
-    trace.num_steps = max(trace.num_steps, plan.num_steps)
     trace.launches.append({
         "phase": "compute",
         "label": label or plan.out_name,

@@ -146,8 +146,8 @@ def test_criterion_04_systolic_neighbor_pattern():
     """After the skew, both operands travel only between fixed neighbors,
     one outbound transfer per operand per processor per step."""
     result, _ = cannon(3, 3, dims=(6, 6, 6)).run()
-    steady = [e for e in result.trace.events_of(kind="copy")
-              if e.timestep > 0]
+    copies = [e for e in result.trace.events if e.kind == "copy"]
+    steady = [e for e in copies if e.timestep > 0]
     assert steady
     for e in steady:
         di, dj = e.dst
@@ -157,10 +157,10 @@ def test_criterion_04_systolic_neighbor_pattern():
             assert e.tensor == "B"
             assert e.src == ((di + 1) % 3, dj)
     out_degree = {}
-    for e in result.trace.events_of(kind="copy"):
+    for e in copies:
         out_degree.setdefault((e.tensor, e.timestep, e.src), set()).add(e.dst)
     assert max(len(v) for v in out_degree.values()) == 1
-    assert result.trace.events_of(kind="reduce") == []
+    assert result.trace.stats()["totals"]["reduce_messages"] == 0
     print("criterion 04 systolic neighbor pattern: PASS")
 
 
@@ -185,11 +185,11 @@ def test_criterion_05_broadcast_counts():
     of a reduction slab sends to exactly one peer per step on a 2x2 grid."""
     result, _ = summa(2, 2, dims=(4, 4, 4), chunk=2).run()
     trace = result.trace
-    copies = trace.events_of(kind="copy")
-    assert len(copies) == _broadcast_copy_oracle(2, 4, 2) == 8
-    for s in range(trace.num_steps):
+    stats = trace.stats()
+    assert stats["totals"]["copy_messages"] == _broadcast_copy_oracle(2, 4, 2) == 8
+    for s in range(stats["num_steps"]):
         per_owner = {}
-        for e in trace.events_of(tensor="B", step=s):
+        for e in [e for e in trace.events if e.tensor == "B" and e.timestep == s]:
             per_owner.setdefault(e.src, set()).add(e.dst)
         assert per_owner and all(len(v) == 1 for v in per_owner.values())
     print("criterion 05 broadcast transfer counts: PASS")
@@ -200,7 +200,7 @@ def test_criterion_06_cube_reduction_shape():
     and the finished output lives only on the front face."""
     result, _ = johnson(2, 2, 2, dims=(8, 8, 8)).run()
     fan_in = {}
-    for e in result.trace.events_of(kind="reduce"):
+    for e in [e for e in result.trace.events if e.kind == "reduce"]:
         assert e.dst[2] == 0
         fan_in[e.dst] = fan_in.get(e.dst, 0) + 1
     assert sorted(fan_in) == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
@@ -217,20 +217,21 @@ def test_criterion_06_cube_reduction_shape():
 def test_criterion_07_memory_for_communication_tradeoff():
     """Same eight processors, same matrices: the cube variant moves fewer
     elements but holds more per processor."""
-    flat = summa(2, 4, dims=(8, 8, 8)).run()[0].trace
-    cube = johnson(2, 2, 2, dims=(8, 8, 8)).run()[0].trace
-    assert cube.total_elements < flat.total_elements
-    assert cube.high_water > flat.high_water
-    print(f"criterion 07 tradeoff direction (elements {cube.total_elements}"
-          f"<{flat.total_elements}, memory {cube.high_water}"
-          f">{flat.high_water}): PASS")
+    flat = summa(2, 4, dims=(8, 8, 8)).run()[0].trace.stats()
+    cube = johnson(2, 2, 2, dims=(8, 8, 8)).run()[0].trace.stats()
+    elements = [st["totals"]["elements"] for st in (cube, flat)]
+    memory = [st["memory_high_water"]["overall"] for st in (cube, flat)]
+    assert elements[0] < elements[1]
+    assert memory[0] > memory[1]
+    print(f"criterion 07 tradeoff direction (elements {elements[0]}"
+          f"<{elements[1]}, memory {memory[0]}>{memory[1]}): PASS")
 
 
 def test_criterion_08_communication_free_kernels():
     """Row layouts with replicated small operands run with zero transfers."""
     for bundle in (ttv(2), ttm(2)):
         result, inputs = bundle.run(seed=2)
-        assert result.trace.events_of(phase="compute") == []
+        assert result.trace.stats()["phases"]["compute"]["messages"] == 0
         want = sequential_evaluate(bundle.statement, inputs)
         assert np.array_equal(result.output.data, want.data)
     print("criterion 08 communication-free kernels: PASS")

@@ -72,58 +72,61 @@ def test_ragged_extents_verify(bundle_fn):
 def test_summa_anchor_4x2():
     result = run_and_check(summa(4, 2, dims=(8, 8, 8), chunk=2))
     trace = result.trace
-    assert trace.num_steps == 4
-    assert trace.total_messages == 32
-    assert trace.total_elements == 256
-    assert len(trace.events_of(tensor="A")) == 8
-    assert len(trace.events_of(tensor="B")) == 24
-    assert trace.high_water == 56
+    stats = trace.stats()
+    assert stats["num_steps"] == 4
+    assert stats["totals"]["messages"] == 32
+    assert stats["totals"]["elements"] == 256
+    a = [e for e in trace.events if e.tensor == "A"]
+    assert len(a) == 8
+    assert len([e for e in trace.events if e.tensor == "B"]) == 24
+    assert stats["memory_high_water"]["overall"] == 56
     # the stationary tensor moves only along grid rows, once
-    for e in trace.events_of(tensor="A"):
+    for e in a:
         assert e.timestep == 0 and e.src[0] == e.dst[0]
 
 
 def test_cannon_anchors():
     small = run_and_check(cannon(2, 2, dims=(4, 4, 4))).trace
-    assert (small.total_messages, small.total_elements) == (8, 32)
     big = run_and_check(cannon(3, 3, dims=(6, 6, 6))).trace
-    assert (big.total_messages, big.total_elements) == (36, 144)
-    assert big.num_steps == 3
+    stats = {2: small.stats(), 3: big.stats()}
+    totals = {g: st["totals"] for g, st in stats.items()}
+    assert (totals[2]["messages"], totals[2]["elements"]) == (8, 32)
+    assert (totals[3]["messages"], totals[3]["elements"]) == (36, 144)
+    assert stats[3]["num_steps"] == 3
     # steady state is pure neighbor traffic, and nothing is reduced
     for g, trace in ((2, small), (3, big)):
-        steady = [e for e in trace.events_of(kind="copy") if e.timestep > 0]
+        steady = [e for e in trace.events if e.kind == "copy" and e.timestep > 0]
         assert steady
         for e in steady:
             if e.tensor == "A":
                 assert e.src == (e.dst[0], (e.dst[1] + 1) % g)
             else:
                 assert e.src == ((e.dst[0] + 1) % g, e.dst[1])
-        assert trace.events_of(kind="reduce") == []
+        assert totals[g]["reduce_messages"] == 0
 
 
 def test_pumma_matches_cannon_totals():
     p = run_and_check(pumma(3, 3, dims=(6, 6, 6))).trace
-    c = run_and_check(cannon(3, 3, dims=(6, 6, 6))).trace
-    assert p.total_elements == c.total_elements == 144
-    assert p.num_steps == c.num_steps == 3
+    ps, cs = p.stats(), run_and_check(cannon(3, 3, dims=(6, 6, 6))).trace.stats()
+    assert ps["totals"]["elements"] == cs["totals"]["elements"] == 144
+    assert ps["num_steps"] == cs["num_steps"] == 3
     # pumma's A moves once, within its row; B stays in its column
-    for e in p.events_of(tensor="A"):
+    for e in [e for e in p.events if e.tensor == "A"]:
         assert e.timestep == 0 and e.src[0] == e.dst[0]
-    for e in p.events_of(tensor="B"):
+    for e in [e for e in p.events if e.tensor == "B"]:
         assert e.src[1] == e.dst[1]
 
 
 def test_johnson_anchor():
     result = run_and_check(johnson(2, 2, 2, dims=(8, 8, 8)))
     trace = result.trace
-    assert trace.num_steps == 1
-    copies = trace.events_of(kind="copy")
-    reduces = trace.events_of(kind="reduce")
-    assert len(copies) == 8
-    assert len(reduces) == 4
-    assert trace.total_elements == 192
-    assert trace.high_water == 64
-    for e in reduces:
+    stats = trace.stats()
+    assert stats["num_steps"] == 1
+    assert stats["totals"]["copy_messages"] == 8
+    assert stats["totals"]["reduce_messages"] == 4
+    assert stats["totals"]["elements"] == 192
+    assert stats["memory_high_water"]["overall"] == 64
+    for e in [e for e in trace.events if e.kind == "reduce"]:
         assert e.dst == (e.src[0], e.src[1], 0)
 
 
@@ -137,9 +140,10 @@ def test_closed_form_traffic(name, g, blocks):
     n = blocks * g
     machine = grid(g, g, g) if name == "johnson" else grid(g, g)
     trace = bundle_from_config(name, machine, (n, n, n), 1).run()[0].trace
-    copies, reduces = trace.events_of(kind="copy"), trace.events_of(kind="reduce")
-    got = (len(copies), sum(e.elements for e in copies),
-           len(reduces), sum(e.elements for e in reduces), trace.num_steps)
+    stats = trace.stats()
+    t = stats["totals"]
+    got = (t["copy_messages"], t["copy_elements"], t["reduce_messages"],
+           t["reduce_elements"], stats["num_steps"])
     shifted = (2 * g * g * (g - 1), 2 * n * n * (g - 1), 0, 0, g)
     assert got == {
         "summa": (g * (g - 1) * (g + n), 2 * n * n * (g - 1), 0, 0, n),
@@ -149,17 +153,17 @@ def test_closed_form_traffic(name, g, blocks):
                     g * g * (g - 1), n * n * (g - 1), 1),
     }[name]
     if name == "johnson":  # every front-face processor sums g - 1 partials
-        fan_in = Counter(e.dst for e in reduces)
+        fan_in = Counter(e.dst for e in trace.events if e.kind == "reduce")
         assert fan_in == {(x, y, 0): g - 1 for x in range(g) for y in range(g)}
 
 
 def test_summa_vs_johnson_tradeoff():
     """Same problem, same processor count: the 3D layout moves fewer
     elements but keeps more resident per processor."""
-    s = run_and_check(summa(4, 2, dims=(8, 8, 8), chunk=2)).trace
-    j = run_and_check(johnson(2, 2, 2, dims=(8, 8, 8))).trace
-    assert j.total_elements < s.total_elements
-    assert j.high_water > s.high_water
+    s = run_and_check(summa(4, 2, dims=(8, 8, 8), chunk=2)).trace.stats()
+    j = run_and_check(johnson(2, 2, 2, dims=(8, 8, 8))).trace.stats()
+    assert j["totals"]["elements"] < s["totals"]["elements"]
+    assert j["memory_high_water"]["overall"] > s["memory_high_water"]["overall"]
 
 
 def test_solomonik_depth_tradeoff():
@@ -169,14 +173,12 @@ def test_solomonik_depth_tradeoff():
     for gz in (1, 2, 4):
         bundle = solomonik(4, 4, gz, dims=(8, 8, 8))
         result = run_and_check(bundle)
-        trace = result.trace
+        stats = result.trace.stats()
         procs = list(bundle.machine.enumerate())
-        steps.append(trace.num_steps)
-        copies = trace.events_of(kind="copy")
-        copy_el.append(sum(e.elements for e in copies))
-        per_proc.append(sum(e.elements for e in copies) // len(procs))
-        reduce_el.append(sum(e.elements
-                             for e in trace.events_of(kind="reduce")))
+        steps.append(stats["num_steps"])
+        copy_el.append(stats["totals"]["copy_elements"])
+        per_proc.append(stats["totals"]["copy_elements"] // len(procs))
+        reduce_el.append(stats["totals"]["reduce_elements"])
         resident.append(sum(result.store.persistent_volume(p) for p in procs))
     assert steps == [4, 2, 1]
     assert copy_el == [384, 384, 384]
@@ -188,12 +190,13 @@ def test_solomonik_depth_tradeoff():
 def test_cosma_factors_reproduce_broadcast_traffic():
     """With square dims, the parallel/sequential factoring moves exactly the
     block volumes of the stationary-output broadcast schedule."""
-    co = run_and_check(cosma_like(2, 2, 1, chunk=2, dims=(4, 4, 4))).trace
-    su = run_and_check(summa(2, 2, dims=(4, 4, 4), chunk=2)).trace
-    assert co.total_elements == su.total_elements == 32
-    assert ([s["elements"] for s in co.per_step()]
-            == [s["elements"] for s in su.per_step()] == [24, 8])
-    assert co.total_messages != su.total_messages  # coarser rects, fewer sends
+    co = run_and_check(cosma_like(2, 2, 1, chunk=2, dims=(4, 4, 4))).trace.stats()
+    su = run_and_check(summa(2, 2, dims=(4, 4, 4), chunk=2)).trace.stats()
+    assert co["totals"]["elements"] == su["totals"]["elements"] == 32
+    assert ([s["elements"] for s in co["per_step"]]
+            == [s["elements"] for s in su["per_step"]] == [24, 8])
+    # coarser rects, fewer sends
+    assert co["totals"]["messages"] != su["totals"]["messages"]
 
 
 def test_hierarchical_matches_flat():
@@ -249,21 +252,21 @@ def test_builders_take_dims_in_the_statements_index_order():
 def test_ttv_and_ttm_are_communication_free():
     for bundle in (ttv(2), ttm(2)):
         trace = run_and_check(bundle).trace
-        assert trace.events_of(phase="compute") == []
+        assert trace.stats()["phases"]["compute"]["messages"] == 0
 
 
 def test_innerprod_fan_in():
     trace = run_and_check(innerprod(4, dims=(8, 6))).trace
-    reduces = trace.events_of(kind="reduce")
+    reduces = [e for e in trace.events if e.kind == "reduce"]
     assert len(reduces) == 3
     assert all(e.dst == (0,) and e.elements == 1 for e in reduces)
-    assert trace.events_of(kind="copy", phase="compute") == []
+    assert [e for e in trace.events if e.kind == "copy" and e.phase == "compute"] == []
 
 
 def test_mttkrp_keeps_big_tensor_stationary():
     trace = run_and_check(mttkrp(2, 2)).trace
-    assert trace.events_of(tensor="B", phase="compute") == []
-    reduces = trace.events_of(kind="reduce")
+    assert [e for e in trace.events if e.tensor == "B" and e.phase == "compute"] == []
+    reduces = [e for e in trace.events if e.kind == "reduce"]
     assert len(reduces) == 2
     assert all(e.dst == (e.src[0], 0) for e in reduces)
 

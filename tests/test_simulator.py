@@ -166,16 +166,15 @@ def test_broadcast_run_matches_reference():
 def test_broadcast_run_traffic_anchor():
     stmt, machine, dists, inputs, sched = _gemm_setup()
     trace = run_statement(stmt, machine, dists, inputs, sched).trace
-    assert trace.total_messages == 8
-    assert trace.total_elements == 32
-    assert trace.num_steps == 2
-    assert trace.high_water == 24
+    stats = trace.stats()
+    assert stats["totals"]["messages"] == 8
+    assert stats["totals"]["elements"] == 32
+    assert stats["num_steps"] == 2
+    assert stats["memory_high_water"]["overall"] == 24
     # the stationary tensor is fetched once at launch, the streamed one per step
-    assert len(trace.events_of(tensor="A")) == 4
-    assert all(e.timestep == 0 for e in trace.events_of(tensor="A"))
-    assert len(trace.events_of(tensor="B", step=0)) == 2
-    assert len(trace.events_of(tensor="B", step=1)) == 2
-    assert trace.events_of(tensor="C") == []
+    assert [e.timestep for e in trace.events if e.tensor == "A"] == [0] * 4
+    assert sorted(e.timestep for e in trace.events if e.tensor == "B") == [0, 0, 1, 1]
+    assert [e for e in trace.events if e.tensor == "C"] == []
     assert CommEvent(0, (0, 1), (0, 0), "A", HyperRect((0, 2), (2, 4)),
                      4, "copy", "compute") in trace.events
 
@@ -490,6 +489,126 @@ def test_stats_rows_reuse_coordinate_tuples():
     assert row["processor"] is trace.machine.enumerate()[0]
 
 
+def _stats_from_rows(trace) -> dict:
+    """Every ledger figure of `stats()` recomputed from `canonical_rows()`
+    and `launches` alone; per-edge rows are ordered by machine enumeration
+    index rather than by coordinates."""
+    rows = trace.canonical_rows()
+    rank = {p: k for k, p in enumerate(trace.machine.enumerate())}
+
+    def tally(picked):
+        return {"messages": len(picked), "elements": sum(r[6] for r in picked)}
+
+    def edge(r):
+        return tuple(r[1]), tuple(r[2])
+
+    steps = max([launch["steps"] for launch in trace.launches
+                 if launch["phase"] == "compute"], default=0)
+    copies, reduces = ([r for r in rows if r[7] == kind] for kind in ("copy", "reduce"))
+    compute = [r for r in rows if r[8] == "compute"]
+    want = {
+        "num_steps": steps,
+        "totals": {**tally(rows),
+                   "copy_messages": len(copies), "copy_elements": tally(copies)["elements"],
+                   "reduce_messages": len(reduces),
+                   "reduce_elements": tally(reduces)["elements"]},
+        "phases": {phase: tally([r for r in rows if r[8] == phase])
+                   for phase in ("placement", "compute")},
+        "per_edge": [{"src": src, "dst": dst,
+                      **tally([r for r in rows if edge(r) == (src, dst)])}
+                     for src, dst in sorted({edge(r) for r in rows},
+                                            key=lambda e: (rank[e[0]], rank[e[1]]))],
+        "per_step": [{"step": s, **tally([r for r in compute if r[0] == s])}
+                     for s in range(steps)],
+    }
+    if trace.machine.num_levels > 1:
+        node = len(trace.machine.levels[0])
+        want["levels"] = {
+            "intra_node": tally([r for r in rows if r[1][:node] == r[2][:node]]),
+            "inter_node": tally([r for r in rows if r[1][:node] != r[2][:node]]),
+        }
+    return want
+
+
+def _redistributed_then_run():
+    """One trace holding a placement launch and then a compute launch, both
+    at step 0: A arrives in rows on column 0, moves to blocks, then feeds
+    the broadcast gemm."""
+    stmt, machine, dists, inputs, sched = _gemm_setup()
+    store = RegionStore(machine)
+    store.place("A", inputs["A"], TensorDistribution((4, 4), machine, [(("x", "y"), ("x", 0))]))
+    store.place("B", inputs["B"], dists["B"])
+    store.place("C", DenseTensor((4, 4)), dists["C"])
+    trace = ExecutionTrace(machine)
+    redistribute(store, "A", dists["A"], trace)
+    return execute(sched.apply(lower_to_cin(stmt)), store, trace=trace)
+
+
+def _relayed_placement():
+    machine = grid(3, 3)
+    old, new = (TensorDistribution((5, 7), machine, parse_distribution(text)[1])
+                for text in ("xy -> xy", "xy -> **"))
+    store = RegionStore(machine)
+    store.place("T", DenseTensor((5, 7)), old)
+    trace = ExecutionTrace(machine)
+    redistribute(store, "T", new, trace)
+    return trace
+
+
+STATS_ORACLE_CASES = {
+    **{f"{name}-default": lambda name=name: bundle_from_config(name).run()[0].trace
+       for name in REGISTRY},
+    **{f"{name}-n7": lambda name=name, row=row: bundle_from_config(
+        name, dims=(7,) * row.extents).run()[0].trace for name, row in REGISTRY.items()},
+    "summa-hier-4x2/2-n12": lambda: bundle_from_config(
+        "summa-hier", parse_machine("4x2/2"), (12, 12, 12)).run()[0].trace,
+    "placement-relay": _relayed_placement,
+    "placement-then-compute": _redistributed_then_run,
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATS_ORACLE_CASES))
+def test_stats_match_an_oracle_over_the_rows(case):
+    trace = STATS_ORACLE_CASES[case]()
+    stats = trace.stats()
+    want = _stats_from_rows(trace)
+    assert {k: stats[k] for k in want} == want
+    assert ("levels" in stats) == (trace.machine.num_levels > 1)
+    # memory is not a ledger figure: the overall high-water is the largest
+    # per-processor row, and the rows are `memory` in enumeration order
+    rows = stats["memory_high_water"]["per_processor"]
+    assert rows == [{"processor": p, "elements": trace.memory[p]}
+                    for p in trace.machine.enumerate()]
+    assert stats["memory_high_water"]["overall"] == max(r["elements"] for r in rows)
+
+
+def test_stats_oracle_cases_reach_every_branch():
+    # the placement-then-compute case puts placement rows at a compute
+    # step, and summa-hier has traffic on both sides of the level split
+    mixed = STATS_ORACLE_CASES["placement-then-compute"]().stats()
+    assert mixed["phases"]["placement"]["messages"] > 0 and mixed["num_steps"] == 2
+    assert STATS_ORACLE_CASES["placement-relay"]().stats()["num_steps"] == 0
+    levels = STATS_ORACLE_CASES["summa-hier-4x2/2-n12"]().stats()["levels"]
+    assert levels["intra_node"] != levels["inter_node"]
+
+
+def test_stats_reads_the_events_as_they_are_now():
+    # perfbench's dropped-event check pops an event from `trace.events` and
+    # expects the next stats() to miss it
+    trace = bundle_from_config("summa").run()[0].trace
+    before = trace.stats()
+    gone = trace.events.pop(5)
+    after = trace.stats()
+    assert after["totals"]["messages"] == before["totals"]["messages"] - 1
+
+    def edges(stats):
+        return {(r["src"], r["dst"]): r["messages"] for r in stats["per_edge"]}
+
+    want = edges(before)
+    want[gone.src, gone.dst] -= 1
+    assert edges(after) == {key: m for key, m in want.items() if m}
+
+
 def test_verify_catches_tampering():
     stmt, machine, dists, inputs, sched = _gemm_setup()
     res = run_statement(stmt, machine, dists, inputs, sched)
@@ -668,7 +787,7 @@ def test_redistribute_ledger(case):
     assert trace.launches == [{
         "phase": "placement", "kind": "redistribute", "tensor": "T",
         "elements": sum(e.elements for e in trace.events), "to": new.describe()}]
-    assert trace.num_steps == 0
+    assert trace.stats()["num_steps"] == 0
     assert store["T"].dist is new
     assert store["T"].residency == new.residency()
     assert np.array_equal(store["T"].tensor.data, data.data)
@@ -819,7 +938,7 @@ def test_single_processor_grid_moves_nothing():
     res = run_statement(stmt, machine, {"A": one, "c": vec, "b": vec},
                         inputs, sched)
     verify_result(stmt, inputs, res)
-    assert res.trace.total_messages == 0
+    assert res.trace.stats()["totals"]["messages"] == 0
 
 
 # a launch resolved on lanes
