@@ -1,13 +1,14 @@
 """Command line front end.
 
-Two ways to run: a registry algorithm (--algorithm summa) or a custom
-statement (--kernel gemm / --expr "C(i, j) = A(i, k) * B(k, j)" plus
---machine, --dist per tensor, and a --schedule script). Runs write a stats
-JSON, and with --output the result tensor as a .npy file; --verify checks
-the result against the single-memory reference.
+Each call names one run: a registry algorithm (--algorithm summa), which
+brings its placements and schedule, or a custom statement (--kernel gemm /
+--expr "C(i, j) = A(i, k) * B(k, j)") with --machine, --dist per tensor and
+a --schedule script. Both are set up alike; --explain prints the setup
+instead of running it. Runs write a stats JSON, and with --output the result
+tensor as a .npy file; --verify checks the result against the reference.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration errors
-(unreadable or unwritable paths included).
+(unreadable or unwritable paths included), 141 a closed stdout (as SIGPIPE).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from collections import defaultdict
 
 import numpy as np
 
@@ -23,9 +25,9 @@ from .algorithms import ALGORITHMS, KERNELS, REGISTRY, bundle_from_config, rando
 from .cin import lower_to_cin, pretty
 from .distribution import TensorDistribution, lower_placement, parse_distribution
 from .errors import ConfigError, TendistError, VerifyFail
-from .ir import format_statement, index_names, parse_statement
+from .ir import format_statement, parse_statement
 from .machine import parse_machine
-from .scheduling import parse_schedule
+from .scheduling import parse_schedule, schedule
 from .simulator import run_statement, verify_result
 
 
@@ -44,8 +46,9 @@ def _parser() -> argparse.ArgumentParser:
     shape = p.add_argument_group("problem shape")
     shape.add_argument("--n", type=int, help="set every index extent to N")
     shape.add_argument("--dims", help="per-index extents like 8x4x6, in the "
-                       "order the statement names its indices, for --algorithm "
-                       "too (ttm: i x j x l x k)")
+                       "statement's var_order (lhs indices, then reduction "
+                       "indices by first use), for --algorithm too "
+                       "(ttm: i x j x l x k)")
     shape.add_argument("--chunk", type=int,
                        help="sequential chunk/round factor of the algorithms "
                        + ", ".join(n for n, r in REGISTRY.items() if r.chunked)
@@ -70,8 +73,9 @@ def _parser() -> argparse.ArgumentParser:
                      help="write the result tensor as .npy at exactly PATH "
                           "(read it with numpy.load)")
     out.add_argument("--explain", action="store_true",
-                     help="print placements and the statement after each "
-                          "schedule command instead of running")
+                     help="instead of running, print the statement, each "
+                          "tensor's placement and the statement after each "
+                          "schedule command, for --algorithm too")
     return p
 
 
@@ -82,24 +86,17 @@ def _dims(text: str) -> tuple:
         raise ConfigError(f"--dims wants extents like 8x4x6, got {text!r}") from None
 
 
-def _statement_text(args) -> str:
-    if args.expr:
-        return args.expr
-    if args.kernel:
-        return KERNELS[args.kernel]
-    raise ConfigError("nothing to run: pass --algorithm, --kernel, or --expr")
-
-
-def _extents(args, text: str) -> dict:
-    names = index_names(text)
-    if args.dims is not None:
-        sizes = _dims(args.dims)
-        if len(sizes) != len(names):
-            raise ConfigError(
-                f"--dims lists {len(sizes)} extents for indices {names}")
-        return dict(zip(names, sizes))
-    n = args.n if args.n is not None else 8
-    return {v: n for v in names}
+def _statement(args, text: str):
+    """Parse text with every index at --n (default 8), or with --dims's
+    extents in the order of the statement's var_order."""
+    if args.dims is None:
+        n = 8 if args.n is None else args.n
+        return parse_statement(text, defaultdict(lambda: n))
+    sizes = _dims(args.dims)
+    names = parse_statement(text, defaultdict(lambda: 1)).var_order
+    if len(sizes) != len(names):
+        raise ConfigError(f"--dims lists {len(sizes)} extents for indices {list(names)}")
+    return parse_statement(text, dict(zip(names, sizes)))
 
 
 def _load_schedule(arg: str):
@@ -125,24 +122,51 @@ def _parse_dists(args, stmt, machine) -> dict:
     return out
 
 
-def _explain(args) -> int:
-    text = _statement_text(args)
-    stmt = parse_statement(text, _extents(args, text))
+def _setup(args) -> tuple:
+    """(statement, machine, distributions, schedule, label, config keys of
+    its source) of the one run the command line names. A bundle brings its
+    own; a custom statement takes --machine, --dist and --schedule, which
+    --explain lets it leave out."""
+    named = [f"--{k}" for k in ("algorithm", "kernel", "expr") if getattr(args, k) is not None]
+    if len(named) != 1:
+        raise ConfigError("pass one of --algorithm, --kernel and --expr, not "
+                          + (" and ".join(named) or "none"))
+    machine = parse_machine(args.machine) if args.machine is not None else None
+    if args.algorithm:
+        if args.dist or args.schedule is not None:
+            raise ConfigError(f"{args.algorithm} carries its own placements and "
+                              "schedule; --dist and --schedule are for custom runs")
+        dims = None
+        if args.dims is not None:
+            dims = _dims(args.dims)
+        elif args.n is not None:
+            dims = (args.n,) * REGISTRY[args.algorithm].extents
+        chunk = 1 if args.chunk is None else args.chunk
+        b = bundle_from_config(args.algorithm, machine, dims, chunk)
+        return (b.statement, b.machine, b.distributions, b.schedule, b.name,
+                {"algorithm": b.name, "chunk": chunk})
+    stmt = _statement(args, KERNELS[args.kernel] if args.kernel else args.expr)
+    if machine is None and (args.dist or not args.explain):
+        raise ConfigError("custom runs and --dist need --machine")
+    if not (args.schedule or args.explain):
+        raise ConfigError("custom runs need --schedule to distribute loops")
+    dists = _parse_dists(args, stmt, machine) if args.dist or not args.explain else {}
+    sched = _load_schedule(args.schedule) if args.schedule else schedule()
+    return (stmt, machine, dists, sched, None,
+            {"distributions": {n: d.describe() for n, d in sorted(dists.items())}})
+
+
+def _explain(stmt, dists, sched) -> None:
     print(f"statement: {format_statement(stmt)}")
     cin = lower_to_cin(stmt)
     print(f"loops:     {pretty(cin)}")
-    if args.machine is not None and args.dist:
-        machine = parse_machine(args.machine)
-        dists = _parse_dists(args, stmt, machine)
-        tensors = stmt.tensors()
-        for name in sorted(dists):
-            print(f"placement {name}: {dists[name].describe()}")
-            print(f"  {pretty(lower_placement(tensors[name], dists[name]))}")
-    if args.schedule:
-        for desc, staged in _load_schedule(args.schedule).steps(cin):
-            print(f"after {desc}:")
-            print(f"  {pretty(staged)}")
-    return 0
+    tensors = stmt.tensors()
+    for name in sorted(dists):
+        print(f"placement {name}: {dists[name].describe()}")
+        print(f"  {pretty(lower_placement(tensors[name], dists[name]))}")
+    for desc, staged in sched.steps(cin):
+        print(f"after {desc}:")
+        print(f"  {pretty(staged)}")
 
 
 def _check_outputs(args) -> None:
@@ -161,12 +185,15 @@ def _check_outputs(args) -> None:
             raise ConfigError(f"{flag} {path}: {folder} is not a writable directory")
 
 
-def _finish(args, result, stmt, inputs, config) -> int:
+def _run(args, stmt, machine, dists, sched, label, keys) -> None:
+    inputs = random_inputs(stmt, args.seed)
+    result = run_statement(stmt, machine, dists, inputs, sched, label=label)
     trace = result.trace
     if args.dump_trace:
         for row in trace.canonical_rows():
             print(json.dumps(row, separators=(",", ":")))
-    stats = trace.stats(config)
+    stats = trace.stats({"machine": str(machine), "statement": format_statement(stmt),
+                         "extents": dict(stmt.extents), "seed": args.seed, **keys})
     if args.stats:
         with open(args.stats, "w") as fh:
             json.dump(stats, fh, indent=2, sort_keys=True)
@@ -180,51 +207,6 @@ def _finish(args, result, stmt, inputs, config) -> int:
     if args.verify:
         verify_result(stmt, inputs, result)
         print("verify: OK")
-    return 0
-
-
-def _run_algorithm(args) -> int:
-    machine = parse_machine(args.machine) if args.machine is not None else None
-    dims = None
-    if args.dims is not None:
-        dims = _dims(args.dims)
-    elif args.n is not None:
-        dims = (args.n,) * REGISTRY[args.algorithm].extents
-    chunk = 1 if args.chunk is None else args.chunk
-    bundle = bundle_from_config(args.algorithm, machine, dims, chunk)
-    inputs = random_inputs(bundle.statement, args.seed)
-    result, _ = bundle.run(inputs=inputs)
-    config = {
-        "algorithm": bundle.name,
-        "machine": str(bundle.machine),
-        "statement": format_statement(bundle.statement),
-        "extents": dict(bundle.statement.extents),
-        "chunk": chunk,
-        "seed": args.seed,
-    }
-    return _finish(args, result, bundle.statement, inputs, config)
-
-
-def _run_custom(args) -> int:
-    text = _statement_text(args)
-    stmt = parse_statement(text, _extents(args, text))
-    if not args.machine:
-        raise ConfigError("custom runs need --machine")
-    if not args.schedule:
-        raise ConfigError("custom runs need --schedule to distribute loops")
-    machine = parse_machine(args.machine)
-    dists = _parse_dists(args, stmt, machine)
-    sched = _load_schedule(args.schedule)
-    inputs = random_inputs(stmt, args.seed)
-    result = run_statement(stmt, machine, dists, inputs, sched)
-    config = {
-        "machine": str(machine),
-        "statement": format_statement(stmt),
-        "extents": dict(stmt.extents),
-        "seed": args.seed,
-        "distributions": {n: d.describe() for n, d in sorted(dists.items())},
-    }
-    return _finish(args, result, stmt, inputs, config)
 
 
 def main(argv=None) -> int:
@@ -236,13 +218,25 @@ def main(argv=None) -> int:
         if args.n is not None and args.dims is not None:
             raise ConfigError("pass --n or --dims, not both")
         if args.explain:
-            if args.algorithm:
-                raise ConfigError("--explain works with --kernel/--expr runs")
-            return _explain(args)
-        _check_outputs(args)
-        if args.algorithm:
-            return _run_algorithm(args)
-        return _run_custom(args)
+            unused = [f"--{k}".replace("_", "-") for k in ("verify", "dump_trace", "output")
+                      if getattr(args, k)]
+            if unused:
+                raise ConfigError("--explain runs nothing, so it takes no "
+                                  + " or ".join(unused))
+        else:
+            _check_outputs(args)
+        stmt, machine, dists, sched, label, keys = _setup(args)
+        if args.explain:
+            _explain(stmt, dists, sched)
+        else:
+            _run(args, stmt, machine, dists, sched, label, keys)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return 0
+    except BrokenPipeError:
+        # stdout's reader is gone; what is still buffered goes to devnull, so
+        # the flush at exit cannot fail again, and the exit code is a SIGPIPE's
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except VerifyFail as exc:
         print(f"verify: FAIL ({exc})", file=sys.stderr)
         return 1

@@ -407,10 +407,11 @@ def _fold(plan: LaunchPlan, tasks: list, result: dict, region: Region) -> None:
 
 
 def _write_back(plan: LaunchPlan, dist: TensorDistribution, events: list) -> None:
-    """Record, task by task, a write-back of each task's output rect to each
-    home of it that is not the task itself. The tasks of a reduction's
-    fan-in write one rect, so one memo per launch looks each distinct rect's
-    homes up (`parts`) once."""
+    """Record, task by task, a write-back of each part of each task's output
+    rect to its piece's home, its first holder, unless that is the task: a
+    copy has no other (lower_to_tasks refuses a replicated one), and a
+    reduction's partials meet there. A reduction's fan-in writes one rect,
+    so one memo per launch looks each distinct rect's homes up once."""
     memo: dict = {}
     for task in plan.tasks:
         rect = task.out_rect
@@ -418,12 +419,11 @@ def _write_back(plan: LaunchPlan, dist: TensorDistribution, events: list) -> Non
             continue
         if rect not in memo:
             memo[rect] = list(dist.parts(rect))
-        for _, part, procs in memo[rect]:
-            targets = procs if plan.out_kind == "copy" else procs[:1]
-            for h in targets:
-                if h != task.coord:
-                    events.append(CommEvent(plan.num_steps - 1, task.coord, h, plan.out_name,
-                                            part, part.volume, plan.out_kind, "compute"))
+        for _, part, holders in memo[rect]:
+            if holders[0] != task.coord:
+                events.append(CommEvent(plan.num_steps - 1, task.coord, holders[0],
+                                        plan.out_name, part, part.volume, plan.out_kind,
+                                        "compute"))
 
 
 def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None:
@@ -452,14 +452,12 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
     buffers = {t.coord: (t.out_rect.volume if t.out_rect is not None else 0)
                for t in plan.tasks}
 
-    def fetch(task, tensor, rect, step, among, cur_temps):
+    def fetch(task, tensor, rect, step, among, sink, cur_temps):
         region = store[tensor]
         p = task.coord
         held = list(region.residency[p])
         for temps in (launch_temps, prev_temps, cur_temps):
             held += temps.by_holder.get((p, tensor), [])
-        # only launch-scope needs come with a mask row
-        sink = cur_temps if among is None else launch_temps
         for piece in subtract_rects([rect], held):
             for color, part, homes in region.dist.parts(piece, among):
                 key = (tensor, color)
@@ -475,21 +473,23 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
         cur_temps = _Temps()
         if plan.step_var is not None:
             env[plan.step_var.var] = (s, s + 1)
-        # each entry resolved once for all tasks; launch-scope needs span
-        # every step and carry their meet mask, step scope pins one step
+        # each entry resolved once for all tasks, with the temporaries it
+        # fills; launch-scope needs span every step and carry their meet
+        # mask, step scope pins one step
         needs = []
         for a, scope in plan.fetch_plan:
             if scope == "step":
-                needs.append((a.tensor.name, _task_rects(a, env, plan.defs)[0], None))
+                needs.append((a.tensor.name, _task_rects(a, env, plan.defs)[0], None,
+                              cur_temps))
             elif s == 0:
                 rects, lo, hi = _task_rects(a, plan.env, plan.defs)
                 mask = store[a.tensor.name].dist.meets(lo, hi).tolist()
-                needs.append((a.tensor.name, rects, mask))
+                needs.append((a.tensor.name, rects, mask, launch_temps))
         for k, task in enumerate(plan.tasks):
-            for tensor, rects, mask in needs:
+            for tensor, rects, mask, sink in needs:
                 if rects[k] is not None:
                     among = None if mask is None else mask[k]
-                    fetch(task, tensor, rects[k], s, among, cur_temps)
+                    fetch(task, tensor, rects[k], s, among, sink, cur_temps)
         for p in order:
             vol = persist[p] + buffers.get(p, 0)
             for temps in (launch_temps, prev_temps, cur_temps):

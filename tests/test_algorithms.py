@@ -31,7 +31,6 @@ from tendist.errors import (
     NonCubeGrid,
     NonSquareGrid,
 )
-from tendist.ir import index_names
 
 
 def run_and_check(bundle, seed=0):
@@ -245,8 +244,7 @@ def test_builders_take_dims_in_the_statements_index_order():
     for name, row in REGISTRY.items():
         dims = (5, 6, 7, 8)[:row.extents]
         stmt = bundle_from_config(name, dims=dims).statement
-        order = index_names(format_statement(stmt))
-        assert tuple(stmt.extents[v] for v in order) == dims, name
+        assert tuple(stmt.extents[v] for v in stmt.var_order) == dims, name
 
 
 def test_ttv_and_ttm_are_communication_free():

@@ -1,8 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
-from tendist import bundle_from_config, parse_machine, random_inputs
+import tendist
+from tendist import (
+    ALGORITHMS,
+    bundle_from_config,
+    lower_to_cin,
+    parse_machine,
+    pretty,
+    random_inputs,
+)
 from tendist.cli import main
 from tendist.errors import VerifyFail
 
@@ -151,25 +162,64 @@ def test_a_tensor_too_large_to_allocate_exits_2(capsys):
     assert "error: cannot allocate 80,000,000,000,000,000 bytes" in err
 
 
-def test_explain_rejects_algorithm_mode(capsys):
-    code = run(["--algorithm", "summa", "--explain"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "error: --explain works with" in err
+def test_explain_each_bundle(capsys):
+    # a bundle explains as a custom run does: one placement per tensor, one
+    # stage per schedule command, the last stage the statement it runs
+    for name in ALGORITHMS:
+        assert run(["--explain", "--algorithm", name]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        bundle = bundle_from_config(name)
+        placed = [line.split(":")[0] for line in lines if line.startswith("placement ")]
+        assert placed == [f"placement {t}" for t in sorted(bundle.statement.tensors())]
+        stages = [line for line in lines if line.startswith("after ")]
+        assert len(stages) == len(bundle.schedule.commands), name
+        want = pretty(bundle.schedule.apply(lower_to_cin(bundle.statement)))
+        assert lines[-1] == f"  {want}"
+
+
+def test_a_closed_stdout_exits_141_without_an_error(tmp_path):
+    # ~220 KB of ledger rows overrun the pipe, whose reader leaves after a line
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(tendist.__file__)), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tendist.cli", "--algorithm", "summa", "--machine", "8x8",
+         "--n", "64", "--dump-trace", "--stats", str(tmp_path / "s.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert json.loads(proc.stdout.readline())[3] == "A"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     import tendist.cli as cli
-    from tendist.algorithms import AlgorithmBundle
 
     def ran(*args, **kwargs):
         raise AssertionError("every case must fail before the run starts")
 
-    monkeypatch.setattr(AlgorithmBundle, "run", ran)
-    monkeypatch.setattr(cli, "run_statement", ran)
+    monkeypatch.setattr(cli, "_run", ran)
+    gemm = ["--kernel", "gemm", "--n", "4", "--machine", "2x2",
+            "--dist", "A: xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy"]
     cases = [
-        # nothing to run
+        # nothing to run, and more than one run
         ["--stats", str(tmp_path / "s.json")],
+        ["--algorithm", "summa", "--kernel", "gemm", "--stats", str(tmp_path / "s.json")],
+        ["--algorithm", "summa", "--expr", "C(i) = A(i)", "--stats", str(tmp_path / "s.json")],
+        gemm + ["--expr", "C(i, j) = A(i, k) * B(k, j)", "--schedule", SUMMA_SCRIPT,
+                "--stats", str(tmp_path / "s.json")],
+        ["--explain", "--algorithm", "summa", "--kernel", "gemm"],
+        # a bundle carries its own placements and schedule
+        ["--algorithm", "summa", "--dist", "A: xy -> x*", "--stats", str(tmp_path / "s.json")],
+        ["--algorithm", "summa", "--schedule", SUMMA_SCRIPT, "--stats", str(tmp_path / "s.json")],
+        ["--explain", "--algorithm", "summa", "--schedule", "divide i io ii 2"],
+        # --explain runs nothing, so it takes none of a run's outputs
+        ["--explain", "--algorithm", "summa", "--verify"],
+        ["--explain", "--algorithm", "cannon", "--dump-trace"],
+        ["--explain", "--algorithm", "summa", "--output", str(tmp_path / "C.npy")],
+        gemm + ["--explain", "--schedule", SUMMA_SCRIPT, "--verify"],
+        # placements need a machine to name, --explain too
+        ["--explain", "--kernel", "gemm", "--dist", "A: xy -> xy", "--dist", "B: xy -> xy",
+         "--dist", "C: xy -> xy"],
         # custom needs a machine, and a schedule
         ["--expr", "b(i) = A(i, j) * c(j)",
          "--schedule", "divide i io ii 2; distribute io"],

@@ -335,6 +335,25 @@ def test_parts_is_a_filter_of_the_piece_table():
                      "two-level", "uneven", "0-d"}
 
 
+def test_a_non_replicated_piece_has_one_holder():
+    # the write-back sends each output part to its piece's first holder; a
+    # copy is refused into a replicated output, so this must be its only one
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(300):
+        m = rng.choice(_MACHINES)
+        order = rng.randint(0, 3)
+        dims = tuple(rng.randint(1, 7) for _ in range(order))
+        d = TensorDistribution(dims, m, _random_levels(rng, m, tuple("xyz"[:order])))
+        if d.replicated:
+            kinds.add("replicated")
+            continue
+        assert all(len(holders) == 1 for _, _, holders in d.pieces), d.describe()
+        kinds.add("two-level" if m.num_levels > 1 else "flat")
+        kinds.update(["fixed"] if any(isinstance(v, int) for _, y in d.levels for v in y) else [])
+    assert kinds == {"flat", "two-level", "fixed", "replicated"}
+
+
 def _check_meets(rng, d, lo, hi) -> None:
     """meets(lo, hi) is the HyperRect.intersect filter of the piece table for
     every lane, and a lane's row, given as `among`, leaves the parts of
