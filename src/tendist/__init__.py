@@ -65,7 +65,6 @@ from .scheduling import (
     parse_schedule,
     reorder,
     rotate,
-    schedule,
     split,
 )
 from .simulator import (
@@ -83,18 +82,7 @@ from .algorithms import (
     ALGORITHMS,
     AlgorithmBundle,
     bundle_from_config,
-    cannon,
-    cosma_like,
-    innerprod,
-    johnson,
-    mttkrp,
-    pumma,
     random_inputs,
-    solomonik,
-    summa,
-    summa_hier,
-    ttm,
-    ttv,
 )
 
 __version__ = "0.1.0"
@@ -139,7 +127,6 @@ __all__ = [
     "parse_distribution",
     "lower_placement",
     "Schedule",
-    "schedule",
     "parse_schedule",
     "split",
     "divide",
@@ -162,15 +149,4 @@ __all__ = [
     "AlgorithmBundle",
     "bundle_from_config",
     "random_inputs",
-    "summa",
-    "cannon",
-    "pumma",
-    "johnson",
-    "solomonik",
-    "cosma_like",
-    "summa_hier",
-    "ttv",
-    "ttm",
-    "innerprod",
-    "mttkrp",
 ]

@@ -2,16 +2,16 @@
 
 A bundle is plain data: a name, a machine, a statement, per-tensor
 distributions and a schedule, so it can be run and traced with one call.
-Each builder below returns (machine, statement, distributions, schedule);
-`_registered` names its bundle and enters it in REGISTRY, the table the
-command line builds from.
+Each REGISTRY row writes its bundle as text in the statement, format and
+scheduling languages, the same text a custom command-line run takes as
+--expr, --dims, --machine, --dist and --schedule; `bundle_from_config`
+binds it through the same functions as such a run.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -21,10 +21,10 @@ from .errors import (
     NonCubeGrid,
     NonSquareGrid,
 )
-from .distribution import TensorDistribution
+from .distribution import TensorDistribution, parse_distribution
 from .ir import TensorIndexStmt, parse_statement
-from .machine import Machine, grid, make_machine, parse_machine
-from .scheduling import Schedule, schedule
+from .machine import Machine, parse_machine
+from .scheduling import Schedule, parse_schedule
 from .simulator import run_statement
 from .tensors import DenseTensor
 
@@ -51,60 +51,6 @@ class AlgorithmBundle:
         return result, inputs
 
 
-class Registered(NamedTuple):
-    """A REGISTRY row. `build(*machine.flat_dims, dims=..., chunk=...)`
-    makes the bundle; dims is passed only when given, chunk only when
-    `chunked`. A machine given instead of the default must have its levels'
-    shape."""
-    build: Callable
-    extents: int           # one per index of the statement
-    default_machine: str   # machine text, e.g. "2x2" or "2x2/2"
-    chunked: bool          # whether the chunk is an option
-
-
-REGISTRY: dict = {}  # name -> Registered, in definition order
-
-# statement text of each named kernel: the builders below parse their entry,
-# and the command line's --kernel runs it
-KERNELS = {
-    "gemm": "C(i, j) = A(i, k) * B(k, j)",
-    "ttv": "A(i, j) = B(i, j, k) * c(k)",
-    "ttm": "Y(i, j, l) = B(i, j, k) * C(k, l)",
-    "innerprod": "a = A(i, j) * B(i, j)",
-    "mttkrp": "A(i, j) = B(i, k, l) * C(k, j) * D(l, j)",
-}
-
-
-def _registered(name: str, default_machine: str):
-    """Make a builder return an AlgorithmBundle called `name` and enter it in
-    REGISTRY. The row's extents count the builder's default dims, and it is
-    chunked when the builder takes a chunk. Before it builds, the bundle
-    refuses a grid dimension (a positional parameter) below 1, dims of
-    another length and a chunk below 1, keyword arguments included."""
-    def wrap(parts):
-        sig = inspect.signature(parts)
-        params = sig.parameters
-        extents, chunked = len(params["dims"].default), "chunk" in params
-        grid_names = [k for k, p in params.items() if p.kind == p.POSITIONAL_OR_KEYWORD]
-
-        @functools.wraps(parts)
-        def build(*args, **kwargs) -> AlgorithmBundle:
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            given = bound.arguments
-            gdims = tuple(given[k] for k in grid_names)
-            if any(int(d) < 1 for d in gdims):
-                raise BadGrid(f"grid dimensions must be positive, got {gdims}")
-            if len(given["dims"]) != extents:
-                raise ConfigError(f"{name} takes {extents} extents, got {len(given['dims'])}")
-            if chunked and given["chunk"] < 1:
-                raise ConfigError(f"{name} needs a positive chunk, got {given['chunk']}")
-            return AlgorithmBundle(name, *parts(*args, **kwargs))
-        REGISTRY[name] = Registered(build, extents, default_machine, chunked)
-        return build
-    return wrap
-
-
 def random_inputs(stmt: TensorIndexStmt, seed: int = 0) -> dict:
     """Small-integer inputs, deterministic in the seed."""
     rng = random.Random(seed)
@@ -120,224 +66,189 @@ def random_inputs(stmt: TensorIndexStmt, seed: int = 0) -> dict:
     return out
 
 
-def _dists(stmt, machine, **formats) -> dict:
-    """Tensor name -> its distribution under a list of format levels, each a
-    (dimension names, machine roles) pair; dims come from the statement."""
+# text to a run, for registry rows and custom command-line runs alike
+
+def parse_sized(text: str, extents) -> TensorIndexStmt:
+    """Parse statement text with every index at `extents` if it is an int,
+    else with `extents` listed in the statement's var_order (lhs indices,
+    then reduction indices by first use)."""
+    if isinstance(extents, int):
+        return parse_statement(text, defaultdict(lambda: extents))
+    names = parse_statement(text, defaultdict(lambda: 1)).var_order
+    if len(extents) != len(names):
+        raise ConfigError(f"--dims lists {len(extents)} extents for indices {list(names)}")
+    return parse_statement(text, dict(zip(names, extents)))
+
+
+def bind_distributions(stmt: TensorIndexStmt, machine: Machine, specs) -> dict:
+    """Tensor name -> its distribution on machine, from one format-language
+    spec per tensor of the statement (`A: xy -> xy*`)."""
+    out = {}
     tensors = stmt.tensors()
-    return {name: TensorDistribution(tensors[name].dims, machine,
-                                     [(tuple(x), tuple(y)) for x, y in levels])
-            for name, levels in formats.items()}
+    for spec in specs:
+        name, levels = parse_distribution(spec)
+        if name not in tensors:
+            raise ConfigError(f"--dist {spec!r} names {name or 'no tensor'}, "
+                              f"statement uses {sorted(tensors)}")
+        if name in out:
+            raise ConfigError(f"--dist given twice for {name}")
+        out[name] = TensorDistribution(tensors[name].dims, machine, levels)
+    missing = sorted(set(tensors) - set(out))
+    if missing:
+        raise ConfigError(f"missing --dist for {', '.join(missing)}")
+    return out
 
 
-def _gemm(dims, out="C", a="A", b="B"):
-    """The gemm kernel with its one-letter tensors C, A, B renamed."""
-    m, n, kk = dims
-    text = KERNELS["gemm"].translate(str.maketrans("CAB", out + a + b))
-    return parse_statement(text, {"i": m, "j": n, "k": kk})
+# the registry
+
+def _square(name: str, g: tuple) -> dict:
+    if g[0] != g[1]:
+        raise NonSquareGrid(f"{name} needs a square grid, got {g[0]}x{g[1]}")
+    return {}
 
 
-# dense matrix multiply family
-
-_BLOCKS = [("xy", ("x", "y"))]  # a block per processor of a 2D grid
-
-
-@_registered("summa", "2x2")
-def summa(gx: int, gy: int, *, dims=(8, 8, 8), chunk: int = 1):
-    """Stationary-C: A panels broadcast at task scope, B panels per k step."""
-    machine = grid(gx, gy)
-    stmt = _gemm(dims)
-    sched = (schedule()
-             .distribute_grid(("i", "j"), ("io", "jo"), ("ii", "ji"), (gx, gy))
-             .split("k", "ko", "ki", chunk).reorder("ko", "ii", "ji")
-             .communicate("A", "jo").communicate(("B", "C"), "ko"))
-    return machine, stmt, _dists(stmt, machine, A=_BLOCKS, B=_BLOCKS, C=_BLOCKS), sched
+def _cube(name: str, g: tuple) -> dict:
+    if not g[0] == g[1] == g[2]:
+        raise NonCubeGrid(f"{name} needs a cube, got {g[0]}x{g[1]}x{g[2]}")
+    return {}
 
 
-@_registered("cannon", "2x2")
-def cannon(gx: int, gy: int, *, dims=(8, 8, 8)):
-    """Skewed systolic: A shifts along rows, B along columns, each step."""
-    if gx != gy:
-        raise NonSquareGrid(f"cannon needs a square grid, got {gx}x{gy}")
-    g = gx
-    machine = grid(g, g)
-    stmt = _gemm(dims)
-    sched = (schedule()
-             .distribute_grid(("i", "j"), ("io", "jo"), ("ii", "ji"), (g, g))
-             .divide("k", "ko", "ki", g).reorder("ko", "ii", "ji")
-             .communicate(("A", "B"), "ko")
-             .rotate("ko", ("io", "jo"), "kos"))
-    return machine, stmt, _dists(stmt, machine, A=_BLOCKS, B=_BLOCKS, C=_BLOCKS), sched
+def _layers(name: str, g: tuple) -> dict:
+    """Square slices whose side the depth divides. Each layer's {rounds}
+    align with the inputs' home blocks: a round's reduction slice is exactly
+    one block of width ceil(kk/gy)."""
+    if g[0] != g[1]:
+        raise NonSquareGrid(f"{name} needs square slices, got {g[0]}x{g[1]}")
+    if g[1] % g[2]:
+        raise BadGrid(f"depth {g[2]} must divide the slice side {g[1]}")
+    return {"rounds": g[1] // g[2]}
 
 
-@_registered("pumma", "2x2")
-def pumma(gx: int, gy: int, *, dims=(8, 8, 8)):
-    """A broadcast once per task; B pulled skewed along columns per step."""
-    if gx != gy:
-        raise NonSquareGrid(f"pumma needs a square grid, got {gx}x{gy}")
-    machine = grid(gx, gy)
-    stmt = _gemm(dims)
-    sched = (schedule()
-             .distribute_grid(("i", "j"), ("io", "jo"), ("ii", "ji"), (gx, gy))
-             .divide("k", "ko", "ki", gx).reorder("ko", "ii", "ji")
-             .communicate("A", "jo").communicate(("B", "C"), "ko")
-             .rotate("ko", ("io",), "kos"))
-    return machine, stmt, _dists(stmt, machine, A=_BLOCKS, B=_BLOCKS, C=_BLOCKS), sched
+class Registered(NamedTuple):
+    """A REGISTRY row: a bundle written as text. The script's {g0}, {g1},
+    ... are the machine's flat grid dims and {chunk} the chunk; `check`, if
+    any, refuses a grid of the wrong shape and returns further placeholders.
+    A machine given instead of the default must have its levels' shape."""
+    statement: str
+    dims: tuple            # default extents, in the statement's var_order
+    default_machine: str   # machine text, e.g. "2x2" or "2x2/2"
+    dists: tuple           # one format-language spec per tensor
+    script: str            # schedule script, commands separated by ';'
+    check: Callable = None
+
+    @property
+    def extents(self) -> int:
+        return len(self.dims)
+
+    @property
+    def chunked(self) -> bool:
+        return "{chunk}" in self.script
+
+    def script_for(self, name: str, machine: Machine, chunk: int = 1) -> str:
+        """The schedule script with the placeholders of machine and chunk filled."""
+        g = machine.flat_dims
+        more = self.check(name, g) if self.check else {}
+        return self.script.format(chunk=chunk, **{f"g{d}": n for d, n in enumerate(g)}, **more)
 
 
-@_registered("johnson", "2x2x2")
-def johnson(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
-    """3D: inputs on cube faces, every task one block product, C reduced."""
-    if not gx == gy == gz:
-        raise NonCubeGrid(f"johnson needs a cube, got {gx}x{gy}x{gz}")
-    g = gx
-    machine = grid(g, g, g)
-    stmt = _gemm(dims)
-    dists = _dists(stmt, machine, A=[("xy", ("x", 0, "y"))], B=[("xy", (0, "y", "x"))],
-                   C=[("xy", ("x", "y", 0))])
-    sched = (schedule()
-             .distribute_grid(("i", "j", "k"), ("io", "jo", "ko"),
-                              ("ii", "ji", "ki"), (g, g, g))
-             .communicate(("A", "B", "C"), "ko"))
-    return machine, stmt, dists, sched
+# statement text of each named kernel: registry rows use their entry, and the
+# command line's --kernel runs it
+KERNELS = {
+    "gemm": "C(i, j) = A(i, k) * B(k, j)",
+    "ttv": "A(i, j) = B(i, j, k) * c(k)",
+    "ttm": "Y(i, j, l) = B(i, j, k) * C(k, l)",
+    "innerprod": "a = A(i, j) * B(i, j)",
+    "mttkrp": "A(i, j) = B(i, k, l) * C(k, j) * D(l, j)",
+}
+_GEMM_ABC = "A(i, j) = B(i, k) * C(k, j)"  # gemm with its tensors renamed
+_BLOCKS = ("A: xy -> xy", "B: xy -> xy", "C: xy -> xy")  # a block per processor of a 2D grid
 
-
-@_registered("solomonik", "2x2x2")
-def solomonik(gx: int, gy: int, gz: int, *, dims=(8, 8, 8)):
-    """2.5D: inputs replicated across depth, each layer shifts through its
-    own share of the reduction blocks, partial outputs reduced to the front
-    face. Depth cuts the round count; the replicas cost total memory."""
-    if gx != gy:
-        raise NonSquareGrid(f"solomonik needs square slices, got {gx}x{gy}")
-    if gy % gz:
-        raise BadGrid(f"depth {gz} must divide the slice side {gy}")
-    machine = grid(gx, gy, gz)
-    stmt = _gemm(dims, "A", "B", "C")
-    dists = _dists(stmt, machine, A=[("xy", ("x", "y", 0))], B=[("xy", ("x", "y", "*"))],
-                   C=[("xy", ("x", "y", "*"))])
-    # rounds per layer align with the inputs' home blocks: each round's
-    # reduction slice is exactly one block of width ceil(kk/gy)
-    rounds = gy // gz
-    sched = (schedule()
-             .distribute_grid(("i", "j", "k"), ("io", "jo", "ko"),
-                              ("ii", "ji", "ki"), (gx, gy, gz))
-             .divide("ki", "kio", "kii", rounds).reorder("kio", "ii", "ji")
-             .communicate(("B", "C"), "kio")
-             .rotate("kio", ("io", "jo"), "kios"))
-    return machine, stmt, dists, sched
-
-
-@_registered("cosma-like", "2x2x1")
-def cosma_like(pi: int, pj: int, pk: int, *, dims=(8, 8, 8), chunk: int = 1):
-    """Factor each loop into a parallel part, the grid, and k also into
-    `chunk` sequential parts, which become in-task rounds."""
-    machine = grid(pi, pj, pk)
-    stmt = _gemm(dims, "A", "B", "C")
-    dists = _dists(stmt, machine, A=[("xy", ("x", "y", 0))], B=[("xy", ("x", 0, "y"))],
-                   C=[("xy", (0, "y", "x"))])
-    sched = (schedule()
-             .distribute_grid(("i", "j", "k"), ("io", "jo", "ko"),
-                              ("ii", "ji", "ki"), (pi, pj, pk))
-             .divide("ki", "ks", "kl", chunk)
-             .reorder("ks", "ii", "ji")
-             .communicate("C", "jo").communicate("B", "ks"))
-    return machine, stmt, dists, sched
-
-
-@_registered("summa-hier", "2x2/2")
-def summa_hier(gx: int = 2, gy: int = 2, k: int = 2, *, dims=(8, 8, 8), chunk: int = 1):
-    """Two-level grid (gx x gy nodes of k): rows split again inside each node."""
-    machine = make_machine([(gx, gy), (k,)])
-    stmt = _gemm(dims)
-    two_level = _BLOCKS + [("xy", ("x",))]
-    sched = (schedule()
-             .divide("i", "io", "ii", gx).divide("j", "jo", "ji", gy)
-             .reorder("io", "jo", "ii", "ji")
-             .divide("ii", "iio", "iii", k)
-             .reorder("io", "jo", "iio", "iii", "ji")
-             .distribute("io").distribute("jo").distribute("iio")
-             .split("k", "ko", "ki", chunk).reorder("ko", "iii", "ji")
-             .communicate("A", "iio").communicate(("B", "C"), "ko"))
-    return machine, stmt, _dists(stmt, machine, A=two_level, B=two_level, C=two_level), sched
-
-
-# other kernels
-
-@_registered("ttv", "2")
-def ttv(g: int, *, dims=(6, 5, 4)):
-    """Tensor times vector: rows distributed, vector replicated; no traffic."""
-    di, dj, dk = dims
-    machine = grid(g)
-    stmt = parse_statement(KERNELS["ttv"], {"i": di, "j": dj, "k": dk})
-    dists = _dists(stmt, machine, A=[("xy", ("x",))], B=[("xyz", ("x",))],
-                   c=[("x", ("*",))])
-    sched = (schedule()
-             .divide("i", "io", "ii", g).distribute("io")
-             .communicate("c", "io"))
-    return machine, stmt, dists, sched
-
-
-@_registered("ttm", "2")
-def ttm(g: int, *, dims=(5, 4, 3, 6)):
-    """Tensor times matrix: rows distributed, the matrix replicated."""
-    di, dj, dl, dk = dims
-    machine = grid(g)
-    stmt = parse_statement(KERNELS["ttm"], {"i": di, "j": dj, "k": dk, "l": dl})
-    dists = _dists(stmt, machine, Y=[("xyz", ("x",))], B=[("xyz", ("x",))],
-                   C=[("xy", ("*",))])
-    sched = (schedule()
-             .divide("i", "io", "ii", g).distribute("io")
-             .communicate("C", "io"))
-    return machine, stmt, dists, sched
-
-
-@_registered("innerprod", "2")
-def innerprod(g: int, *, dims=(6, 5)):
-    """Frobenius inner product; partials reduced to processor zero."""
-    di, dj = dims
-    machine = grid(g)
-    stmt = parse_statement(KERNELS["innerprod"], {"i": di, "j": dj})
-    dists = _dists(stmt, machine, a=[("", (0,))], A=[("xy", ("x",))], B=[("xy", ("x",))])
-    sched = (schedule()
-             .divide("i", "io", "ii", g).distribute("io")
-             .communicate(("A", "B"), "io"))
-    return machine, stmt, dists, sched
-
-
-@_registered("mttkrp", "2x2")
-def mttkrp(g1: int, g2: int, *, dims=(6, 4, 5, 3)):
-    """B stays put on a 2D grid; factor matrices move; A reduced per row."""
-    di, dj, dk, dl = dims
-    machine = grid(g1, g2)
-    stmt = parse_statement(KERNELS["mttkrp"], {"i": di, "j": dj, "k": dk, "l": dl})
-    dists = _dists(stmt, machine, A=[("xy", ("x", 0))], B=[("xyz", ("x", "y"))],
-                   C=[("xy", (0, "x"))], D=[("xy", (0, 0))])
-    sched = (schedule()
-             .divide("i", "io", "ii", g1).divide("k", "ko", "ki", g2)
-             .reorder("io", "ko", "ii", "j", "ki", "l")
-             .distribute("io").distribute("ko")
-             .communicate(("C", "D"), "ko"))
-    return machine, stmt, dists, sched
-
-
-# the command line's entry point
+REGISTRY = {
+    # dense matrix multiply family
+    # Stationary-C: A panels broadcast at task scope, B panels per k step.
+    "summa": Registered(
+        KERNELS["gemm"], (8, 8, 8), "2x2", _BLOCKS,
+        "distribute i,j io,jo ii,ji {g0}x{g1}; split k ko ki {chunk}; reorder ko ii ji; "
+        "communicate A jo; communicate B,C ko"),
+    # Skewed systolic: A shifts along rows, B along columns, each step.
+    "cannon": Registered(
+        KERNELS["gemm"], (8, 8, 8), "2x2", _BLOCKS,
+        "distribute i,j io,jo ii,ji {g0}x{g1}; divide k ko ki {g0}; reorder ko ii ji; "
+        "communicate A,B ko; rotate ko io,jo kos", _square),
+    # A broadcast once per task; B pulled skewed along columns per step.
+    "pumma": Registered(
+        KERNELS["gemm"], (8, 8, 8), "2x2", _BLOCKS,
+        "distribute i,j io,jo ii,ji {g0}x{g1}; divide k ko ki {g0}; reorder ko ii ji; "
+        "communicate A jo; communicate B,C ko; rotate ko io kos", _square),
+    # 3D: inputs on cube faces, every task one block product, C reduced.
+    "johnson": Registered(
+        KERNELS["gemm"], (8, 8, 8), "2x2x2", ("A: xy -> x0y", "B: xy -> 0yx", "C: xy -> xy0"),
+        "distribute i,j,k io,jo,ko ii,ji,ki {g0}x{g1}x{g2}; communicate A,B,C ko", _cube),
+    # 2.5D: inputs replicated across depth, each layer shifts through its own
+    # share of the reduction blocks, partial outputs reduced to the front
+    # face. Depth cuts the round count; the replicas cost total memory.
+    "solomonik": Registered(
+        _GEMM_ABC, (8, 8, 8), "2x2x2", ("A: xy -> xy0", "B: xy -> xy*", "C: xy -> xy*"),
+        "distribute i,j,k io,jo,ko ii,ji,ki {g0}x{g1}x{g2}; divide ki kio kii {rounds}; "
+        "reorder kio ii ji; communicate B,C kio; rotate kio io,jo kios", _layers),
+    # Factor each loop into a parallel part, the grid, and k also into
+    # `chunk` sequential parts, which become in-task rounds.
+    "cosma-like": Registered(
+        _GEMM_ABC, (8, 8, 8), "2x2x1", ("A: xy -> xy0", "B: xy -> x0y", "C: xy -> 0yx"),
+        "distribute i,j,k io,jo,ko ii,ji,ki {g0}x{g1}x{g2}; divide ki ks kl {chunk}; "
+        "reorder ks ii ji; communicate C jo; communicate B ks"),
+    # Two-level grid (g0 x g1 nodes of g2): rows split again inside each node.
+    "summa-hier": Registered(
+        KERNELS["gemm"], (8, 8, 8), "2x2/2",
+        ("A: xy -> xy; xy -> x", "B: xy -> xy; xy -> x", "C: xy -> xy; xy -> x"),
+        "divide i io ii {g0}; divide j jo ji {g1}; reorder io jo ii ji; "
+        "divide ii iio iii {g2}; reorder io jo iio iii ji; "
+        "distribute io; distribute jo; distribute iio; "
+        "split k ko ki {chunk}; reorder ko iii ji; communicate A iio; communicate B,C ko"),
+    # other kernels
+    # Tensor times vector: rows distributed, vector replicated; no traffic.
+    "ttv": Registered(
+        KERNELS["ttv"], (6, 5, 4), "2", ("A: xy -> x", "B: xyz -> x", "c: x -> *"),
+        "divide i io ii {g0}; distribute io; communicate c io"),
+    # Tensor times matrix: rows distributed, the matrix replicated.
+    "ttm": Registered(
+        KERNELS["ttm"], (5, 4, 3, 6), "2", ("Y: xyz -> x", "B: xyz -> x", "C: xy -> *"),
+        "divide i io ii {g0}; distribute io; communicate C io"),
+    # Frobenius inner product; partials reduced to processor zero.
+    "innerprod": Registered(
+        KERNELS["innerprod"], (6, 5), "2", ("a: -> 0", "A: xy -> x", "B: xy -> x"),
+        "divide i io ii {g0}; distribute io; communicate A,B io"),
+    # B stays put on a 2D grid; factor matrices move; A reduced per row.
+    "mttkrp": Registered(
+        KERNELS["mttkrp"], (6, 4, 5, 3), "2x2",
+        ("A: xy -> x0", "B: xyz -> xy", "C: xy -> 0x", "D: xy -> 00"),
+        "divide i io ii {g0}; divide k ko ki {g1}; reorder io ko ii j ki l; "
+        "distribute io; distribute ko; communicate C,D ko"),
+}
 
 ALGORITHMS = tuple(REGISTRY)
 
 
 def bundle_from_config(name: str, machine: Machine = None, dims=None,
                        chunk: int = 1) -> AlgorithmBundle:
-    """Build a registry algorithm from generic run options."""
+    """Build a registry algorithm from generic run options: the row's text
+    is bound as a custom run's is, dims default to the row's and the machine
+    to its default machine."""
     key = name.lower().replace("_", "-")
     if key not in REGISTRY:
         raise ConfigError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
-    build, _, default_machine, chunked = REGISTRY[key]
-    if chunk != 1 and not chunked:
+    row = REGISTRY[key]
+    if chunk != 1 and not row.chunked:
         raise ConfigError(f"{key} takes no chunk, got {chunk}")
-    kwargs = {"dims": tuple(dims)} if dims else {}
-    if chunked:
-        kwargs["chunk"] = chunk
-    default = parse_machine(default_machine)
+    default = parse_machine(row.default_machine)
     machine = machine or default
     if [len(lvl) for lvl in machine.levels] != [len(lvl) for lvl in default.levels]:
         raise ConfigError(f"{key} needs a machine shaped like {default}, got {machine}")
-    return build(*machine.flat_dims, **kwargs)
+    dims = row.dims if dims is None else tuple(dims)
+    if len(dims) != row.extents:
+        raise ConfigError(f"{key} takes {row.extents} extents, got {len(dims)}")
+    if chunk < 1:
+        raise ConfigError(f"{key} needs a positive chunk, got {chunk}")
+    sched = parse_schedule(row.script_for(key, machine, chunk))
+    stmt = parse_sized(row.statement, dims)
+    return AlgorithmBundle(key, machine, stmt, bind_distributions(stmt, machine, row.dists), sched)

@@ -17,17 +17,24 @@ import argparse
 import json
 import os
 import sys
-from collections import defaultdict
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, KERNELS, REGISTRY, bundle_from_config, random_inputs
+from .algorithms import (
+    ALGORITHMS,
+    KERNELS,
+    REGISTRY,
+    bind_distributions,
+    bundle_from_config,
+    parse_sized,
+    random_inputs,
+)
 from .cin import lower_to_cin, pretty
-from .distribution import TensorDistribution, lower_placement, parse_distribution
+from .distribution import lower_placement
 from .errors import ConfigError, TendistError, VerifyFail
-from .ir import format_statement, parse_statement
+from .ir import format_statement
 from .machine import parse_machine
-from .scheduling import parse_schedule, schedule
+from .scheduling import Schedule, parse_schedule
 from .simulator import run_statement, verify_result
 
 
@@ -86,40 +93,12 @@ def _dims(text: str) -> tuple:
         raise ConfigError(f"--dims wants extents like 8x4x6, got {text!r}") from None
 
 
-def _statement(args, text: str):
-    """Parse text with every index at --n (default 8), or with --dims's
-    extents in the order of the statement's var_order."""
-    if args.dims is None:
-        n = 8 if args.n is None else args.n
-        return parse_statement(text, defaultdict(lambda: n))
-    sizes = _dims(args.dims)
-    names = parse_statement(text, defaultdict(lambda: 1)).var_order
-    if len(sizes) != len(names):
-        raise ConfigError(f"--dims lists {len(sizes)} extents for indices {list(names)}")
-    return parse_statement(text, dict(zip(names, sizes)))
-
-
 def _load_schedule(arg: str):
+    """A schedule script from the file at arg, else arg's own text."""
     if os.path.exists(arg):
         with open(arg) as fh:
-            return parse_schedule(fh.read())
-    return parse_schedule(arg.replace(";", "\n"))
-
-
-def _parse_dists(args, stmt, machine) -> dict:
-    out = {}
-    tensors = stmt.tensors()
-    for spec in args.dist:
-        name, levels = parse_distribution(spec)
-        if name not in tensors:
-            raise ConfigError(f"--dist names {name}, statement uses {sorted(tensors)}")
-        if name in out:
-            raise ConfigError(f"--dist given twice for {name}")
-        out[name] = TensorDistribution(tensors[name].dims, machine, levels)
-    missing = sorted(set(tensors) - set(out))
-    if missing:
-        raise ConfigError(f"missing --dist for {', '.join(missing)}")
-    return out
+            arg = fh.read()
+    return parse_schedule(arg)
 
 
 def _setup(args) -> tuple:
@@ -145,13 +124,14 @@ def _setup(args) -> tuple:
         b = bundle_from_config(args.algorithm, machine, dims, chunk)
         return (b.statement, b.machine, b.distributions, b.schedule, b.name,
                 {"algorithm": b.name, "chunk": chunk})
-    stmt = _statement(args, KERNELS[args.kernel] if args.kernel else args.expr)
+    extents = _dims(args.dims) if args.dims is not None else (8 if args.n is None else args.n)
+    stmt = parse_sized(KERNELS[args.kernel] if args.kernel else args.expr, extents)
     if machine is None and (args.dist or not args.explain):
         raise ConfigError("custom runs and --dist need --machine")
     if not (args.schedule or args.explain):
         raise ConfigError("custom runs need --schedule to distribute loops")
-    dists = _parse_dists(args, stmt, machine) if args.dist or not args.explain else {}
-    sched = _load_schedule(args.schedule) if args.schedule else schedule()
+    dists = bind_distributions(stmt, machine, args.dist) if args.dist or not args.explain else {}
+    sched = _load_schedule(args.schedule) if args.schedule else Schedule()
     return (stmt, machine, dists, sched, None,
             {"distributions": {n: d.describe() for n, d in sorted(dists.items())}})
 

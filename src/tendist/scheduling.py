@@ -175,8 +175,8 @@ def _dims(text: str) -> tuple:
 
 
 # script word -> (command, one parser per argument). Schedule.apply,
-# Schedule.steps and parse_schedule all dispatch through this table; the
-# builder methods push the same words. None: one or more loop names.
+# Schedule.steps and parse_schedule all dispatch through this table.
+# None: one or more loop names.
 _COMMANDS = {
     "split": (split, (str, str, str, int)),
     "divide": (divide, (str, str, str, int)),
@@ -199,31 +199,6 @@ class Schedule:
     """Ordered command list; apply() folds it over a statement."""
 
     commands: tuple = ()
-
-    def _push(self, name, *args):
-        return Schedule(self.commands + ((name, args),))
-
-    def split(self, i, io, ii, chunk):
-        return self._push("split", i, io, ii, chunk)
-
-    def divide(self, i, io, ii, parts):
-        return self._push("divide", i, io, ii, parts)
-
-    def reorder(self, *order):
-        return self._push("reorder", *order)
-
-    def distribute(self, i):
-        return self._push("distribute", i)
-
-    def distribute_grid(self, targets, dist_vars, local_vars, dims):
-        return self._push("distribute_grid", tuple(targets), tuple(dist_vars),
-                          tuple(local_vars), tuple(dims))
-
-    def communicate(self, tensors, i):
-        return self._push("communicate", tensors, i)
-
-    def rotate(self, t, over, r):
-        return self._push("rotate", t, tuple(over), r)
 
     def apply(self, stmt):
         for name, args in self.commands:
@@ -250,10 +225,6 @@ class Schedule:
         return f"{name}({', '.join(show(a) for a in args)})"
 
 
-def schedule() -> Schedule:
-    return Schedule()
-
-
 def _parse_command(word: str, toks: list) -> tuple:
     if word == "distribute" and len(toks) == 4:
         word = "distribute_grid"  # the compound form
@@ -268,18 +239,19 @@ def _parse_command(word: str, toks: list) -> tuple:
 
 
 def parse_schedule(text: str) -> Schedule:
-    """Line-oriented schedule scripts.
+    """Schedule scripts.
 
-    One command per line, a script word then space-separated arguments:
+    One command per line or between `;`s, a script word then space-separated
+    arguments:
     `split k ko ki 2`, `divide i io ii 3`, `reorder io jo ii ji`,
     `distribute io` (or the compound form `distribute i,j io,jo ii,ji 3x3`,
     also spelled `distribute_grid`), `communicate A,B ko`,
     `rotate ko io,jo kos`. Blank lines and `#` comments are skipped. A
     wrong word, a missing or extra argument, or a malformed number raises
-    ConfigError naming the line.
+    ConfigError naming the line, each `;` counting as a line end.
     """
     commands = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.replace(";", "\n").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -12,22 +12,12 @@ import numpy as np
 from tendist import (
     HyperRect,
     TensorDistribution,
-    cannon,
-    cosma_like,
+    bundle_from_config,
     grid,
-    innerprod,
-    johnson,
     lower_to_cin,
-    mttkrp,
     parse_statement,
-    pumma,
     random_inputs,
     sequential_evaluate,
-    solomonik,
-    summa,
-    summa_hier,
-    ttm,
-    ttv,
 )
 from tendist.cin import interpret
 from tendist.cli import main
@@ -115,24 +105,26 @@ def test_criterion_03_bundles_match_the_reference():
     """Every shipped algorithm reproduces the sequential answer bit for bit,
     on block-divisible and on ragged extents."""
     bundles = [
-        summa(2, 2, dims=(8, 8, 8), chunk=2),
-        summa(2, 2, dims=(5, 7, 6), chunk=2),
-        cannon(2, 2, dims=(8, 8, 8)),
-        cannon(3, 3, dims=(7, 7, 5)),
-        pumma(2, 2, dims=(8, 8, 8)),
-        pumma(2, 2, dims=(5, 5, 3)),
-        johnson(2, 2, 2, dims=(8, 8, 8)),
-        johnson(2, 2, 2, dims=(7, 5, 3)),
-        solomonik(2, 2, 2, dims=(8, 8, 8)),
-        solomonik(2, 2, 2, dims=(5, 7, 9)),
-        cosma_like(2, 2, 1, chunk=2, dims=(8, 8, 8)),
-        cosma_like(2, 2, 1, chunk=2, dims=(5, 4, 7)),
-        summa_hier(dims=(8, 8, 8), chunk=2),
-        summa_hier(dims=(7, 6, 5), chunk=3),
-        ttv(2), ttv(3, dims=(7, 5, 4)),
-        ttm(2), ttm(3, dims=(5, 4, 3, 7)),
-        innerprod(2), innerprod(3, dims=(7, 5)),
-        mttkrp(2, 2), mttkrp(2, 2, dims=(5, 3, 7, 2)),
+        bundle_from_config("summa", grid(2, 2), (8, 8, 8), 2),
+        bundle_from_config("summa", grid(2, 2), (5, 7, 6), 2),
+        bundle_from_config("cannon", grid(2, 2), (8, 8, 8)),
+        bundle_from_config("cannon", grid(3, 3), (7, 7, 5)),
+        bundle_from_config("pumma", grid(2, 2), (8, 8, 8)),
+        bundle_from_config("pumma", grid(2, 2), (5, 5, 3)),
+        bundle_from_config("johnson", grid(2, 2, 2), (8, 8, 8)),
+        bundle_from_config("johnson", grid(2, 2, 2), (7, 5, 3)),
+        bundle_from_config("solomonik", grid(2, 2, 2), (8, 8, 8)),
+        bundle_from_config("solomonik", grid(2, 2, 2), (5, 7, 9)),
+        bundle_from_config("cosma-like", grid(2, 2, 1), (8, 8, 8), 2),
+        bundle_from_config("cosma-like", grid(2, 2, 1), (5, 4, 7), 2),
+        bundle_from_config("summa-hier", dims=(8, 8, 8), chunk=2),
+        bundle_from_config("summa-hier", dims=(7, 6, 5), chunk=3),
+        bundle_from_config("ttv", grid(2)), bundle_from_config("ttv", grid(3), (7, 5, 4)),
+        bundle_from_config("ttm", grid(2)), bundle_from_config("ttm", grid(3), (5, 4, 3, 7)),
+        bundle_from_config("innerprod", grid(2)),
+        bundle_from_config("innerprod", grid(3), (7, 5)),
+        bundle_from_config("mttkrp", grid(2, 2)),
+        bundle_from_config("mttkrp", grid(2, 2), (5, 3, 7, 2)),
     ]
     for bundle in bundles:
         result, inputs = bundle.run(seed=13)
@@ -145,7 +137,7 @@ def test_criterion_03_bundles_match_the_reference():
 def test_criterion_04_systolic_neighbor_pattern():
     """After the skew, both operands travel only between fixed neighbors,
     one outbound transfer per operand per processor per step."""
-    result, _ = cannon(3, 3, dims=(6, 6, 6)).run()
+    result, _ = bundle_from_config("cannon", grid(3, 3), (6, 6, 6)).run()
     copies = [e for e in result.trace.events if e.kind == "copy"]
     steady = [e for e in copies if e.timestep > 0]
     assert steady
@@ -183,7 +175,7 @@ def _broadcast_copy_oracle(g, n, chunk):
 def test_criterion_05_broadcast_counts():
     """Copy count matches an independent brute-force count, and each owner
     of a reduction slab sends to exactly one peer per step on a 2x2 grid."""
-    result, _ = summa(2, 2, dims=(4, 4, 4), chunk=2).run()
+    result, _ = bundle_from_config("summa", grid(2, 2), (4, 4, 4), 2).run()
     trace = result.trace
     stats = trace.stats()
     assert stats["totals"]["copy_messages"] == _broadcast_copy_oracle(2, 4, 2) == 8
@@ -198,7 +190,7 @@ def test_criterion_05_broadcast_counts():
 def test_criterion_06_cube_reduction_shape():
     """On the 2-deep cube every output tile receives exactly one partial,
     and the finished output lives only on the front face."""
-    result, _ = johnson(2, 2, 2, dims=(8, 8, 8)).run()
+    result, _ = bundle_from_config("johnson", grid(2, 2, 2), (8, 8, 8)).run()
     fan_in = {}
     for e in [e for e in result.trace.events if e.kind == "reduce"]:
         assert e.dst[2] == 0
@@ -217,8 +209,8 @@ def test_criterion_06_cube_reduction_shape():
 def test_criterion_07_memory_for_communication_tradeoff():
     """Same eight processors, same matrices: the cube variant moves fewer
     elements but holds more per processor."""
-    flat = summa(2, 4, dims=(8, 8, 8)).run()[0].trace.stats()
-    cube = johnson(2, 2, 2, dims=(8, 8, 8)).run()[0].trace.stats()
+    flat = bundle_from_config("summa", grid(2, 4), (8, 8, 8)).run()[0].trace.stats()
+    cube = bundle_from_config("johnson", grid(2, 2, 2), (8, 8, 8)).run()[0].trace.stats()
     elements = [st["totals"]["elements"] for st in (cube, flat)]
     memory = [st["memory_high_water"]["overall"] for st in (cube, flat)]
     assert elements[0] < elements[1]
@@ -229,7 +221,7 @@ def test_criterion_07_memory_for_communication_tradeoff():
 
 def test_criterion_08_communication_free_kernels():
     """Row layouts with replicated small operands run with zero transfers."""
-    for bundle in (ttv(2), ttm(2)):
+    for bundle in (bundle_from_config("ttv", grid(2)), bundle_from_config("ttm", grid(2))):
         result, inputs = bundle.run(seed=2)
         assert result.trace.stats()["phases"]["compute"]["messages"] == 0
         want = sequential_evaluate(bundle.statement, inputs)
@@ -240,8 +232,8 @@ def test_criterion_08_communication_free_kernels():
 def test_criterion_09_schedule_changes_edges_not_values():
     """The shifted and the broadcast schedules move data along different
     edges yet produce identical outputs from identical inputs."""
-    shifted = cannon(2, 2, dims=(4, 4, 4))
-    broadcast = summa(2, 2, dims=(4, 4, 4), chunk=2)
+    shifted = bundle_from_config("cannon", grid(2, 2), (4, 4, 4))
+    broadcast = bundle_from_config("summa", grid(2, 2), (4, 4, 4), 2)
     inputs = random_inputs(shifted.statement, seed=21)
     a, _ = shifted.run(inputs)
     b, _ = broadcast.run(inputs)

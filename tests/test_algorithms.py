@@ -6,22 +6,11 @@ import pytest
 from tendist import (
     ALGORITHMS,
     bundle_from_config,
-    cannon,
-    cosma_like,
     format_statement,
     grid,
-    innerprod,
-    johnson,
     make_machine,
-    mttkrp,
-    pumma,
     random_inputs,
     sequential_evaluate,
-    solomonik,
-    summa,
-    summa_hier,
-    ttm,
-    ttv,
     verify_result,
 )
 from tendist.algorithms import KERNELS, REGISTRY
@@ -47,17 +36,17 @@ def test_registry_defaults_verify(name):
 
 
 @pytest.mark.parametrize("bundle_fn", [
-    lambda: summa(2, 2, dims=(5, 7, 6), chunk=2),
-    lambda: cannon(3, 3, dims=(7, 7, 5)),
-    lambda: pumma(2, 2, dims=(5, 5, 3)),
-    lambda: johnson(2, 2, 2, dims=(7, 5, 3)),
-    lambda: solomonik(2, 2, 2, dims=(5, 7, 9)),
-    lambda: cosma_like(2, 2, 1, chunk=2, dims=(5, 4, 7)),
-    lambda: summa_hier(dims=(7, 6, 5), chunk=3),
-    lambda: ttv(3, dims=(7, 5, 4)),
-    lambda: ttm(3, dims=(5, 4, 3, 7)),
-    lambda: innerprod(3, dims=(7, 5)),
-    lambda: mttkrp(2, 2, dims=(5, 3, 7, 2)),
+    lambda: bundle_from_config("summa", grid(2, 2), (5, 7, 6), 2),
+    lambda: bundle_from_config("cannon", grid(3, 3), (7, 7, 5)),
+    lambda: bundle_from_config("pumma", grid(2, 2), (5, 5, 3)),
+    lambda: bundle_from_config("johnson", grid(2, 2, 2), (7, 5, 3)),
+    lambda: bundle_from_config("solomonik", grid(2, 2, 2), (5, 7, 9)),
+    lambda: bundle_from_config("cosma-like", grid(2, 2, 1), (5, 4, 7), 2),
+    lambda: bundle_from_config("summa-hier", dims=(7, 6, 5), chunk=3),
+    lambda: bundle_from_config("ttv", grid(3), (7, 5, 4)),
+    lambda: bundle_from_config("ttm", grid(3), (5, 4, 3, 7)),
+    lambda: bundle_from_config("innerprod", grid(3), (7, 5)),
+    lambda: bundle_from_config("mttkrp", grid(2, 2), (5, 3, 7, 2)),
 ])
 def test_ragged_extents_verify(bundle_fn):
     """Block edges that do not divide evenly still compute exact answers."""
@@ -69,7 +58,7 @@ def test_ragged_extents_verify(bundle_fn):
 # frozen traffic anchors
 
 def test_summa_anchor_4x2():
-    result = run_and_check(summa(4, 2, dims=(8, 8, 8), chunk=2))
+    result = run_and_check(bundle_from_config("summa", grid(4, 2), (8, 8, 8), 2))
     trace = result.trace
     stats = trace.stats()
     assert stats["num_steps"] == 4
@@ -85,8 +74,8 @@ def test_summa_anchor_4x2():
 
 
 def test_cannon_anchors():
-    small = run_and_check(cannon(2, 2, dims=(4, 4, 4))).trace
-    big = run_and_check(cannon(3, 3, dims=(6, 6, 6))).trace
+    small = run_and_check(bundle_from_config("cannon", grid(2, 2), (4, 4, 4))).trace
+    big = run_and_check(bundle_from_config("cannon", grid(3, 3), (6, 6, 6))).trace
     stats = {2: small.stats(), 3: big.stats()}
     totals = {g: st["totals"] for g, st in stats.items()}
     assert (totals[2]["messages"], totals[2]["elements"]) == (8, 32)
@@ -105,8 +94,9 @@ def test_cannon_anchors():
 
 
 def test_pumma_matches_cannon_totals():
-    p = run_and_check(pumma(3, 3, dims=(6, 6, 6))).trace
-    ps, cs = p.stats(), run_and_check(cannon(3, 3, dims=(6, 6, 6))).trace.stats()
+    p = run_and_check(bundle_from_config("pumma", grid(3, 3), (6, 6, 6))).trace
+    c = run_and_check(bundle_from_config("cannon", grid(3, 3), (6, 6, 6))).trace
+    ps, cs = p.stats(), c.stats()
     assert ps["totals"]["elements"] == cs["totals"]["elements"] == 144
     assert ps["num_steps"] == cs["num_steps"] == 3
     # pumma's A moves once, within its row; B stays in its column
@@ -117,7 +107,7 @@ def test_pumma_matches_cannon_totals():
 
 
 def test_johnson_anchor():
-    result = run_and_check(johnson(2, 2, 2, dims=(8, 8, 8)))
+    result = run_and_check(bundle_from_config("johnson", grid(2, 2, 2), (8, 8, 8)))
     trace = result.trace
     stats = trace.stats()
     assert stats["num_steps"] == 1
@@ -159,8 +149,8 @@ def test_closed_form_traffic(name, g, blocks):
 def test_summa_vs_johnson_tradeoff():
     """Same problem, same processor count: the 3D layout moves fewer
     elements but keeps more resident per processor."""
-    s = run_and_check(summa(4, 2, dims=(8, 8, 8), chunk=2)).trace.stats()
-    j = run_and_check(johnson(2, 2, 2, dims=(8, 8, 8))).trace.stats()
+    s = run_and_check(bundle_from_config("summa", grid(4, 2), (8, 8, 8), 2)).trace.stats()
+    j = run_and_check(bundle_from_config("johnson", grid(2, 2, 2), (8, 8, 8))).trace.stats()
     assert j["totals"]["elements"] < s["totals"]["elements"]
     assert j["memory_high_water"]["overall"] > s["memory_high_water"]["overall"]
 
@@ -170,7 +160,7 @@ def test_solomonik_depth_tradeoff():
     resident volume and reduction fan-in; total copy volume stays flat."""
     steps, copy_el, per_proc, reduce_el, resident = [], [], [], [], []
     for gz in (1, 2, 4):
-        bundle = solomonik(4, 4, gz, dims=(8, 8, 8))
+        bundle = bundle_from_config("solomonik", grid(4, 4, gz), (8, 8, 8))
         result = run_and_check(bundle)
         stats = result.trace.stats()
         procs = list(bundle.machine.enumerate())
@@ -189,8 +179,8 @@ def test_solomonik_depth_tradeoff():
 def test_cosma_factors_reproduce_broadcast_traffic():
     """With square dims, the parallel/sequential factoring moves exactly the
     block volumes of the stationary-output broadcast schedule."""
-    co = run_and_check(cosma_like(2, 2, 1, chunk=2, dims=(4, 4, 4))).trace.stats()
-    su = run_and_check(summa(2, 2, dims=(4, 4, 4), chunk=2)).trace.stats()
+    co = run_and_check(bundle_from_config("cosma-like", grid(2, 2, 1), (4, 4, 4), 2)).trace.stats()
+    su = run_and_check(bundle_from_config("summa", grid(2, 2), (4, 4, 4), 2)).trace.stats()
     assert co["totals"]["elements"] == su["totals"]["elements"] == 32
     assert ([s["elements"] for s in co["per_step"]]
             == [s["elements"] for s in su["per_step"]] == [24, 8])
@@ -199,8 +189,8 @@ def test_cosma_factors_reproduce_broadcast_traffic():
 
 
 def test_hierarchical_matches_flat():
-    hier = run_and_check(summa_hier(dims=(8, 8, 8), chunk=2)).trace
-    flat = run_and_check(summa(4, 2, dims=(8, 8, 8), chunk=2)).trace
+    hier = run_and_check(bundle_from_config("summa-hier", dims=(8, 8, 8), chunk=2)).trace
+    flat = run_and_check(bundle_from_config("summa", grid(4, 2), (8, 8, 8), 2)).trace
     hs, fs = hier.stats(), flat.stats()
     assert hs["totals"] == fs["totals"]
     assert hs["memory_high_water"]["overall"] == 56
@@ -218,12 +208,11 @@ def test_hierarchical_matches_flat():
 def test_summa_hier_takes_its_grid(gx, gy, k, n):
     # on evenly divided extents a gx x gy / k machine moves what flat summa
     # on (gx * k) x gy moves
-    hier = run_and_check(summa_hier(gx, gy, k, dims=(n, n, n))).trace
-    assert hier.machine == make_machine([(gx, gy), (k,)])
-    flat = run_and_check(summa(gx * k, gy, dims=(n, n, n))).trace
+    machine = make_machine([(gx, gy), (k,)])
+    hier = run_and_check(bundle_from_config("summa-hier", machine, (n, n, n))).trace
+    assert hier.machine == machine
+    flat = run_and_check(bundle_from_config("summa", grid(gx * k, gy), (n, n, n))).trace
     assert hier.stats()["totals"] == flat.stats()["totals"]
-    built = bundle_from_config("summa-hier", make_machine([(gx, gy), (k,)]), (n, n, n))
-    assert built.run(seed=0)[0].trace.events == hier.events
 
 
 def test_registry_rows_name_their_default_machine():
@@ -232,7 +221,8 @@ def test_registry_rows_name_their_default_machine():
 
 
 def test_registry_rows_count_their_statements_extents():
-    # a row's extents and chunked are read off its builder's signature
+    # a row's extents count its default dims; it is chunked when its script
+    # has a {chunk}
     for name, row in REGISTRY.items():
         assert row.extents == len(bundle_from_config(name).statement.extents)
     assert [n for n, row in REGISTRY.items() if row.chunked] == [
@@ -248,13 +238,13 @@ def test_builders_take_dims_in_the_statements_index_order():
 
 
 def test_ttv_and_ttm_are_communication_free():
-    for bundle in (ttv(2), ttm(2)):
+    for bundle in (bundle_from_config("ttv", grid(2)), bundle_from_config("ttm", grid(2))):
         trace = run_and_check(bundle).trace
         assert trace.stats()["phases"]["compute"]["messages"] == 0
 
 
 def test_innerprod_fan_in():
-    trace = run_and_check(innerprod(4, dims=(8, 6))).trace
+    trace = run_and_check(bundle_from_config("innerprod", grid(4), (8, 6))).trace
     reduces = [e for e in trace.events if e.kind == "reduce"]
     assert len(reduces) == 3
     assert all(e.dst == (0,) and e.elements == 1 for e in reduces)
@@ -262,50 +252,39 @@ def test_innerprod_fan_in():
 
 
 def test_mttkrp_keeps_big_tensor_stationary():
-    trace = run_and_check(mttkrp(2, 2)).trace
+    trace = run_and_check(bundle_from_config("mttkrp", grid(2, 2))).trace
     assert [e for e in trace.events if e.tensor == "B" and e.phase == "compute"] == []
     reduces = [e for e in trace.events if e.kind == "reduce"]
     assert len(reduces) == 2
     assert all(e.dst == (e.src[0], 0) for e in reduces)
 
 
-# builder validation
+# registry row validation
 
 def test_grid_shape_rejections():
-    with pytest.raises(NonSquareGrid):
-        cannon(2, 3)
-    with pytest.raises(NonSquareGrid):
-        pumma(2, 3)
-    with pytest.raises(NonCubeGrid):
-        johnson(2, 2, 3)
-    with pytest.raises(NonSquareGrid):
-        solomonik(2, 3, 1)
-    with pytest.raises(BadGrid):
-        solomonik(4, 4, 3)  # depth must divide the slice side
-    with pytest.raises(BadGrid):
-        summa(0, 2)
-    with pytest.raises(BadGrid):
-        cosma_like(2, 2, 0)
+    # each row's shape check, with its error's text, before any text is bound
+    cases = [
+        ("cannon", grid(2, 3), NonSquareGrid, "cannon needs a square grid, got 2x3"),
+        ("pumma", grid(2, 3), NonSquareGrid, "pumma needs a square grid, got 2x3"),
+        ("johnson", grid(2, 2, 3), NonCubeGrid, "johnson needs a cube, got 2x2x3"),
+        ("solomonik", grid(2, 3, 1), NonSquareGrid, "solomonik needs square slices, got 2x3"),
+        ("solomonik", grid(4, 4, 3), BadGrid, "depth 3 must divide the slice side 4"),
+    ]
+    for name, machine, error, message in cases:
+        with pytest.raises(error, match=message):
+            bundle_from_config(name, machine)
     with pytest.raises(ConfigError, match="needs a positive chunk, got 0"):
         bundle_from_config("cosma-like", chunk=0)
-    # the registry wrapper checks the bound arguments, keywords included,
-    # before a builder's own shape checks run
-    with pytest.raises(BadGrid):
-        solomonik(2, 2, 0)  # not a ZeroDivisionError from the depth check
-    with pytest.raises(BadGrid):
-        summa_hier(gx=0)
-    with pytest.raises(BadGrid):
-        cannon(-1, -2)  # non-positive before non-square
     with pytest.raises(ConfigError, match="johnson takes 3 extents, got 2"):
-        johnson(2, 2, 2, dims=(4, 4))
+        bundle_from_config("johnson", grid(2, 2, 2), (4, 4))
     with pytest.raises(ConfigError, match="ttv takes 3 extents, got 4"):
         bundle_from_config("ttv", dims=(2, 2, 2, 2))
 
 
 @pytest.mark.parametrize("build", [
-    lambda chunk: summa(2, 2, chunk=chunk),
-    lambda chunk: summa_hier(chunk=chunk),
-    lambda chunk: cosma_like(2, 2, 1, chunk=chunk),
+    lambda chunk: bundle_from_config("summa", grid(2, 2), None, chunk),
+    lambda chunk: bundle_from_config("summa-hier", chunk=chunk),
+    lambda chunk: bundle_from_config("cosma-like", grid(2, 2, 1), None, chunk),
 ], ids=["summa", "summa-hier", "cosma-like"])
 @pytest.mark.parametrize("chunk", (0, -3))
 def test_builders_refuse_a_nonpositive_chunk(build, chunk):
@@ -315,7 +294,7 @@ def test_builders_refuse_a_nonpositive_chunk(build, chunk):
 
 
 def test_bundles_state_their_kernel_table_entry():
-    # one table of statement texts serves the builders and --kernel
+    # one table of statement texts serves the registry rows and --kernel
     gemm_renamed = {"solomonik", "cosma-like"}  # C, A, B renamed A, B, C
     for name in REGISTRY:
         text = format_statement(bundle_from_config(name).statement)
@@ -342,6 +321,9 @@ def test_bundle_from_config():
         bundle_from_config("ttv", dims=(4, 4))
     with pytest.raises(ConfigError):
         bundle_from_config("innerprod", dims=(4, 4, 4))
+    # no extents at all is a wrong count, not the row's default extents
+    with pytest.raises(ConfigError, match="summa takes 3 extents, got 0"):
+        bundle_from_config("summa", dims=())
     # only summa, cosma-like and summa-hier take a chunk
     assert bundle_from_config("summa-hier", chunk=2).name == "summa-hier"
     for name in ("cannon", "pumma", "johnson", "solomonik",
@@ -355,7 +337,7 @@ def test_bundle_from_config():
 
 
 def test_bundle_inputs_and_runs():
-    bundle = summa(2, 2, dims=(4, 4, 4))
+    bundle = bundle_from_config("summa", grid(2, 2), (4, 4, 4))
     ins = random_inputs(bundle.statement, seed=5)
     assert sorted(ins) == ["A", "B"]
     again = random_inputs(bundle.statement, seed=5)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import tendist
 from tendist import (
@@ -14,6 +15,7 @@ from tendist import (
     pretty,
     random_inputs,
 )
+from tendist.algorithms import REGISTRY
 from tendist.cli import main
 from tendist.errors import VerifyFail
 
@@ -153,6 +155,49 @@ def test_explain_two_level_placements(capsys):
     assert "divide(yi, yio, yii, 2)" in out and "communicate(B, yio)" in out
     assert "placement C: xy -> xy ; xy -> *" in out
     assert "communicate(C, m2)" in out
+
+
+# one grid per registry row besides its default machine
+OTHER_MACHINE = {"summa": "3x2", "cannon": "3x3", "pumma": "3x3", "johnson": "3x3x3",
+                 "solomonik": "4x4x2", "cosma-like": "2x2x2", "summa-hier": "2x1/3",
+                 "ttv": "3", "ttm": "3", "innerprod": "3", "mttkrp": "3x2"}
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_each_bundle_runs_as_the_custom_command_its_row_spells(name, tmp_path, capsys):
+    # a row is text in the statement, format and scheduling languages: typed
+    # as --expr, --dims, --dist and --schedule it moves what --algorithm does
+    assert sorted(OTHER_MACHINE) == sorted(ALGORITHMS)
+    row = REGISTRY[name]
+    chunk = ["--chunk", "2"] if row.chunked else []
+    for machine in (row.default_machine, OTHER_MACHINE[name]):
+        custom = ["--expr", row.statement, "--dims", "x".join(map(str, row.dims)),
+                  "--schedule", row.script_for(name, parse_machine(machine), 2)]
+        for spec in row.dists:
+            custom += ["--dist", spec]
+        runs = []
+        for argv in (["--algorithm", name] + chunk, custom):
+            path = tmp_path / "s.json"
+            assert main(argv + ["--machine", machine, "--dump-trace",
+                                "--stats", str(path)]) == 0
+            rows = capsys.readouterr().out.splitlines()[:-1]
+            got = json.loads(path.read_text())
+            del got["config"]
+            labels = [launch.pop("label") for launch in got["launches"]]
+            runs.append((rows, got, labels))
+        (rows, stats, labels), (custom_rows, custom_stats, custom_labels) = runs
+        assert (custom_rows, custom_stats) == (rows, stats), machine
+        out = bundle_from_config(name).statement.lhs.tensor.name
+        assert set(labels) == {name} and set(custom_labels) == {out}
+
+
+def test_a_dist_spec_without_a_tensor_name_exits_2(tmp_path, capsys):
+    code = run(["--kernel", "gemm", "--n", "4", "--machine", "2x2",
+                "--dist", "xy -> xy", "--dist", "B: xy -> xy", "--dist", "C: xy -> xy",
+                "--schedule", SUMMA_SCRIPT, "--stats", str(tmp_path / "s.json")])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: --dist 'xy -> xy' names no tensor, "
+                                       "statement uses ['A', 'B', 'C']\n")
 
 
 def test_a_tensor_too_large_to_allocate_exits_2(capsys):

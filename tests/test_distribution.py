@@ -15,7 +15,6 @@ from tendist import (
     make_machine,
     parse_distribution,
     pretty,
-    summa_hier,
 )
 from tendist.algorithms import REGISTRY
 from tendist.cin import interpret, lower_to_cin
@@ -523,7 +522,7 @@ def test_lower_placement_two_level_golden():
         "forall(xo) forall(yo) forall(xio) forall(xii) forall(yi) T(x, y) "
         "s.t. divide(x, xo, xi, 2), divide(y, yo, yi, 2), divide(xi, xio, xii, 2), "
         "distribute(xo), distribute(yo), distribute(xio), communicate(T, xio)")
-    bundle = summa_hier()
+    bundle = bundle_from_config("summa-hier")
     for name, dist in bundle.distributions.items():
         lower_placement(bundle.statement.tensors()[name], dist)
 

@@ -105,15 +105,11 @@ TEST_ONLY = {
 
 def test_no_definition_is_reached_only_from_tests():
     # the package and perfbench without the tests: a name only tests call
-    # fails here unless TEST_ONLY says why it stays. The registry builders
-    # are reached through REGISTRY. Being name-based, the scan cannot see a
-    # property or method whose name something else also uses.
-    from tendist.algorithms import REGISTRY
-    builders = {row.build.__name__ for row in REGISTRY.values()}
+    # fails here unless TEST_ONLY says why it stays. Being name-based, the
+    # scan cannot see a property or method whose name something else also uses.
     package = sorted((ROOT / "src" / "tendist").glob("*.py"))
     found = {name for _, name in unreferenced({p: p.read_text() for p in package + PERFBENCH})}
-    assert found - builders == set(TEST_ONLY)
-    assert len(builders) == 11
+    assert found == set(TEST_ONLY)
 
 
 def unread_fields(sources: dict) -> list:

@@ -10,7 +10,6 @@ from tendist import (
     lower_to_cin,
     parse_schedule,
     parse_statement,
-    schedule,
     sequential_evaluate,
 )
 from tendist.cin import (
@@ -182,7 +181,7 @@ def test_communicate_validates_tensor():
     with pytest.raises(UnknownVar, match=r"communicate\(\{A, B\}, io\): no loop binds io"):
         divide(out, "io", "ioo", "ioi", 1)
     with pytest.raises(UnknownVar, match=r"communicate\(B, k\): no loop binds k"):
-        schedule().communicate("B", "k").split("k", "ko", "ki", 1).apply(lower_to_cin(gemm()))
+        parse_schedule("communicate B k; split k ko ki 1").apply(lower_to_cin(gemm()))
 
 
 def test_rotate_replaces_loop():
@@ -218,16 +217,14 @@ def test_rotate_requires_enclosing_offsets():
         rotate(cin, "ko", ("io",), "ki")
 
 
-# the Schedule builder
+# the Schedule
 
 def test_schedule_chain_and_apply():
     stmt = gemm(4)
-    sched = (schedule()
-             .divide("i", "io", "ii", 2).divide("j", "jo", "ji", 2)
-             .reorder("io", "jo", "ii", "ji")
-             .distribute("io").distribute("jo")
-             .split("k", "ko", "ki", 2).reorder("ko", "ii", "ji")
-             .communicate("A", "jo").communicate(("B", "C"), "ko"))
+    # commands may share a line, separated by ';'
+    sched = parse_schedule("divide i io ii 2; divide j jo ji 2; reorder io jo ii ji; "
+                           "distribute io; distribute jo; split k ko ki 2; reorder ko ii ji; "
+                           "communicate A jo; communicate B,C ko")
     out = sched.apply(lower_to_cin(stmt))
     names = [f.var for f in out.loops]
     assert names == ["io", "jo", "ko", "ii", "ji", "ki"]
@@ -235,44 +232,31 @@ def test_schedule_chain_and_apply():
 
 
 def test_schedule_steps_descriptions():
-    sched = schedule().divide("i", "io", "ii", 2).communicate(("A", "B"), "io")
+    sched = parse_schedule("divide i io ii 2; communicate A,B io")
     steps = sched.steps(lower_to_cin(gemm()))
     assert [d for d, _ in steps] == ["divide(i, io, ii, 2)",
                                      "communicate({A, B}, io)"]
     assert "s.t. divide(i, io, ii, 2)" in pretty(steps[0][1])
 
-    # every script word and its builder call build the same command
+    # each script word's command and description
     cases = [
-        ("split k ko ki 2", schedule().split("k", "ko", "ki", 2),
-         "split(k, ko, ki, 2)"),
-        ("divide i io ii 2", schedule().divide("i", "io", "ii", 2),
-         "divide(i, io, ii, 2)"),
-        ("reorder k i j", schedule().reorder("k", "i", "j"), "reorder(k, i, j)"),
-        ("distribute i", schedule().distribute("i"), "distribute(i)"),
+        ("split k ko ki 2", ("split", ("k", "ko", "ki", 2)), "split(k, ko, ki, 2)"),
+        ("divide i io ii 2", ("divide", ("i", "io", "ii", 2)), "divide(i, io, ii, 2)"),
+        ("reorder k i j", ("reorder", ("k", "i", "j")), "reorder(k, i, j)"),
+        ("distribute i", ("distribute", ("i",)), "distribute(i)"),
         ("distribute i,j io,jo ii,ji 2x2",
-         schedule().distribute_grid(["i", "j"], ["io", "jo"], ["ii", "ji"], [2, 2]),
+         ("distribute_grid", (("i", "j"), ("io", "jo"), ("ii", "ji"), (2, 2))),
          "distribute_grid({i, j}, {io, jo}, {ii, ji}, {2, 2})"),
         ("distribute_grid i,j io,jo ii,ji 2x2",
-         schedule().distribute_grid(["i", "j"], ["io", "jo"], ["ii", "ji"], [2, 2]),
+         ("distribute_grid", (("i", "j"), ("io", "jo"), ("ii", "ji"), (2, 2))),
          "distribute_grid({i, j}, {io, jo}, {ii, ji}, {2, 2})"),
-        ("communicate A,B i", schedule().communicate(("A", "B"), "i"),
-         "communicate({A, B}, i)"),
-        ("rotate k i,j kr", schedule().rotate("k", ("i", "j"), "kr"),
-         "rotate(k, {i, j}, kr)"),
+        ("communicate A,B i", ("communicate", (("A", "B"), "i")), "communicate({A, B}, i)"),
+        ("rotate k i,j kr", ("rotate", ("k", ("i", "j"), "kr")), "rotate(k, {i, j}, kr)"),
     ]
-    for text, built, desc in cases:
+    for text, command, desc in cases:
         parsed = parse_schedule(text)
-        assert parsed.commands == built.commands, text
-        got = parsed.steps(lower_to_cin(gemm()))
-        assert [d for d, _ in got] == [d for d, _ in built.steps(lower_to_cin(gemm()))]
-        assert got[0][0] == desc
-
-
-def test_schedule_is_immutable():
-    base = schedule()
-    a = base.divide("i", "io", "ii", 2)
-    assert base.commands == ()
-    assert len(a.commands) == 1
+        assert parsed.commands == (command,), text
+        assert [d for d, _ in parsed.steps(lower_to_cin(gemm()))] == [desc]
 
 
 # the text form

@@ -15,17 +15,16 @@ from tendist import (
     execute,
     grid,
     interpret,
-    johnson,
     lower_placement,
     lower_to_cin,
     lower_to_tasks,
     parse_distribution,
     parse_machine,
+    parse_schedule,
     parse_statement,
     random_inputs,
     redistribute,
     run_statement,
-    schedule,
     sequential_evaluate,
     var_interval,
     verify_result,
@@ -143,12 +142,9 @@ def _gemm_setup(n=4):
                            {"i": n, "j": n, "k": n})
     machine = grid(2, 2)
     dists = {name: _block((n, n), machine) for name in ("A", "B", "C")}
-    sched = (schedule()
-             .divide("i", "io", "ii", 2).divide("j", "jo", "ji", 2)
-             .reorder("io", "jo", "ii", "ji")
-             .distribute("io").distribute("jo")
-             .split("k", "ko", "ki", 2).reorder("ko", "ii", "ji")
-             .communicate("A", "jo").communicate(("B", "C"), "ko"))
+    sched = parse_schedule("divide i io ii 2; divide j jo ji 2; reorder io jo ii ji; "
+                           "distribute io; distribute jo; split k ko ki 2; reorder ko ii ji; "
+                           "communicate A jo; communicate B,C ko")
     rng = np.random.default_rng(7)
     inputs = {name: DenseTensor((n, n), rng.integers(-3, 4, (n, n)).astype(float))
               for name in ("A", "B")}
@@ -230,7 +226,7 @@ def test_stats_hands_out_copies_of_the_launches():
 def test_tasks_commit_one_at_a_time():
     # one full-size partial output alive, not one per task (64 x 32 KB);
     # a short reduction keeps the traced run fast
-    bundle = johnson(4, 4, 4, dims=(64, 64, 4))
+    bundle = bundle_from_config("johnson", grid(4, 4, 4), (64, 64, 4))
     inputs = random_inputs(bundle.statement, 0)
     tracemalloc.start()
     try:
@@ -249,7 +245,7 @@ def test_rhs_reading_its_output_sees_pre_statement_values():
     store = RegionStore(machine)
     store.place("x", DenseTensor((4,), [1.0, -2.0, 3.0, 0.5]), vec)
     store.place("y", DenseTensor((4,), [4.0, 1.0, 2.0, 2.0]), vec)
-    cin = schedule().divide("i", "io", "ii", 2).distribute("io").apply(lower_to_cin(stmt))
+    cin = parse_schedule("divide i io ii 2; distribute io").apply(lower_to_cin(stmt))
     execute(cin, store)
     # each y(i) gains x . y = 9 over the old y, not over task 0's commit
     assert store["y"].tensor.data.tolist() == [13.0, 10.0, 11.0, 11.0]
@@ -327,8 +323,7 @@ def test_overlapping_wave_falls_back_to_one_call_per_task(monkeypatch):
     machine = grid(2)
     dists = {"C": TensorDistribution((4,), machine, parse_distribution("C: i -> *")[1]),
              "A": TensorDistribution((4, 4), machine, parse_distribution("A: ik -> k")[1])}
-    sched = (schedule().divide("k", "ko", "ki", 2).reorder("ko", "i", "ki")
-             .distribute("ko").rotate("i", ["ko"], "is"))
+    sched = parse_schedule("divide k ko ki 2; reorder ko i ki; distribute ko; rotate i ko is")
     inputs = _wide_inputs(stmt, 0)
     calls = _counting_interpret(monkeypatch)
     result = run_statement(stmt, machine, dists, inputs, sched)
@@ -365,8 +360,8 @@ def test_write_back_looks_up_each_output_block_once(monkeypatch):
         return parts(self, rect, among)
 
     monkeypatch.setattr(TensorDistribution, "parts", counted)
-    for bundle, lookups in ((johnson(2, 2, 2), 4),
-                            (johnson(3, 3, 3, dims=(9, 9, 9)), 9),
+    for bundle, lookups in ((bundle_from_config("johnson", grid(2, 2, 2)), 4),
+                            (bundle_from_config("johnson", grid(3, 3, 3), (9, 9, 9)), 9),
                             (bundle_from_config("summa", grid(3, 3), (6, 6, 6), 1), 9)):
         out[0], calls[0] = bundle.distributions["C"], 0
         bundle.run()
@@ -645,7 +640,7 @@ def test_verify_reads_the_output_from_inputs_when_given():
     machine = grid(2)
     rows = TensorDistribution((5,), machine, [(("x",), ("x",))])
     inputs = {"A": DenseTensor((5,), [1, -2, 3, 4, -5])}
-    sched = schedule().divide("i", "io", "ii", 2).distribute("io").communicate("A", "io")
+    sched = parse_schedule("divide i io ii 2; distribute io; communicate A io")
     res = run_statement(stmt, machine, {"A": rows, "C": rows}, inputs, sched)
     assert res.output.data.tolist() == [1, -2, 3, 4, -5]
     verify_result(stmt, inputs, res)
@@ -814,10 +809,8 @@ def test_copy_into_replica_rejected():
     machine = grid(2, 2)
     block = TensorDistribution((4, 4), machine, [(("x", "y"), ("x", "y"))])
     repl = TensorDistribution((4, 4), machine, [(("x", "y"), ("x", "*"))])
-    sched = (schedule()
-             .divide("i", "io", "ii", 2).divide("j", "jo", "ji", 2)
-             .reorder("io", "jo", "ii", "ji")
-             .distribute("io").distribute("jo"))
+    sched = parse_schedule("divide i io ii 2; divide j jo ji 2; reorder io jo ii ji; "
+                           "distribute io; distribute jo")
     inputs = {"A": DenseTensor((4, 4)), "B": DenseTensor((4, 4))}
     with pytest.raises(WriteToReplica):
         run_statement(stmt, machine, {"A": block, "B": block, "D": repl},
@@ -883,13 +876,13 @@ def test_grid_mismatch():
                            {"i": 4, "j": 4, "k": 4})
     inputs = {"A": DenseTensor((4, 4)), "B": DenseTensor((4, 4))}
     cases = [
-        (grid(2, 2), schedule().divide("i", "io", "ii", 2).reorder("io", "ii").distribute("io"),
+        (grid(2, 2), parse_schedule("divide i io ii 2; reorder io ii; distribute io"),
          "1 distributed loops for machine 2x2 with 2 dimensions"),
-        (grid(2), schedule().divide("i", "io", "ii", 2).distribute("ii"),
+        (grid(2), parse_schedule("divide i io ii 2; distribute ii"),
          "no leading distributed loops"),
-        (grid(2), schedule().divide("i", "io", "ii", 2).distribute("io").distribute("k"),
+        (grid(2), parse_schedule("divide i io ii 2; distribute io; distribute k"),
          r"distributed loops \['k'\] are not outermost"),
-        (grid(2), schedule().divide("i", "io", "ii", 3).distribute("io"),
+        (grid(2), parse_schedule("divide i io ii 3; distribute io"),
          r"loop io spans \[0,3\) over a machine dimension of extent 2"),
     ]
     for machine, sched, message in cases:
@@ -930,7 +923,7 @@ def test_single_processor_grid_moves_nothing():
     machine = grid(1)
     one = TensorDistribution((3, 3), machine, [(("x", "y"), ("x",))])
     vec = TensorDistribution((3,), machine, [(("x",), ("x",))])
-    sched = schedule().divide("i", "io", "ii", 1).distribute("io")
+    sched = parse_schedule("divide i io ii 1; distribute io")
     inputs = {
         "A": DenseTensor((3, 3), np.arange(9, dtype=float).reshape(3, 3)),
         "c": DenseTensor((3,), [1.0, 0.0, 2.0]),
