@@ -17,16 +17,20 @@ loop to the unit intervals of an arange on its own broadcast axis, so a
 derived variable comes out as one interval per lane of the axes it reads,
 empty where a divide or split guard fails. The simulator's launch loops are
 lanes, one per task (`lane_boxes`); so are the interpreter's loops, and a
-point with an empty lane is phantom and does nothing. A box is resolved in
-passes of at most 16,384 points, each evaluating the leaf's right-hand side,
-compiled once (`ir.compile_expr`), at once, each access one gather with
-broadcast index arrays. The writes land in chain order (`np.add.at` for a
-reduction, the last point per element for an assignment), so every element
-sees the float64 operations of a plain loop nest in the same order.
+point with an empty lane is phantom and does nothing. One walker (`_walk`)
+runs a statement, or a whole launch of it in waves: it compiles the leaf's
+right-hand side once (`ir.compile_expr`) and resolves each index name once
+on its own axes, then walks the box in passes of at most 16,384 points that
+only take views of those arrays, gather (each access one gather with
+broadcast index arrays) and write. The writes land in chain order
+(`np.add.at` for a reduction, the last point per element for an
+assignment), so every element sees the float64 operations of a plain loop
+nest in the same order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -282,67 +286,142 @@ def lane_boxes(names, env, defs) -> tuple:
     return tuple(a.reshape(len(names), math.prod(grid)).T for a in (lo, hi))
 
 
-def _walk_box(leaf, loops, defs, read_store, out_store) -> None:
-    """Run one leaf over a box of loops (var, lo, hi), outermost first.
+def _resolve(name, env, defs, dim) -> tuple:
+    """name's lo at each lane of env, clipped into [0, dim) so phantom lanes
+    gather in range; where it is live (lo < hi); and where lo falls outside
+    [0, dim). The last two are None where they hold at every lane, or at
+    none."""
+    lo, hi = var_interval(name, env, defs)
+    live, outside = np.less(lo, hi), np.less(lo, 0) | np.greater_equal(lo, dim)
+    return (np.clip(lo, 0, dim - 1), None if live.all() else live,
+            outside if outside.any() else None)
 
-    The box is resolved in passes of at most _PASS_POINTS points. A pass
-    binds its loops to aranges on their own broadcast axes and resolves
-    every name with one var_interval call, which keeps each name on the axes
-    it reads. Liveness and bounds are computed on those small arrays before
-    any write. Each name is then clipped into the dimensions it indexes,
-    which moves only phantom lanes, so they gather in range; they are never
-    written. The rhs, compiled once per box, is evaluated once on the names'
-    arrays; only its values and the flat lhs index grow to the pass's shape,
-    and the live points' results are written in chain order: a reduction
-    adds with np.add.at, which applies repeated indices one at a time in
-    index order; an assignment keeps the last point that writes each element.
-    Loops outside a pass are walked one value at a time, setting the env in
-    place; the outermost loop of a pass may be cut into chunks.
+
+def _phantom_bounds(names, span, defs) -> dict:
+    """A bound for each loop under span (var -> (lo, hi)) at or past which
+    every point is phantom. A split or divide's v = outer * block + inner
+    must stay below its extent, and below any bound on v itself: so, with
+    the outer at 0 or above, must the inner, and with the inner at 0 or
+    above the outer must stay below ceil(bound / block)."""
+    bound: dict = {}
+    todo = [(n, math.inf) for n in names]
+    while todo:
+        name, cap = todo.pop()
+        rel = defs.get(name)
+        if name in span:
+            bound[name] = min(bound.get(name, cap), cap)
+        elif isinstance(rel, (Split, Divide)):
+            cap = min(cap, rel.extent)
+            if var_interval(rel.outer, span, defs)[0] >= 0:
+                todo.append((rel.inner, cap))
+            if var_interval(rel.inner, span, defs)[0] >= 0:
+                todo.append((rel.outer, -(-cap // rel.block)))
+    return bound
+
+
+def _walk(leaf, loops, defs, read_store, buffer, waves, into) -> None:
+    """Run one leaf over a box of loops (var, lo, hi), outermost first, once
+    per wave (pins, at): pins maps some loops to the one value each takes in
+    that wave.
+
+    The leaf is compiled once: the rhs (`ir.compile_expr`), the lhs getter
+    and the dimension each name indexes. Each name is resolved once, by one
+    var_interval call on the whole box, its loops bound to aranges on their
+    own broadcast axes (`lane_env`), so it keeps the axes it reads, pinned
+    loops included; liveness, the bounds check and clipping run once on
+    those small arrays. Clipping moves only phantom lanes, which are never
+    written. A name whose lanes over the whole box would exceed
+    _PASS_POINTS is resolved per pass instead, so no array but the buffer
+    grows with the box. A split's loops are walked only below their
+    `_phantom_bounds`: a chunk far past its split's extent costs nothing.
+
+    Each wave walks the box in passes of at most _PASS_POINTS points: the
+    loops above a pass are walked a value at a time, and the outermost loop
+    of a pass may be cut into chunks. A pass takes views of the names'
+    arrays, evaluates the rhs once on them, and writes the live points'
+    results into `buffer` in chain order: a reduction adds with np.add.at,
+    which applies repeated indices one at a time in index order; an
+    assignment keeps the last point that writes each element. A wave with
+    flat positions `at` then folds buffer[at] into `into` (a reduction adds,
+    an assignment copies) and zeroes them, so the next wave starts from
+    zeros; a wave's writes stay within its `at`. A wave without one leaves
+    its result in the buffer.
     """
-    sizes = [hi - lo for _, lo, hi in loops]
-    if isinstance(leaf, Place) or any(size <= 0 for size in sizes):
+    if isinstance(leaf, Place):
         return
-    accesses = [(leaf.lhs, out_store)] + [(a, read_store) for a in accesses_of(leaf.rhs)]
+    accesses = [(leaf.lhs, buffer)] + [(a, read_store[a.tensor.name].data)
+                                       for a in accesses_of(leaf.rhs)]
     names = tuple(dict.fromkeys(v for a, _ in accesses for v in a.indices))
-    shaped = [(a, store[a.tensor.name].dims) for a, store in accesses]
+    shaped = [(a, data.shape) for a, data in accesses]
     limit: dict = {}
     for a, dims in shaped:
         for v, d in zip(a.indices, dims):
             limit[v] = min(limit.get(v, d), d)
-    limits = tuple((names.index(v), d) for v, d in limit.items())
     lget = index_getter(leaf.lhs, names)
     rhs = compile_expr(leaf.rhs, names, read_store)
-    out = out_store[leaf.lhs.tensor.name].data
-    flat = out.reshape(-1)  # a view: DenseTensor data is contiguous
+    flat = buffer.reshape(-1)  # a view: DenseTensor data is contiguous
     assign = isinstance(leaf, Assign)
-
-    def run_pass(loops, env):
-        shape = tuple(hi - lo for _, lo, hi in loops)
-        env.update(lane_env(loops))
-        values, live = [], True  # each on the axes of the loops it reads
+    whole: dict = {}  # name -> (value, live, outside) on every loop's axis
+    if all(hi > lo for _, lo, hi in loops):
+        span = {var: (lo, hi) for var, lo, hi in loops}
+        for n in names:  # an unbound name raises before any write
+            var_interval(n, span, defs)
+        bound = _phantom_bounds(names, span, defs)
+        loops = [(var, lo, max(lo, min(hi, bound.get(var, hi)))) for var, lo, hi in loops]
+        size = {var: hi - lo for var, lo, hi in loops}
+        env = lane_env(loops)
         for n in names:
-            lo, hi = var_interval(n, env, defs)
-            values.append(lo)
-            live = live & (lo < hi)
-        live = np.broadcast_to(live, shape)
-        bad = False
-        for k, d in limits:  # d: the smallest dimension names[k] indexes
-            bad = bad | (values[k] < 0) | (values[k] >= d)
-        bad = live & bad
-        if bad.any():  # name the first live point out of range
-            first = np.unravel_index(int(np.argmax(bad)), shape)
-            at = {n: int(np.broadcast_to(v, shape)[first]) for n, v in zip(names, values)}
-            for a, dims in shaped:
-                coord = tuple(at[n] for n in a.indices)
-                if not all(0 <= c < e for c, e in zip(coord, dims)):
-                    raise OOBAccess(f"{a.tensor.name}{coord} outside dims {dims}")
-        for k, d in limits:  # phantom lanes gather in range and are never written
-            values[k] = np.clip(values[k], 0, d - 1)
+            if math.prod(size.get(v, 1) for v in reached_vars([n], defs)) <= _PASS_POINTS:
+                whole[n] = _resolve(n, env, defs, limit[n])
+
+    def run_pass(walked, box):
+        shape = tuple(hi - lo for _, lo, hi in box)
+        key = tuple(v - lo for v, (_, lo, _) in zip(walked, loops)) + tuple(
+            slice(a - lo, b - lo) for (_, a, b), (_, lo, _) in zip(box, loops[len(walked):]))
+        blank = (0,) * len(walked) + (slice(None),) * len(box)
+
+        def view(a):
+            return None if a is None else a[tuple(
+                k if n > 1 else b for k, b, n in zip(key, blank, a.shape))]
+
+        def box_env():  # the walked loops at their values, the box as lanes
+            env = {var: (v, v + 1) for (var, _, _), v in zip(loops, walked)}
+            env.update(lane_env(box))
+            return env
+
+        env = None
+        values, live, outside = [], None, []
+        for n in names:
+            if n in whole:
+                value, alive, out = map(view, whole[n])
+            else:
+                env = box_env() if env is None else env
+                value, alive, out = _resolve(n, env, defs, limit[n])
+            values.append(value)
+            if alive is not None:
+                live = alive if live is None else live & alive
+            if out is not None:
+                outside.append(out)
+        if outside:
+            bad = functools.reduce(np.logical_or, outside)
+            bad = np.broadcast_to(bad if live is None else bad & live, shape)
+            if bad.any():  # name the first live point out of range
+                first = np.unravel_index(int(np.argmax(bad)), shape)
+                env = box_env()
+                at = {n: int(np.broadcast_to(var_interval(n, env, defs)[0], shape)[first])
+                      for n in names}
+                for a, dims in shaped:
+                    coord = tuple(at[n] for n in a.indices)
+                    if not all(0 <= c < e for c, e in zip(coord, dims)):
+                        raise OOBAccess(f"{a.tensor.name}{coord} outside dims {dims}")
         index = lget(values)  # a bare array for a one-index lhs
-        at = np.ravel_multi_index(index if isinstance(index, tuple) else (index,), out.shape)
-        at = np.broadcast_to(at, shape)
-        value = np.broadcast_to(rhs(values), shape)
-        at, value = at[live], value[live]
+        at = np.ravel_multi_index(index if isinstance(index, tuple) else (index,), buffer.shape)
+        at, value = np.broadcast_to(at, shape), np.broadcast_to(rhs(values), shape)
+        if live is None:
+            at, value = at.reshape(-1), value.reshape(-1)
+        else:
+            live = np.broadcast_to(live, shape)
+            at, value = at[live], value[live]
         if assign:
             # repeated fancy assignment promises no order: keep each
             # element's last point in chain order
@@ -352,23 +431,33 @@ def _walk_box(leaf, loops, defs, read_store, out_store) -> None:
         else:
             np.add.at(flat, at, value)
 
-    depth = 0  # loops above depth are walked a value at a time
-    while math.prod(sizes[depth + 1:]) > _PASS_POINTS:
-        depth += 1
-    passes = [[]]
-    if loops:  # loop depth is cut into chunks that fill a pass
-        var, lo, hi = loops[depth]
-        step = _PASS_POINTS // math.prod(sizes[depth + 1:])
-        passes = [[(var, start, min(start + step, hi))] + loops[depth + 1:]
-                  for start in range(lo, hi, step)]
-    env: dict = {}
-    for outer in itertools.product(*(range(lo, hi) for _, lo, hi in loops[:depth])):
-        env.update((var, (v, v + 1)) for (var, _, _), v in zip(loops, outer))
-        for box in passes:
-            run_pass(box, env)
+    for pins, at in waves:
+        wave = [(var, pins[var], min(pins[var] + 1, hi)) if var in pins else (var, lo, hi)
+                for var, lo, hi in loops]
+        sizes = [hi - lo for _, lo, hi in wave]
+        if all(size > 0 for size in sizes):
+            depth = 0  # loops above depth are walked a value at a time
+            while math.prod(sizes[depth + 1:]) > _PASS_POINTS:
+                depth += 1
+            boxes = [[]]
+            if wave:  # loop depth is cut into chunks that fill a pass
+                var, lo, hi = wave[depth]
+                step = _PASS_POINTS // math.prod(sizes[depth + 1:])
+                boxes = [[(var, start, min(start + step, hi))] + wave[depth + 1:]
+                         for start in range(lo, hi, step)]
+            for walked in itertools.product(*(range(lo, hi) for _, lo, hi in wave[:depth])):
+                for box in boxes:
+                    run_pass(walked, box)
+        if at is not None:
+            target = into.reshape(-1)
+            if assign:
+                target[at] = flat[at]
+            else:
+                target[at] += flat[at]
+            flat[at] = 0.0
 
 
-def interpret(stmt, store: dict) -> dict:
+def interpret(stmt, store: dict, *, waves=None, into=None) -> dict:
     """Execute a CIN statement against a single shared memory.
 
     Returns the store extended with the freshly created output; input tensors
@@ -378,6 +467,12 @@ def interpret(stmt, store: dict) -> dict:
     chain order, bit for bit, except the sign and payload of a NaN, which
     IEEE 754 leaves open: numpy's array arithmetic may keep another operand's
     NaN than its scalar arithmetic does.
+
+    That is the one-wave case of a launch (the simulator's `execute`): with
+    `waves`, a list of (pins, at), the statement runs once per wave with the
+    loops in pins (var -> value) pinned, and each wave's output at the flat
+    positions `at` is folded into the tensor `into` before the next wave
+    runs (`_walk`); the result then holds `into` as the output.
     """
     leaf = stmt.leaf
     defs = relation_defs(stmt.relations)
@@ -392,8 +487,12 @@ def interpret(stmt, store: dict) -> dict:
                 raise ExtentMismatch(
                     f"{t.name} value has dims {store[t.name].dims}, statement needs {t.dims}")
     loops = [(f.var, f.lo, f.hi) for f in stmt.loops]
+    buffer = out_store[leaf.lhs.tensor.name].data if out_store else None
     with np.errstate(over="ignore", invalid="ignore"):
-        _walk_box(leaf, loops, defs, read_store, out_store)
+        _walk(leaf, loops, defs, read_store, buffer, [({}, None)] if waves is None else waves,
+              None if into is None else into.data)
+    if into is not None:
+        out_store[leaf.lhs.tensor.name] = into
     return {**store, **out_store}
 
 

@@ -2,8 +2,9 @@
 
 execute() launches one task per processor from the leading distributed loops,
 resolved as lanes (each access's rects for every task at once), replays
-communication in lockstep timesteps, runs the numeric work one wave of tasks
-at a time, and commits write-backs. The replay takes each missing
+communication in lockstep timesteps, runs the numeric work in one
+interpret call per launch, one wave of tasks at a time, and commits
+write-backs. The replay takes each missing
 piece from last step's temporary holder (so shifting algorithms come out as
 neighbor traffic), then a launch temporary holder, then the piece's home,
 which keeps it resident and so is never the receiver.
@@ -15,14 +16,14 @@ machine enumeration order throughout, so traces are identical run to run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cin import (
     Communicate,
     Distribute,
-    Forall,
     Place,
     Reduce,
     interpret,
@@ -232,7 +233,6 @@ def redistribute(store: RegionStore, name: str, new_dist: TensorDistribution,
 class LaunchPlan:
     stmt: object            # the lowered LoopNest
     launch_vars: tuple      # its leading distributed Foralls, outermost first
-    task_loops: tuple       # the Foralls below them, outermost first
     defs: dict
     env: dict               # every loop at its range, the launch loops as lanes
     step_var: object        # Forall | None
@@ -312,7 +312,7 @@ def lower_to_tasks(stmt, store: RegionStore) -> LaunchPlan:
         raise OverlappingWrites(f"tasks {a.coord} and {b.coord} both write "
                                 f"{a.out_rect.intersect(b.out_rect)} of {out_name}")
 
-    return LaunchPlan(stmt, group, task_loops, defs, env, step_var, num_steps,
+    return LaunchPlan(stmt, group, defs, env, step_var, num_steps,
                       fetch_plan, out_name, out_kind, out_access, tasks)
 
 
@@ -361,49 +361,38 @@ def _overlap(tasks):
     return None
 
 
-def _waves(plan: LaunchPlan) -> list:
-    """The launch's tasks as waves of (loops, tasks), one interpret call
-    each; a wave's loops are the launch loops, some pinned, then the task
-    loops.
+def _waves(plan: LaunchPlan, dims: tuple) -> list:
+    """The launch's tasks as waves (pins, at) for `interpret`: pins maps the
+    launch loops a wave pins to their values, and at lists the flat
+    positions, in a C-order tensor of `dims`, of the output rects of the
+    wave's tasks, which skip tasks without one.
 
     A wave pins the launch loops the output access does not reach through
     the relations and keeps the others as ordinary loops, so an output rect
-    depends only on those others. When one wave's rects are pairwise
-    disjoint, so are every wave's, and the tasks writing any one element
-    differ only in pinned loops: waves in order of their pins (first seen in
-    task order) meet each element in task order. Otherwise every launch
-    loop is pinned, one task per wave.
+    depends only on those others and every wave writes the same rects: one
+    `at` serves them all. When one wave's rects are pairwise disjoint, so
+    are every wave's, and the tasks writing any one element differ only in
+    pinned loops: waves in order of their pins (first seen in task order)
+    meet each element in task order. Otherwise every launch loop is pinned,
+    one task per wave.
     """
     reached = reached_vars(plan.out_access.indices, plan.defs)
-    pinned = [k for k, f in enumerate(plan.launch_vars) if f.var not in reached]
     by_pins: dict = {}
     for task in plan.tasks:
-        by_pins.setdefault(tuple(task.coord[k] for k in pinned), []).append(task)
-    first = next(iter(by_pins.values()))
-    if _overlap(first) is not None:
-        pinned = range(len(plan.launch_vars))
-        by_pins = {task.coord: [task] for task in plan.tasks}
-    waves = []
-    for pins, tasks in by_pins.items():
-        loops = list(plan.launch_vars)
-        for k, c in zip(pinned, pins):
-            loops[k] = Forall(loops[k].var, c, c + 1)
-        waves.append((tuple(loops) + plan.task_loops, tasks))
-    return waves
+        pins = {f.var: c for f, c in zip(plan.launch_vars, task.coord) if f.var not in reached}
+        by_pins.setdefault(tuple(pins.values()), (pins, []))[1].append(task)
+    grid = np.arange(math.prod(dims)).reshape(dims)
 
+    def flat(tasks):
+        return np.concatenate([grid[t.out_rect.slices()].reshape(-1) for t in tasks
+                               if t.out_rect is not None] or [np.empty(0, np.intp)])
 
-def _fold(plan: LaunchPlan, tasks: list, result: dict, region: Region) -> None:
-    """Fold each task's output rect of one wave's result into the canonical
-    tensor; the rects are disjoint, so each element takes one task's part."""
-    partial = result[plan.out_name].data
-    for task in tasks:
-        if task.out_rect is None:
-            continue
-        sl = task.out_rect.slices()
-        if plan.out_kind == "reduce":
-            region.tensor.data[sl] += partial[sl]
-        else:
-            region.tensor.data[sl] = partial[sl]
+    first = next(iter(by_pins.values()))[1]
+    if _overlap(first) is None:
+        at = flat(first)
+        return [(pins, at) for pins, _ in by_pins.values()]
+    return [({f.var: c for f, c in zip(plan.launch_vars, t.coord)}, flat([t]))
+            for t in plan.tasks]
 
 
 def _write_back(plan: LaunchPlan, dist: TensorDistribution, events: list) -> None:
@@ -506,11 +495,13 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
 
     Phase one replays all transfers (`_replay`), the write-backs to homes
     that are not the executor included. Phase two runs the tasks' numeric
-    work as one interpret call per wave (`_waves`) and folds each wave's
-    output rects into the canonical output before the next wave runs, so one
-    full-size output buffer is alive at a time and every element gets the
-    float64 adds of the per-task calls in task order. A placement statement
-    is refused: it runs through `redistribute`.
+    work as one interpret call per launch: the walker compiles the leaf and
+    resolves its names once, then runs the waves (`_waves`) in turn, folding
+    each wave's output rects into the canonical output through one flat
+    index before the next wave runs. So one full-size output buffer is
+    alive at a time and every element gets the float64 adds of the per-task
+    calls in task order. A placement statement is refused: it runs through
+    `redistribute`.
     """
     if trace is None:
         trace = ExecutionTrace(store.machine)
@@ -524,9 +515,8 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
     if plan.out_name in (a.tensor.name for a in leaf_accesses(plan.stmt.leaf)[1:]):
         # the commits below change the output; the rhs reads its old values
         read_store[plan.out_name] = out_region.tensor.copy()
-    for loops, tasks in _waves(plan):
-        _fold(plan, tasks, interpret(replace(plan.stmt, loops=loops), read_store),
-              out_region)
+    interpret(plan.stmt, read_store, waves=_waves(plan, out_region.tensor.dims),
+              into=out_region.tensor)
 
     if plan.out_kind == "reduce" and out_region.dist.replicated:
         # replicas beyond the home are stale after a reduction; drop them

@@ -11,7 +11,9 @@ import pytest
 from tendist import (
     DenseTensor,
     divide,
+    grid,
     lower_to_cin,
+    parse_schedule,
     parse_statement,
     rotate,
     sequential_evaluate,
@@ -38,6 +40,7 @@ from tendist.cin import (
     var_interval,
 )
 from tendist import cin as cin_module
+from tendist.algorithms import REGISTRY
 from tendist.errors import (
     ExtentMismatch,
     MissingInput,
@@ -454,29 +457,62 @@ def test_box_walker_matches_per_point_loop_bytes():
     assert interpret(stmt, {})["a"].data == 3.0
 
 
-def test_passes_stay_within_the_point_limit(monkeypatch):
+def _recording_passes(monkeypatch):
+    """The points of each pass: the names are resolved once for the whole
+    box, so a pass shows as one call of the compiled rhs, on a row of the
+    pass's views."""
     boxes = []
-    resolve = cin_module.var_interval
+    compile_rhs = cin_module.compile_expr
 
-    def recording(name, env, defs):
-        shapes = [lo.shape for lo, _ in env.values() if isinstance(lo, np.ndarray)]
-        boxes.append(math.prod(np.broadcast_shapes(*shapes)) if shapes else 1)
-        return resolve(name, env, defs)
+    def recording(expr, names, store):
+        rhs = compile_rhs(expr, names, store)
 
+        def evaluate(row):
+            boxes.append(math.prod(np.broadcast_shapes(*(np.shape(v) for v in row))))
+            return rhs(row)
+        return evaluate
+
+    monkeypatch.setattr(cin_module, "compile_expr", recording)
+    return boxes
+
+
+def test_passes_stay_within_the_point_limit(monkeypatch):
+    boxes = _recording_passes(monkeypatch)
     stmt = parse_statement("D(i, j, k) = A(i, j) * B(j, k)", {"i": 2, "j": 71, "k": 286})
     cin = split(lower_to_cin(stmt), "k", "ko", "ki", 8)
-    monkeypatch.setattr(cin_module, "var_interval", recording)
     interpret(cin, special_inputs(stmt, 0))
     # i is walked; j goes in chunks of 16384 // 288 == 56 rows: 56 and 15
     assert sorted(set(boxes)) == [15 * 288, 56 * 288]
 
 
+def test_split_loops_stop_where_every_point_is_phantom(monkeypatch):
+    # k (extent 5) split by 10**8, its inner split again by 2: a live point
+    # has ko < 1, kii < 2 and kio < ceil(5 / 2), so 3 * 3 * 2 points of
+    # the 3 * 5 * 10**7 * 2 are walked, and the result is chunk 5's
+    stmt = parse_statement("d(i) = A(i, k) * 2", {"i": 3, "k": 5})
+    ins = special_inputs(stmt, 9)
+    boxes = _recording_passes(monkeypatch)
+    got = [interpret(split(split(lower_to_cin(stmt), "k", "ko", "ki", chunk),
+                           "ki", "kio", "kii", 2), ins)["d"].data.tobytes()
+           for chunk in (5, 10**8)]
+    assert got[0] == got[1] and boxes == [18, 18]
+
+
 def test_working_memory_does_not_grow_with_the_box():
     # a pass holds a few arrays of at most _PASS_POINTS lanes, so beyond its
-    # output one call's traced peak stays under a fixed bound at any box
-    for n in (64, 128):
+    # output one call's traced peak stays under a fixed bound at any box.
+    # Cannon's rotated k spans io x jo x kos x ki, 16 * 16 * 16 * 8 lanes
+    # on 16x16 at n=128: more than a pass, so it is resolved pass by pass
+    cannon = parse_schedule(REGISTRY["cannon"].script_for("cannon", grid(16, 16), 1))
+    for n, schedule in ((64, None), (128, None), (128, cannon)):
         stmt = parse_statement("C(i, j) = A(i, k) * B(k, j)", {"i": n, "j": n, "k": n})
         cin, ins = lower_to_cin(stmt), special_inputs(stmt, n)
+        if schedule is not None:
+            cin = schedule.apply(cin)
+            size = {f.var: f.extent for f in cin.loops}
+            k_lanes = math.prod(size.get(v, 1)
+                                for v in reached_vars(["k"], relation_defs(cin.relations)))
+            assert k_lanes > cin_module._PASS_POINTS
         tracemalloc.start()
         try:
             out = interpret(cin, ins)["C"]

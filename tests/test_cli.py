@@ -55,6 +55,24 @@ def test_stats_are_deterministic(tmp_path):
                             "reduce_messages": 0, "reduce_elements": 0}
 
 
+def test_a_chunk_far_past_its_split_walks_only_the_data(tmp_path, capsys):
+    # split(k, ko, ki, 10**8) with k of extent 4: ki values at 4 and beyond
+    # are phantom for every ko, so the walker stops there and the run is
+    # chunk 4's (a walk of every ki took seconds at 10**7)
+    runs = []
+    for chunk in (4, 10**8):
+        path = tmp_path / f"{chunk}.json"
+        assert run(["--algorithm", "summa", "--n", "4", "--chunk", str(chunk), "--verify",
+                    "--dump-trace", "--stats", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verify: OK"
+        stats = json.loads(path.read_text())
+        assert stats["config"].pop("chunk") == chunk
+        runs.append((lines[:-2], stats))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 8
+
+
 def test_custom_mode_reproduces_broadcast_anchor(tmp_path, capsys):
     stats_path = tmp_path / "s.json"
     code = run(["--expr", "C(i, j) = A(i, k) * B(k, j)", "--n", "4",

@@ -29,6 +29,7 @@ from tendist import (
     var_interval,
     verify_result,
 )
+import tendist.cin as cin_module
 import tendist.distribution as distribution
 import tendist.simulator as simulator
 from tendist.algorithms import REGISTRY
@@ -271,8 +272,10 @@ def _per_task_reference(cin, machine, dists, inputs):
     plan = lower_to_tasks(cin, store)
     ref = np.zeros(store[plan.out_name].dist.tensor_dims)
     for task in plan.tasks:
+        if task.out_rect is None:
+            continue
         pinned = tuple(Forall(f.var, c, c + 1) for f, c in zip(plan.launch_vars, task.coord))
-        stmt = replace(plan.stmt, loops=pinned + plan.task_loops)
+        stmt = replace(plan.stmt, loops=pinned + plan.stmt.loops[len(pinned):])
         partial = interpret(stmt, inputs)[plan.out_name].data
         sl = task.out_rect.slices()
         if plan.out_kind == "reduce":
@@ -282,23 +285,26 @@ def _per_task_reference(cin, machine, dists, inputs):
     return ref
 
 
-def _counting_interpret(monkeypatch):
-    calls = [0]
+def _recording_waves(monkeypatch):
+    """The number of waves of each interpret call the simulator makes."""
+    waves = []
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
+    def recorded(*args, **kwargs):
+        waves.append(len(kwargs["waves"]))
         return interpret(*args, **kwargs)
 
-    monkeypatch.setattr(simulator, "interpret", counted)
-    return calls
+    monkeypatch.setattr(simulator, "interpret", recorded)
+    return waves
 
 
-# each bundle at its defaults, plus johnson with three waves: a sum of two
-# partials commutes, so only a third one shows the wave order
+# each bundle at its defaults, plus johnson with three waves (a sum of two
+# partials commutes, so only a third one shows the wave order) and johnson
+# 4x4x4 at n=3, whose tasks with io or jo at 3 have no output rect; a
+# machine entry other than None is the rest of bundle_from_config's arguments
 @pytest.mark.parametrize("name, machine", [(n, None) for n in REGISTRY]
-                         + [("johnson", grid(3, 3, 3))])
+                         + [("johnson", (grid(3, 3, 3),)), ("johnson", (grid(4, 4, 4), (3, 3, 3)))])
 def test_waves_match_per_task_calls_bit_for_bit(name, machine):
-    bundle = bundle_from_config(name, machine)
+    bundle = bundle_from_config(name, *(machine or ()))
     cin = bundle.schedule.apply(lower_to_cin(bundle.statement))
     for seed in range(2):
         inputs = _wide_inputs(bundle.statement, seed)
@@ -308,16 +314,16 @@ def test_waves_match_per_task_calls_bit_for_bit(name, machine):
         assert result.output.data.tobytes() == ref.tobytes()
 
 
-def test_one_interpret_call_per_wave(monkeypatch):
-    calls = _counting_interpret(monkeypatch)
+def test_one_interpret_call_per_launch(monkeypatch):
+    waves = _recording_waves(monkeypatch)
     bundle_from_config("summa", grid(4, 4)).run()
-    assert calls[0] == 1  # the output reaches both launch loops
-    calls[0] = 0
+    assert waves == [1]  # the output reaches both launch loops
+    waves.clear()
     bundle_from_config("johnson", grid(2, 2, 2)).run()
-    assert calls[0] == 2  # C(i, j) does not reach ko: one wave per ko
+    assert waves == [2]  # C(i, j) does not reach ko: one wave per ko
 
 
-def test_overlapping_wave_falls_back_to_one_call_per_task(monkeypatch):
+def test_overlapping_wave_falls_back_to_one_wave_per_task(monkeypatch):
     # C(i) reaches ko through the rotate, but both tasks write all of C
     stmt = parse_statement("C(i) = A(i, k)", {"i": 4, "k": 4})
     machine = grid(2)
@@ -325,11 +331,38 @@ def test_overlapping_wave_falls_back_to_one_call_per_task(monkeypatch):
              "A": TensorDistribution((4, 4), machine, parse_distribution("A: ik -> k")[1])}
     sched = parse_schedule("divide k ko ki 2; reorder ko i ki; distribute ko; rotate i ko is")
     inputs = _wide_inputs(stmt, 0)
-    calls = _counting_interpret(monkeypatch)
+    waves = _recording_waves(monkeypatch)
     result = run_statement(stmt, machine, dists, inputs, sched)
-    assert calls[0] == 2
+    assert waves == [2]
     ref = _per_task_reference(sched.apply(lower_to_cin(stmt)), machine, dists, inputs)
     assert result.output.data.tobytes() == ref.tobytes()
+
+
+def test_numeric_phase_resolves_each_name_a_fixed_number_of_times(monkeypatch):
+    # the walker resolves a launch's names once, whatever its waves (johnson
+    # 2x2x2 makes 2, 4x4x4 makes 4) and passes (1 per wave at 2x2x2 n=20
+    # and 4x4x4 n=40, 64 at 4x4x4 n=160); resolving them per pass made 18,
+    # 36 and 2,304 var_interval calls
+    counts, numeric = [], [False]
+    resolve, run_interpret = cin_module.var_interval, simulator.interpret
+
+    def counted(name, env, defs):
+        counts[-1] += numeric[0]
+        return resolve(name, env, defs)
+
+    def interpreting(*args, **kwargs):
+        numeric[0] = True
+        try:
+            return run_interpret(*args, **kwargs)
+        finally:
+            numeric[0] = False
+
+    monkeypatch.setattr(cin_module, "var_interval", counted)
+    monkeypatch.setattr(simulator, "interpret", interpreting)
+    for machine, n in (((2, 2, 2), 20), ((4, 4, 4), 40), ((4, 4, 4), 160)):
+        counts.append(0)
+        bundle_from_config("johnson", grid(*machine), (n, n, n), 1).run()
+    assert counts[0] > 0 and len(set(counts)) == 1, counts
 
 
 def test_source_search_is_per_color(monkeypatch):
