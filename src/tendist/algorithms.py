@@ -249,6 +249,12 @@ def bundle_from_config(name: str, machine: Machine = None, dims=None,
         raise ConfigError(f"{key} takes {row.extents} extents, got {len(dims)}")
     if chunk < 1:
         raise ConfigError(f"{key} needs a positive chunk, got {chunk}")
+    if key == "cosma-like":
+        # `divide ki ks kl {chunk}`: each round past a task's k extent is an empty step
+        local = -(-dims[2] // machine.flat_dims[2])
+        if chunk > local:
+            raise ConfigError(f"{key} divides each task's k extent {local} into "
+                              f"chunk rounds; chunk {chunk} is above it")
     sched = parse_schedule(row.script_for(key, machine, chunk))
     stmt = parse_sized(row.statement, dims)
     return AlgorithmBundle(key, machine, stmt, bind_distributions(stmt, machine, row.dists), sched)

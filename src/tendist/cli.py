@@ -4,8 +4,10 @@ Each call names one run: a registry algorithm (--algorithm summa), which
 brings its placements and schedule, or a custom statement (--kernel gemm /
 --expr "C(i, j) = A(i, k) * B(k, j)") with --machine, --dist per tensor and
 a --schedule script. Both are set up alike; --explain prints the setup
-instead of running it. Runs write a stats JSON, and with --output the result
-tensor as a .npy file; --verify checks the result against the reference.
+instead of running it: a complete run as the custom command that spells it,
+then each placement and the statement after each schedule line. Runs write
+a stats JSON, and with --output the result tensor as a .npy file; --verify
+checks the result against the reference.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration errors
 (unreadable or unwritable paths included), 141 a closed stdout (as SIGPIPE).
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 
 import numpy as np
@@ -80,9 +83,9 @@ def _parser() -> argparse.ArgumentParser:
                      help="write the result tensor as .npy at exactly PATH "
                           "(read it with numpy.load)")
     out.add_argument("--explain", action="store_true",
-                     help="instead of running, print the statement, each "
-                          "tensor's placement and the statement after each "
-                          "schedule command, for --algorithm too")
+                     help="instead of running, print the run as a command, "
+                          "each tensor's placement and the statement after "
+                          "each schedule line, for --algorithm too")
     return p
 
 
@@ -136,7 +139,15 @@ def _setup(args) -> tuple:
             {"distributions": {n: d.describe() for n, d in sorted(dists.items())}})
 
 
-def _explain(stmt, dists, sched) -> None:
+def _explain(stmt, machine, dists, sched) -> None:
+    if dists and sched.commands:  # _setup binds every tensor or none, on a machine
+        dims = "x".join(str(stmt.extents[v]) for v in stmt.var_order)
+        argv = ["tendist", "--expr", format_statement(stmt), "--dims", dims,
+                "--machine", str(machine)]
+        for name in sorted(dists):
+            argv += ["--dist", f"{name}: {dists[name].describe()}"]
+        argv += ["--schedule", "; ".join(line for line, _, _ in sched.commands)]
+        print(f"command:   {shlex.join(argv)}")
     print(f"statement: {format_statement(stmt)}")
     cin = lower_to_cin(stmt)
     print(f"loops:     {pretty(cin)}")
@@ -144,8 +155,8 @@ def _explain(stmt, dists, sched) -> None:
     for name in sorted(dists):
         print(f"placement {name}: {dists[name].describe()}")
         print(f"  {pretty(lower_placement(tensors[name], dists[name]))}")
-    for desc, staged in sched.steps(cin):
-        print(f"after {desc}:")
+    for line, staged in sched.steps(cin):
+        print(f"after {line}:")
         print(f"  {pretty(staged)}")
 
 
@@ -207,7 +218,7 @@ def main(argv=None) -> int:
             _check_outputs(args)
         stmt, machine, dists, sched, label, keys = _setup(args)
         if args.explain:
-            _explain(stmt, dists, sched)
+            _explain(stmt, machine, dists, sched)
         else:
             _run(args, stmt, machine, dists, sched, label, keys)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

@@ -174,9 +174,8 @@ def _dims(text: str) -> tuple:
     return tuple(int(d) for d in text.split("x"))
 
 
-# script word -> (command, one parser per argument). Schedule.apply,
-# Schedule.steps and parse_schedule all dispatch through this table.
-# None: one or more loop names.
+# script word -> (command, one parser per argument). Schedule.steps and
+# parse_schedule dispatch through this table. None: one or more loop names.
 _COMMANDS = {
     "split": (split, (str, str, str, int)),
     "divide": (divide, (str, str, str, int)),
@@ -196,33 +195,21 @@ def _lookup(name: str) -> tuple:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Ordered command list; apply() folds it over a statement."""
+    """A parsed script, (script line, word, arguments) per command.
+    steps() folds the commands over a statement; apply() keeps the last."""
 
     commands: tuple = ()
 
-    def apply(self, stmt):
-        for name, args in self.commands:
-            stmt = _lookup(name)[0](stmt, *args)
-        return stmt
-
     def steps(self, stmt):
-        """(command text, statement) after each command, for explain output."""
-        out = []
-        for name, args in self.commands:
+        """(script line, statement after it) for each command, in order."""
+        for line, name, args in self.commands:
             stmt = _lookup(name)[0](stmt, *args)
-            out.append((self._describe(name, args), stmt))
-        return out
+            yield line, stmt
 
-    @staticmethod
-    def _describe(name, args) -> str:
-        def show(a):
-            if isinstance(a, (list, tuple)):
-                if len(a) == 1:
-                    return str(a[0])
-                return "{" + ", ".join(str(x) for x in a) + "}"
-            return str(a)
-
-        return f"{name}({', '.join(show(a) for a in args)})"
+    def apply(self, stmt):
+        for _, stmt in self.steps(stmt):
+            pass
+        return stmt
 
 
 def _parse_command(word: str, toks: list) -> tuple:
@@ -257,7 +244,7 @@ def parse_schedule(text: str) -> Schedule:
             continue
         word, *toks = line.split()
         try:
-            commands.append(_parse_command(word, toks))
+            commands.append((" ".join([word, *toks]), *_parse_command(word, toks)))
         except (ConfigError, ValueError) as exc:
             raise ConfigError(f"schedule line {lineno}: {raw.strip()!r}: {exc}") from exc
     return Schedule(tuple(commands))

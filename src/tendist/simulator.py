@@ -201,6 +201,12 @@ class RegionStore:
         return self.regions[name]
 
 
+def _check_trace(store: RegionStore, trace: ExecutionTrace) -> None:
+    if trace.machine != store.machine:
+        raise ConfigError(f"a trace of machine {trace.machine} cannot record a run "
+                          f"on {store.machine}")
+
+
 def redistribute(store: RegionStore, name: str, new_dist: TensorDistribution,
                  trace: ExecutionTrace) -> None:
     """Move a region to a new distribution, recording placement-phase events.
@@ -215,6 +221,7 @@ def redistribute(store: RegionStore, name: str, new_dist: TensorDistribution,
                           f"-> {new_dist.tensor_dims}")
     if new_dist.machine != store.machine:
         raise ConfigError("redistribution must stay on one machine")
+    _check_trace(store, trace)
     placement = lower_placement(TensorVar(name, new_dist.tensor_dims), new_dist)
     first = len(trace.events)
     _replay(lower_to_tasks(placement, store), store, trace)
@@ -505,6 +512,7 @@ def execute(stmt, store: RegionStore, *, trace: ExecutionTrace = None,
     """
     if trace is None:
         trace = ExecutionTrace(store.machine)
+    _check_trace(store, trace)
     plan = lower_to_tasks(stmt, store)
     if isinstance(plan.stmt.leaf, Place):
         raise ConfigError("placement statements run through place()/redistribute()")

@@ -293,6 +293,19 @@ def test_builders_refuse_a_nonpositive_chunk(build, chunk):
         build(chunk)
 
 
+def test_cosma_refuses_a_chunk_above_the_k_extent_it_divides():
+    # each task's k extent is ceil(k / depth); a round past it would be an
+    # empty step, so chunk 100000 on n=4 once walked 100000 steps
+    for machine, dims, local in (((2, 2, 1), (4, 4, 4), 4), ((2, 2, 2), (5, 4, 7), 4),
+                                 ((2, 2, 3), (8, 8, 8), 3)):
+        bundle_from_config("cosma-like", grid(*machine), dims, local)
+        with pytest.raises(ConfigError, match=f"k extent {local} into chunk rounds; "
+                                              f"chunk {local + 1} is above it"):
+            bundle_from_config("cosma-like", grid(*machine), dims, local + 1)
+    with pytest.raises(ConfigError, match="chunk 100000 is above it"):
+        bundle_from_config("cosma-like", dims=(4, 4, 4), chunk=100000)
+
+
 def test_bundles_state_their_kernel_table_entry():
     # one table of statement texts serves the registry rows and --kernel
     gemm_renamed = {"solomonik", "cosma-like"}  # C, A, B renamed A, B, C

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -156,9 +157,13 @@ def test_explain(tmp_path, capsys):
             "C(i, j) += A(i, k) * B(k, j)") in out
     assert "placement A: xy -> xy" in out
     assert "communicate(A, yo)" in out
-    assert "after divide(i, io, ii, 2):" in out
-    assert "after distribute(io):" in out
+    assert "after divide i io ii 2:" in out
+    assert "after distribute io:" in out
     assert "s.t. divide(i, io, ii, 2), distribute(io)" in out
+    assert out.splitlines()[0] == (
+        "command:   tendist --expr 'C(i, j) = A(i, k) * B(k, j)' --dims 4x4x4 "
+        "--machine 2x2 --dist 'A: xy -> xy' --dist 'B: xy -> xy' --dist 'C: xy -> xy' "
+        "--schedule 'divide i io ii 2; distribute io'")
 
 
 def test_explain_two_level_placements(capsys):
@@ -168,6 +173,7 @@ def test_explain_two_level_placements(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "placement A: xy -> xy ; xy -> x" in out
+    assert "command:" not in out  # no schedule, so not a run to print
     assert "divide(xi, xio, xii, 2)" in out and "communicate(A, xio)" in out
     assert "placement B: xy -> xy ; xy -> y" in out
     assert "divide(yi, yio, yii, 2)" in out and "communicate(B, yio)" in out
@@ -193,8 +199,14 @@ def test_each_bundle_runs_as_the_custom_command_its_row_spells(name, tmp_path, c
                   "--schedule", row.script_for(name, parse_machine(machine), 2)]
         for spec in row.dists:
             custom += ["--dist", spec]
+        # ... and so does the command --explain prints, built from the bundle
+        assert main(["--explain", "--algorithm", name, "--machine", machine] + chunk) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("command: ")]
+        explained = shlex.split(printed[0].removeprefix("command: "))
+        assert explained[0] == "tendist"
         runs = []
-        for argv in (["--algorithm", name] + chunk, custom):
+        for argv in (["--algorithm", name] + chunk, custom, explained[1:]):
             path = tmp_path / "s.json"
             assert main(argv + ["--machine", machine, "--dump-trace",
                                 "--stats", str(path)]) == 0
@@ -203,10 +215,12 @@ def test_each_bundle_runs_as_the_custom_command_its_row_spells(name, tmp_path, c
             del got["config"]
             labels = [launch.pop("label") for launch in got["launches"]]
             runs.append((rows, got, labels))
-        (rows, stats, labels), (custom_rows, custom_stats, custom_labels) = runs
-        assert (custom_rows, custom_stats) == (rows, stats), machine
+        (rows, stats, labels), *customs = runs
         out = bundle_from_config(name).statement.lhs.tensor.name
-        assert set(labels) == {name} and set(custom_labels) == {out}
+        assert set(labels) == {name}
+        for custom_rows, custom_stats, custom_labels in customs:
+            assert (custom_rows, custom_stats) == (rows, stats), machine
+            assert set(custom_labels) == {out}
 
 
 def test_a_dist_spec_without_a_tensor_name_exits_2(tmp_path, capsys):
@@ -236,6 +250,7 @@ def test_explain_each_bundle(capsys):
         assert placed == [f"placement {t}" for t in sorted(bundle.statement.tensors())]
         stages = [line for line in lines if line.startswith("after ")]
         assert len(stages) == len(bundle.schedule.commands), name
+        assert len([line for line in lines if line.startswith("command: ")]) == 1, name
         want = pretty(bundle.schedule.apply(lower_to_cin(bundle.statement)))
         assert lines[-1] == f"  {want}"
 
@@ -313,6 +328,9 @@ def test_config_errors_exit_2(tmp_path, capsys, monkeypatch):
         # cosma-like takes the chunk as its sequential k factor
         ["--algorithm", "cosma-like", "--chunk", "0", "--stats", str(tmp_path / "s.json")],
         ["--algorithm", "cosma-like", "--chunk", "-3", "--stats", str(tmp_path / "s.json")],
+        # ... and refuses one above each task's k extent, which only adds empty steps
+        ["--algorithm", "cosma-like", "--n", "4", "--chunk", "100000",
+         "--stats", str(tmp_path / "s.json")],
         # a chunk for an algorithm that takes none
         ["--algorithm", "cannon", "--chunk", "4", "--verify", "--stats", str(tmp_path / "s.json")],
         ["--algorithm", "ttv", "--chunk", "0", "--stats", str(tmp_path / "s.json")],

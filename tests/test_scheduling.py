@@ -233,30 +233,28 @@ def test_schedule_chain_and_apply():
 
 def test_schedule_steps_descriptions():
     sched = parse_schedule("divide i io ii 2; communicate A,B io")
-    steps = sched.steps(lower_to_cin(gemm()))
-    assert [d for d, _ in steps] == ["divide(i, io, ii, 2)",
-                                     "communicate({A, B}, io)"]
+    steps = list(sched.steps(lower_to_cin(gemm())))
+    assert [line for line, _ in steps] == ["divide i io ii 2", "communicate A,B io"]
     assert "s.t. divide(i, io, ii, 2)" in pretty(steps[0][1])
+    assert steps[-1][1] == sched.apply(lower_to_cin(gemm()))
 
-    # each script word's command and description
+    # each script word's command, kept with its line as written, spaces collapsed
     cases = [
-        ("split k ko ki 2", ("split", ("k", "ko", "ki", 2)), "split(k, ko, ki, 2)"),
-        ("divide i io ii 2", ("divide", ("i", "io", "ii", 2)), "divide(i, io, ii, 2)"),
-        ("reorder k i j", ("reorder", ("k", "i", "j")), "reorder(k, i, j)"),
-        ("distribute i", ("distribute", ("i",)), "distribute(i)"),
+        ("split k ko ki 2", ("split", ("k", "ko", "ki", 2))),
+        ("divide i io ii 2", ("divide", ("i", "io", "ii", 2))),
+        ("reorder k i j", ("reorder", ("k", "i", "j"))),
+        ("distribute i", ("distribute", ("i",))),
         ("distribute i,j io,jo ii,ji 2x2",
-         ("distribute_grid", (("i", "j"), ("io", "jo"), ("ii", "ji"), (2, 2))),
-         "distribute_grid({i, j}, {io, jo}, {ii, ji}, {2, 2})"),
+         ("distribute_grid", (("i", "j"), ("io", "jo"), ("ii", "ji"), (2, 2)))),
         ("distribute_grid i,j io,jo ii,ji 2x2",
-         ("distribute_grid", (("i", "j"), ("io", "jo"), ("ii", "ji"), (2, 2))),
-         "distribute_grid({i, j}, {io, jo}, {ii, ji}, {2, 2})"),
-        ("communicate A,B i", ("communicate", (("A", "B"), "i")), "communicate({A, B}, i)"),
-        ("rotate k i,j kr", ("rotate", ("k", ("i", "j"), "kr")), "rotate(k, {i, j}, kr)"),
+         ("distribute_grid", (("i", "j"), ("io", "jo"), ("ii", "ji"), (2, 2)))),
+        ("communicate A,B i", ("communicate", (("A", "B"), "i"))),
+        ("rotate k i,j kr", ("rotate", ("k", ("i", "j"), "kr"))),
     ]
-    for text, command, desc in cases:
-        parsed = parse_schedule(text)
-        assert parsed.commands == (command,), text
-        assert [d for d, _ in parsed.steps(lower_to_cin(gemm()))] == [desc]
+    for text, command in cases:
+        parsed = parse_schedule(f"  {text.replace(' ', '   ')}  # a comment")
+        assert parsed.commands == ((text, *command),), text
+        assert [line for line, _ in parsed.steps(lower_to_cin(gemm()))] == [text]
 
 
 # the text form

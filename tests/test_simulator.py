@@ -731,6 +731,25 @@ def test_redistribute_rejects_shape_or_machine_change():
         redistribute(store, "T", bad_machine, trace)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (5, 5)])
+def test_a_trace_of_another_machine_is_refused(dims):
+    # a smaller trace has no memory row for some processors, a larger one
+    # would report processors the run never had; both are refused up front
+    bundle = bundle_from_config("summa", grid(4, 4))
+    inputs = random_inputs(bundle.statement)
+    store = RegionStore(bundle.machine)
+    for name, dist in bundle.distributions.items():
+        store.place(name, inputs.get(name, DenseTensor(dist.tensor_dims)), dist)
+    stmt = bundle.schedule.apply(lower_to_cin(bundle.statement))
+    trace = ExecutionTrace(grid(*dims))
+    with pytest.raises(ConfigError, match=f"trace of machine {dims[0]}x{dims[1]}"):
+        execute(stmt, store, trace=trace)
+    new = TensorDistribution((8, 8), bundle.machine, parse_distribution("A: xy -> x0")[1])
+    with pytest.raises(ConfigError, match="cannot record a run on 4x4"):
+        redistribute(store, "A", new, trace)
+    assert trace.events == [] and trace.launches == []
+
+
 # Ledgers of redistribute, one event per "src>dst rect" (processor
 # coordinates as digits), then the per-processor memory high-water in
 # machine order. The relay cases serve a piece that two processors lack to
