@@ -58,7 +58,9 @@ class HyperRect:
     def volume(self) -> int:
         v = 1
         for a, b in zip(self.lo, self.hi):
-            v *= max(0, b - a)
+            if b <= a:
+                return 0
+            v *= b - a
         return v
 
     @property
@@ -72,9 +74,10 @@ class HyperRect:
         return None if r.is_empty else r
 
     def contains(self, other: "HyperRect") -> bool:
-        return all(a <= c for a, c in zip(self.lo, other.lo)) and all(
-            d <= b for b, d in zip(self.hi, other.hi)
-        )
+        for a, b, c, d in zip(self.lo, self.hi, other.lo, other.hi):
+            if c < a or b < d:
+                return False
+        return True
 
     def minus(self, other: "HyperRect") -> list:
         """self \\ other as disjoint rects (axis-by-axis slicing)."""
@@ -182,7 +185,7 @@ class TensorDistribution:
         parts = []
         for x, y in self.levels:
             ystr = "".join(BROADCAST if v == BROADCAST else str(v) for v in y)
-            parts.append(f"{''.join(x)} -> {ystr}")
+            parts.append(" ".join(filter(None, ("".join(x), "->", ystr))))
         return " ; ".join(parts)
 
     @property

@@ -334,10 +334,35 @@ class _Temps:
     def __init__(self):
         self.by_color, self.by_holder, self.volume = {}, {}, {}
 
-    def add(self, p, tensor, color, rect) -> None:
+    def add(self, p, tensor, color, rect, volume) -> None:
         self.by_color.setdefault((tensor, color), []).append((p, rect))
         self.by_holder.setdefault((p, tensor), []).append(rect)
-        self.volume[p] = self.volume.get(p, 0) + rect.volume
+        self.volume[p] = self.volume.get(p, 0) + volume
+
+
+def _missing(region, tensor, p, need, one, among, temps) -> list:
+    """The parts of `need` that p holds neither as a resident piece nor as
+    one of the temporaries `temps` (launch, previous step, current step), as
+    (color, part, homes) in piece table order.
+
+    `one` is the table index of the one piece `need` meets, else None. Pieces
+    tile the tensor and colors are disjoint, so such a need lies inside that
+    piece: when p holds the piece nothing is missing, and when p holds no
+    temporary of the tensor every rect it holds is another color's piece,
+    disjoint from the need, so the need itself is the one part. Otherwise the
+    need is cut by everything p holds and the rest split along the pieces,
+    `among` (the need's `meets` row, or None for every color) naming the
+    colors to scan.
+    """
+    held = [r for t in temps for r in t.by_holder.get((p, tensor), ())]
+    if one is not None:
+        color, bounds, homes = region.dist.pieces[one]
+        if bounds in region.residency[p]:
+            return []
+        if not held:
+            return [(color, need, homes)]
+    return [part for piece in subtract_rects([need], region.residency[p] + held)
+            for part in region.dist.parts(piece, among)]
 
 
 def _pick_source(part, p, homes, prev_holders, launch_holders):
@@ -428,13 +453,16 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
 
     Each task's needs, the non-empty rects of its fetch-plan entries in plan
     order, are cut down by what it already holds (so a rect the task fetched
-    before sends nothing), split along the owning distribution's pieces, and
-    sourced by _pick_source from the holders of each part's color. A
-    launch-scope entry is resolved at step 0 into every task's lanes, and
-    one tasks x colors mask (`meets`) of those lanes against the piece
-    bounds names the colors each task's need meets: the pieces the need is
-    cut into meet no others, so `parts` scans only those. Step-scope
-    pieces are looked up over every color. Memory at each step counts
+    before sends nothing), split along the owning distribution's pieces
+    (`_missing`), and sourced by _pick_source from the holders of each
+    part's color. A launch-scope entry is resolved at step 0 into every
+    task's lanes, and one tasks x colors mask (`meets`) of those lanes
+    against the piece bounds names the colors each task's need meets: the
+    pieces the need is cut into meet no others, so `parts` scans only
+    those, and a need that meets one piece is answered from that piece
+    alone, with neither a cut nor a lookup, unless the task holds a
+    temporary of the tensor. Step-scope pieces are looked up over every
+    color. Memory at each step counts
     resident pieces, the output buffer and every live temporary. No
     transfer depends on values, so the ledger is whole before any numeric
     work runs.
@@ -448,21 +476,21 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
     buffers = {t.coord: (t.out_rect.volume if t.out_rect is not None else 0)
                for t in plan.tasks}
 
-    def fetch(task, tensor, rect, step, among, sink, cur_temps):
-        region = store[tensor]
+    def fetch(task, tensor, rect, step, one, among, sink, cur_temps):
+        """Ledger each part of `rect` that the task lacks (`_missing`), sent
+        by `_pick_source` from the holders of its color, and add it to
+        `sink`; a part's volume is computed once for its event, its
+        temporary and the memory count."""
         p = task.coord
-        held = list(region.residency[p])
-        for temps in (launch_temps, prev_temps, cur_temps):
-            held += temps.by_holder.get((p, tensor), [])
-        for piece in subtract_rects([rect], held):
-            for color, part, homes in region.dist.parts(piece, among):
-                key = (tensor, color)
-                src = _pick_source(part, p, homes,
-                                   prev_temps.by_color.get(key, []),
-                                   launch_temps.by_color.get(key, []))
-                events.append(CommEvent(step, src, p, tensor, part,
-                                        part.volume, "copy", phase))
-                sink.add(p, tensor, color, part)
+        temps = (launch_temps, prev_temps, cur_temps)
+        for color, part, homes in _missing(store[tensor], tensor, p, rect, one, among, temps):
+            key = (tensor, color)
+            src = _pick_source(part, p, homes,
+                               prev_temps.by_color.get(key, []),
+                               launch_temps.by_color.get(key, []))
+            volume = part.volume
+            events.append(CommEvent(step, src, p, tensor, part, volume, "copy", phase))
+            sink.add(p, tensor, color, part, volume)
 
     env = dict(plan.env)  # the step loop pinned to each step in turn
     for s in range(plan.num_steps):
@@ -471,21 +499,24 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
             env[plan.step_var.var] = (s, s + 1)
         # each entry resolved once for all tasks, with the temporaries it
         # fills; launch-scope needs span every step and carry their meet
-        # mask, step scope pins one step
+        # mask and, per task, the one piece met (else None); step scope pins
+        # one step
         needs = []
         for a, scope in plan.fetch_plan:
             if scope == "step":
-                needs.append((a.tensor.name, _task_rects(a, env, plan.defs)[0], None,
-                              cur_temps))
+                rects = _task_rects(a, env, plan.defs)[0]
+                unmasked = [None] * len(rects)
+                needs.append((a.tensor.name, rects, unmasked, unmasked, cur_temps))
             elif s == 0:
                 rects, lo, hi = _task_rects(a, plan.env, plan.defs)
-                mask = store[a.tensor.name].dist.meets(lo, hi).tolist()
-                needs.append((a.tensor.name, rects, mask, launch_temps))
+                mask = store[a.tensor.name].dist.meets(lo, hi)
+                ones = [first if count == 1 else None for count, first in
+                        zip(mask.sum(axis=1).tolist(), mask.argmax(axis=1).tolist())]
+                needs.append((a.tensor.name, rects, ones, mask.tolist(), launch_temps))
         for k, task in enumerate(plan.tasks):
-            for tensor, rects, mask, sink in needs:
+            for tensor, rects, ones, mask, sink in needs:
                 if rects[k] is not None:
-                    among = None if mask is None else mask[k]
-                    fetch(task, tensor, rects[k], s, among, sink, cur_temps)
+                    fetch(task, tensor, rects[k], s, ones[k], mask[k], sink, cur_temps)
         for p in order:
             vol = persist[p] + buffers.get(p, 0)
             for temps in (launch_temps, prev_temps, cur_temps):

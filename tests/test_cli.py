@@ -253,6 +253,8 @@ def test_explain_each_bundle(capsys):
         assert len([line for line in lines if line.startswith("command: ")]) == 1, name
         want = pretty(bundle.schedule.apply(lower_to_cin(bundle.statement)))
         assert lines[-1] == f"  {want}"
+        if name == "innerprod":  # its 0-d output's level has no tensor-side names
+            assert "'a: -> 0'" in lines[0] and "placement a: -> 0" in lines
 
 
 def test_a_closed_stdout_exits_141_without_an_error(tmp_path):

@@ -265,6 +265,25 @@ def _random_levels(rng, m, x):
     return levels
 
 
+def test_describe_round_trips_through_parse_distribution():
+    # random distributions of order 0 to 3, two-level ones included; a 0-d
+    # level is written `-> 0`, with no space before the arrow
+    rng = random.Random(23)
+    orders = set()
+    for _ in range(100):
+        m = rng.choice(_MACHINES)
+        order = rng.randint(0, 3)
+        d = TensorDistribution(tuple(rng.randint(1, 7) for _ in range(order)), m,
+                               _random_levels(rng, m, tuple("xyz"[:order])))
+        text = d.describe()
+        assert text == text.strip() and "  " not in text
+        for spec in (text, f"T: {text}"):
+            assert TensorDistribution(d.tensor_dims, m, parse_distribution(spec)[1]) == d
+        orders.add(order)
+    assert orders == {0, 1, 2, 3}
+    assert TensorDistribution((), grid(2), [((), (0,))]).describe() == "-> 0"
+
+
 def test_piece_table_matches_block_range_cascade():
     rng = random.Random(11)
     names = "xyz"

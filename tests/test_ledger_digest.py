@@ -43,6 +43,7 @@ from tendist import (
     run_statement,
     verify_result,
 )
+import tendist.simulator as simulator
 from tendist.algorithms import bundle_from_config
 from tendist.cli import main
 from tendist.machine import grid
@@ -234,13 +235,25 @@ def _run_text(expr, g, n, dists, inputs=None):
 
 
 # A tensor read twice is fetched once per access as written: every access
-# after the first finds its rect held, so the reads add no event
+# after the first finds its rect held, so the reads add no event. The later
+# reads of a fetched block find it among the task's temporaries and so are
+# cut by what is held; a row-replicated A is resident at every reader, and
+# its reads are answered from the one piece they meet, with no cut
 @pytest.mark.parametrize("g, n", [(2, 4), (3, 7)])
 @pytest.mark.parametrize("a_dist", ["xy -> yx", "xy -> x*", "xy -> 0y"])
-def test_repeated_accesses_keep_the_ledger(g, n, a_dist):
+def test_repeated_accesses_keep_the_ledger(monkeypatch, g, n, a_dist):
+    cuts, subtract = [0], simulator.subtract_rects
+
+    def counted(rects, covers):
+        cuts[0] += 1
+        return subtract(rects, covers)
+
+    monkeypatch.setattr(simulator, "subtract_rects", counted)
     dists = {"C": "xy -> xy", "A": a_dist}
     stmt, inputs, once = _run_text("C(i, j) = A(i, j)", g, n, dists)
+    assert cuts[0] == 0
     stmt3, _, thrice = _run_text("C(i, j) = A(i, j) * A(i, j) + A(i, j)", g, n, dists, inputs)
+    assert (cuts[0] > 0) == ("*" not in a_dist)
     verify_result(stmt3, inputs, thrice)
     assert thrice.trace.canonical_rows() == once.trace.canonical_rows()
     assert thrice.trace.stats() == once.trace.stats()

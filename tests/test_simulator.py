@@ -404,11 +404,11 @@ def test_write_back_looks_up_each_output_block_once(monkeypatch):
 @pytest.mark.parametrize("name, machine, n", [
     ("johnson", (4, 4, 4), 40), ("johnson", (8, 8, 8), 16), ("mttkrp", (2, 2), None)])
 def test_launch_scope_run_looks_up_no_rect_twice(monkeypatch, name, machine, n):
-    # every fetch of these runs is at launch scope, so every fetch lookup
-    # scans a mask row's colors and only the write-back scans the whole
-    # piece table, once per distinct output rect; johnson 4x4x4 n=40 made
-    # 112 whole-table lookups of 48 distinct pairs before one memo served
-    # the launch
+    # every fetch of these runs is at launch scope and every need meets one
+    # piece, so the fetches answer from the meet mask and make no lookup at
+    # all; only the write-back scans the whole piece table, once per
+    # distinct output rect. johnson 4x4x4 n=40 made 112 whole-table lookups
+    # of 48 distinct pairs before one memo served the launch
     plans, masked, whole = [], [], []
     lower, parts = simulator.lower_to_tasks, TensorDistribution.parts
 
@@ -427,23 +427,65 @@ def test_launch_scope_run_looks_up_no_rect_twice(monkeypatch, name, machine, n):
     bundle.run()
     assert {scope for plan in plans for _, scope in plan.fetch_plan} == {"launch"}
     outputs = {id(bundle.distributions[plan.out_name]) for plan in plans}
-    assert masked and whole and len(set(whole)) == len(whole)
+    assert not masked
+    assert whole and len(set(whole)) == len(whole)
     assert {d for d, _ in whole} <= outputs
 
 
-@pytest.mark.parametrize("name, machine, n, most", [
-    ("johnson", (4, 4, 4), 40, 384), ("johnson", (8, 8, 8), 16, 5120),
-    ("mttkrp", (2, 2), None, 16)])
+def _count_intersects(monkeypatch):
+    """Count HyperRect.intersect calls by where they come from: inside
+    `subtract_rects`, inside `_write_back`, or elsewhere (the piece lookups
+    of fetch); also counts the `subtract_rects` calls."""
+    counts = {"subtract": 0, "write_back": 0, "lookup": 0, "subtract_calls": 0}
+    inside = ["lookup"]
+    intersect, subtract, write_back = (HyperRect.intersect, simulator.subtract_rects,
+                                       simulator._write_back)
+
+    def counted(self, other):
+        counts[inside[-1]] += 1
+        return intersect(self, other)
+
+    def within(name, fn):
+        def wrapper(*args):
+            counts["subtract_calls"] += name == "subtract"
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(HyperRect, "intersect", counted)
+    monkeypatch.setattr(simulator, "subtract_rects", within("subtract", subtract))
+    monkeypatch.setattr(simulator, "_write_back", within("write_back", write_back))
+    return counts
+
+
+@pytest.mark.parametrize("name, machine, n, calls", [
+    ("johnson", (4, 4, 4), 40, 256), ("johnson", (8, 8, 8), 16, 4096),
+    ("mttkrp", (2, 2), None, 4)])
 def test_launch_scope_fetches_intersect_only_the_colors_their_need_meets(
-        monkeypatch, name, machine, n, most):
-    # every fetch of these runs is at launch scope. On johnson 4x4x4 n=40
-    # and 8x8x8 n=16, scanning every color per need made 800 and 12,416
-    # HyperRect.intersect calls per run; the write-back's scan of the
-    # distinct output rects makes 256 and 4,096 of them, and the fetches,
-    # whose needs meet one block each, 128 and 1,024
-    plans, among_seen, calls = [], set(), [0]
-    lower, parts, intersect = simulator.lower_to_tasks, TensorDistribution.parts, \
-        HyperRect.intersect
+        monkeypatch, name, machine, n, calls):
+    # every fetch of these runs is at launch scope and each need meets one
+    # piece: the need is held (its piece is resident) or is itself the one
+    # part, so fetches make no HyperRect.intersect call and never cut by
+    # what is held. Every call is the write-back's scan of the distinct
+    # output rects. Scanning every color per need made 800 and 12,416 calls
+    # on johnson 4x4x4 n=40 and 8x8x8 n=16, and lookups filtered by the
+    # meet mask 384 and 5,120; mttkrp made 16
+    counts = _count_intersects(monkeypatch)
+    dims = None if n is None else (n,) * REGISTRY[name].extents
+    bundle_from_config(name, grid(*machine), dims, 1).run()
+    assert counts == {"subtract": 0, "write_back": calls, "lookup": 0, "subtract_calls": 0}
+
+
+def test_launch_needs_over_several_pieces_scan_only_the_colors_they_meet(monkeypatch):
+    # summa's A row panels are launch-scope needs that meet 8 pieces each,
+    # so they take the cut-and-split path, scanning only their meet mask's
+    # colors; its B needs are step scope and scan every color
+    plans, among_seen = [], set()
+    lower, parts, intersect = (simulator.lower_to_tasks, TensorDistribution.parts,
+                               HyperRect.intersect)
 
     def lowering(stmt, store):
         plans.append(lower(stmt, store))
@@ -454,28 +496,41 @@ def test_launch_scope_fetches_intersect_only_the_colors_their_need_meets(
             among_seen.add((id(self), tuple(among)))
         return parts(self, rect, among)
 
-    def counted(self, other):
-        calls[0] += 1
-        return intersect(self, other)
-
     monkeypatch.setattr(simulator, "lower_to_tasks", lowering)
     monkeypatch.setattr(TensorDistribution, "parts", recorded)
-    monkeypatch.setattr(HyperRect, "intersect", counted)
-    dims = None if n is None else (n,) * REGISTRY[name].extents
-    bundle = bundle_from_config(name, grid(*machine), dims, 1)
+    counts = _count_intersects(monkeypatch)
+    bundle = bundle_from_config("summa", grid(8, 8), (16, 16, 16), 1)
     bundle.run()
-    assert calls[0] <= most
-    assert {scope for plan in plans for _, scope in plan.fetch_plan} == {"launch"}
-    # each fetch scans exactly the colors that some task's whole need meets
+    assert counts["subtract_calls"] > 0
+    (plan,) = plans
     need_meets = set()
-    for plan in plans:
-        for a, _ in plan.fetch_plan:
+    for a, scope in plan.fetch_plan:
+        if scope == "launch":
             d = bundle.distributions[a.tensor.name]
             for rect in simulator._task_rects(a, plan.env, plan.defs)[0]:
                 if rect is not None:
                     need_meets.add((id(d), tuple(
                         intersect(rect, b) is not None for _, b, _ in d.pieces)))
     assert among_seen and among_seen <= need_meets
+    assert {sum(among) for _, among in among_seen} == {8}
+
+
+def test_step_scope_and_write_back_scans_stay_pinned(monkeypatch):
+    # a trip-wire for the scans the launch-scope meet mask leaves alone:
+    # step-scope lookups scan every color, subtract_rects cuts each need by
+    # what is held, and the write-back scans every color per distinct output
+    # rect. These counts are the benchmark's pinned intersect_calls, and
+    # they move on purpose when the benchmark stops counting subtraction
+    # and the remaining scans are masked (ROADMAP item 1 PRs A and B)
+    counts = _count_intersects(monkeypatch)
+    bundle_from_config("cannon", grid(8, 8), (32, 32, 32), 1).run()
+    assert counts == {"subtract": 1696, "write_back": 4096, "lookup": 57344,
+                      "subtract_calls": 1024}
+    assert sum(counts[k] for k in ("subtract", "write_back", "lookup")) == 63136
+    for k in counts:
+        counts[k] = 0
+    bundle_from_config("summa", grid(8, 8), (16, 16, 16), 1).run()
+    assert sum(counts[k] for k in ("subtract", "write_back", "lookup")) == 64208
 
 
 def test_piece_table_is_built_once_per_distribution(monkeypatch):
@@ -1033,18 +1088,18 @@ def _per_task_resolution(plan):
     ("cannon", "5x5", 7), ("solomonik", "4x4x2", 9), ("summa-hier", "4x2/2", 7)])
 def test_launch_lanes_match_per_task_resolution(monkeypatch, name, machine, n):
     plans, needs = [], []
-    lower, subtract = simulator.lower_to_tasks, simulator.subtract_rects
+    lower, missing = simulator.lower_to_tasks, simulator._missing
 
     def lowering(stmt, store):
         plans.append(lower(stmt, store))
         return plans[-1]
 
-    def subtracting(rects, covers):  # fetch cuts each need by what is held
-        needs.extend(rects)
-        return subtract(rects, covers)
+    def asked(region, tensor, p, need, *rest):  # fetch asks what p lacks of each need
+        needs.append(need)
+        return missing(region, tensor, p, need, *rest)
 
     monkeypatch.setattr(simulator, "lower_to_tasks", lowering)
-    monkeypatch.setattr(simulator, "subtract_rects", subtracting)
+    monkeypatch.setattr(simulator, "_missing", asked)
     dims = (n,) * REGISTRY[name].extents
     bundle_from_config(name, machine and parse_machine(machine), dims).run()
     (plan,) = plans
@@ -1052,6 +1107,36 @@ def test_launch_lanes_match_per_task_resolution(monkeypatch, name, machine, n):
     assert [t.out_rect for t in plan.tasks] == out
     assert needs == want
     assert empty > 0 or machine is None
+
+
+def test_one_piece_needs_get_the_parts_of_the_cut_and_split_path(monkeypatch):
+    # a launch-scope need that meets one piece is answered from its meet
+    # mask; cutting it by everything held and splitting it along every
+    # color must give the same parts, on every bundle at ragged extents
+    missing, kinds = simulator._missing, set()
+
+    def both(region, tensor, p, need, one, among, temps):
+        got = missing(region, tensor, p, need, one, among, temps)
+        assert got == missing(region, tensor, p, need, None, None, temps)
+        if one is not None:
+            resident = region.dist.pieces[one][1] in region.residency[p]
+            cut = any(t.by_holder.get((p, tensor)) for t in temps)
+            kinds.add("resident" if resident else "cut" if cut else "one part")
+        return got
+
+    monkeypatch.setattr(simulator, "_missing", both)
+    for name in REGISTRY:
+        for n in (7, 13):
+            bundle_from_config(name, None, (n,) * REGISTRY[name].extents).run()
+    bundle_from_config("summa-hier", parse_machine("4x2/2"), (7, 7, 7)).run()
+    # a second read of a fetched block finds it among the launch temporaries
+    stmt = parse_statement("C(i, j) = A(i, j) * A(i, j)", {"i": 5, "j": 5})
+    machine = grid(2, 2)
+    dists = {name: TensorDistribution((5, 5), machine, parse_distribution(text)[1])
+             for name, text in (("C", "xy -> xy"), ("A", "xy -> yx"))}
+    run_statement(stmt, machine, dists, random_inputs(stmt, seed=3),
+                  parse_schedule("distribute i,j io,jo ii,ji 2x2"))
+    assert kinds == {"resident", "one part", "cut"}
 
 
 def test_one_resolution_per_access_per_step(monkeypatch):
