@@ -3,8 +3,9 @@
 A distribution pairs, per machine level, the tensor-side names X (one per
 tensor dimension) with the machine-side names Y (one per machine dimension).
 A name in both X and Y partitions that tensor dimension in equal blocks over
-that machine dimension; an integer in Y pins the piece to one coordinate; a
-"*" in Y replicates the piece across that machine dimension.
+that machine dimension; an integer in Y pins the piece to one coordinate
+(written as one digit, or in parentheses from 10 up: `x -> (10)`); a "*" in
+Y replicates the piece across that machine dimension.
 
 Semantically a distribution composes a coloring (coordinates to colors) with
 an expansion (color to processor set). Its meaning is its placement statement
@@ -18,6 +19,7 @@ statement as the simulator resolves a launch, the partition loops as lanes
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +186,7 @@ class TensorDistribution:
     def describe(self) -> str:
         parts = []
         for x, y in self.levels:
-            ystr = "".join(BROADCAST if v == BROADCAST else str(v) for v in y)
+            ystr = "".join(f"({v})" if isinstance(v, int) and v > 9 else str(v) for v in y)
             parts.append(" ".join(filter(None, ("".join(x), "->", ystr))))
         return " ; ".join(parts)
 
@@ -315,11 +317,17 @@ def lower_placement(tensor: TensorVar, d: TensorDistribution):
                     Place(tensor(*d.levels[0][0])), rels)
 
 
+# one machine-side entry: a fixed coordinate, one digit or a parenthesised
+# number, or else any one character
+_MACHINE_SIDE = re.compile(r"\(([0-9]+)\)|([0-9])|(.)", re.DOTALL)
+
+
 def parse_distribution(text: str):
     """Parse `A: xy -> xy*` (levels split on `;`) into (tensor, levels).
 
-    Each character is one dimension name; digits are fixed coordinates and
-    `*` is a broadcast. Returns the tensor name and the raw level list; bind
+    Each character is one dimension name; a digit, or a number of any length
+    in parentheses (`x -> (10)`), is a fixed coordinate and `*` is a
+    broadcast. Returns the tensor name and the raw level list; bind
     it to a shape and machine with TensorDistribution.
     """
     if ":" in text:
@@ -333,7 +341,8 @@ def parse_distribution(text: str):
             raise ConfigError(f"distribution level {part!r} needs `->`")
         xs, ys = part.split("->", 1)
         x = tuple(ch for ch in xs.strip())
-        y = tuple(int(ch) if ch.isdigit() else ch for ch in ys.strip())
+        y = tuple(ch or int(many or one)
+                  for many, one, ch in _MACHINE_SIDE.findall(ys.strip()))
         if any(not ch.isalpha() for ch in x):
             raise ConfigError(f"bad tensor-side names in {part!r}")
         if any(not (isinstance(ch, int) or ch == BROADCAST or ch.isalpha()) for ch in y):

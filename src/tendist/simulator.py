@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .errors import (
     VerifyFail,
     WriteToReplica,
 )
-from .ir import Access, TensorIndexStmt, TensorVar, sequential_evaluate
+from .ir import Access, Add, Const, Mul, TensorIndexStmt, TensorVar, sequential_evaluate
 from .machine import Machine
 from .tensors import DenseTensor
 
@@ -70,7 +70,10 @@ def _task_rects(access: Access, env: dict, defs: dict) -> tuple:
 
 # events and traces
 
-@dataclass(frozen=True)
+# events and launches are plain slotted records: a run builds one per
+# transfer and per task, and a frozen dataclass costs about five times as
+# much to build; callers treat them as values all the same
+@dataclass(slots=True)
 class CommEvent:
     """One aggregate transfer: src sends this rect of tensor to dst."""
 
@@ -84,7 +87,7 @@ class CommEvent:
     phase: str  # "compute" | "placement"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TaskInfo:
     coord: tuple
     out_rect: object
@@ -351,16 +354,18 @@ def _missing(region, tensor, p, need, one, among, temps) -> list:
     temporary of the tensor every rect it holds is another color's piece,
     disjoint from the need, so the need itself is the one part. Otherwise the
     need is cut by everything p holds and the rest split along the pieces,
-    `among` (the need's `meets` row, or None for every color) naming the
-    colors to scan.
+    `among` (the need's row of the `meets` array, or None for every color)
+    naming the colors to scan.
     """
-    held = [r for t in temps for r in t.by_holder.get((p, tensor), ())]
     if one is not None:
         color, bounds, homes = region.dist.pieces[one]
         if bounds in region.residency[p]:
             return []
-        if not held:
-            return [(color, need, homes)]
+    held = [r for t in temps for r in t.by_holder.get((p, tensor), ())]
+    if one is not None and not held:
+        return [(color, need, homes)]
+    if among is not None:
+        among = among.tolist()
     return [part for piece in subtract_rects([need], region.residency[p] + held)
             for part in region.dist.parts(piece, among)]
 
@@ -476,25 +481,10 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
     buffers = {t.coord: (t.out_rect.volume if t.out_rect is not None else 0)
                for t in plan.tasks}
 
-    def fetch(task, tensor, rect, step, one, among, sink, cur_temps):
-        """Ledger each part of `rect` that the task lacks (`_missing`), sent
-        by `_pick_source` from the holders of its color, and add it to
-        `sink`; a part's volume is computed once for its event, its
-        temporary and the memory count."""
-        p = task.coord
-        temps = (launch_temps, prev_temps, cur_temps)
-        for color, part, homes in _missing(store[tensor], tensor, p, rect, one, among, temps):
-            key = (tensor, color)
-            src = _pick_source(part, p, homes,
-                               prev_temps.by_color.get(key, []),
-                               launch_temps.by_color.get(key, []))
-            volume = part.volume
-            events.append(CommEvent(step, src, p, tensor, part, volume, "copy", phase))
-            sink.add(p, tensor, color, part, volume)
-
     env = dict(plan.env)  # the step loop pinned to each step in turn
     for s in range(plan.num_steps):
         cur_temps = _Temps()
+        temps = (launch_temps, prev_temps, cur_temps)
         if plan.step_var is not None:
             env[plan.step_var.var] = (s, s + 1)
         # each entry resolved once for all tasks, with the temporaries it
@@ -503,24 +493,38 @@ def _replay(plan: LaunchPlan, store: RegionStore, trace: ExecutionTrace) -> None
         # one step
         needs = []
         for a, scope in plan.fetch_plan:
+            region = store[a.tensor.name]
             if scope == "step":
                 rects = _task_rects(a, env, plan.defs)[0]
                 unmasked = [None] * len(rects)
-                needs.append((a.tensor.name, rects, unmasked, unmasked, cur_temps))
+                needs.append((region, a.tensor.name, rects, unmasked, unmasked, cur_temps))
             elif s == 0:
                 rects, lo, hi = _task_rects(a, plan.env, plan.defs)
-                mask = store[a.tensor.name].dist.meets(lo, hi)
+                mask = region.dist.meets(lo, hi)
                 ones = [first if count == 1 else None for count, first in
                         zip(mask.sum(axis=1).tolist(), mask.argmax(axis=1).tolist())]
-                needs.append((a.tensor.name, rects, ones, mask.tolist(), launch_temps))
+                needs.append((region, a.tensor.name, rects, ones, mask, launch_temps))
+        # each part a task lacks (`_missing`), sent by `_pick_source` from
+        # the holders of its color; its volume is computed once for its
+        # event, its temporary and the memory count
         for k, task in enumerate(plan.tasks):
-            for tensor, rects, ones, mask, sink in needs:
-                if rects[k] is not None:
-                    fetch(task, tensor, rects[k], s, ones[k], mask[k], sink, cur_temps)
+            p = task.coord
+            for region, tensor, rects, ones, mask, sink in needs:
+                if rects[k] is None:
+                    continue
+                for color, part, homes in _missing(region, tensor, p, rects[k], ones[k],
+                                                   mask[k], temps):
+                    key = tensor, color
+                    src = _pick_source(part, p, homes,
+                                       prev_temps.by_color.get(key, []),
+                                       launch_temps.by_color.get(key, []))
+                    volume = part.volume
+                    events.append(CommEvent(s, src, p, tensor, part, volume, "copy", phase))
+                    sink.add(p, tensor, color, part, volume)
         for p in order:
             vol = persist[p] + buffers.get(p, 0)
-            for temps in (launch_temps, prev_temps, cur_temps):
-                vol += temps.volume.get(p, 0)
+            for t in temps:
+                vol += t.volume.get(p, 0)
             trace.memory[p] = max(trace.memory[p], vol)
         prev_temps = cur_temps
     if plan.out_name is not None:
@@ -625,20 +629,44 @@ def run_statement(stmt, machine: Machine, distributions: dict, inputs: dict,
     return RunResult(store[out_name].tensor, trace, store)
 
 
-# largest difference verify_result accepts between two elements that are not NaN
-TOLERANCE = 1e-9
+# unit roundoff of float64, the u of the a-priori bound verify_result uses
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _magnitudes(expr):
+    """`expr` with every constant replaced by its absolute value."""
+    if isinstance(expr, Const):
+        return Const(abs(expr.value))
+    if isinstance(expr, (Add, Mul)):
+        return type(expr)(_magnitudes(expr.lhs), _magnitudes(expr.rhs))
+    return expr
+
+
+def _operations(expr) -> int:
+    """The `+` and `*` nodes of `expr`."""
+    if isinstance(expr, (Add, Mul)):
+        return 1 + _operations(expr.lhs) + _operations(expr.rhs)
+    return 0
 
 
 def verify_result(stmt, inputs: dict, result: RunResult) -> None:
     """Compare a run against the single-memory reference evaluation.
 
     The output must have NaNs exactly where the reference does; everywhere
-    else, elements that differ (an infinity against anything else included)
-    must lie within TOLERANCE. An output missing from `inputs` starts at the
-    zeros the run starts from.
+    else, an element that differs must be finite on both sides and lie
+    within the a-priori bound for a sum of products evaluated in any order
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1):
+    each side is within gamma_k * sum|terms| of the exact value, gamma_k =
+    k*u / (1 - k*u), so the two differ by at most twice that. sum|terms| is
+    the reference evaluated on the absolute values of the inputs and
+    constants, and k counts the reduction points per element plus the
+    rhs's `+` and `*` operations. The bound is computed only when some
+    element differs. An output missing from `inputs` starts at the zeros
+    the run starts from.
     """
     out = stmt.lhs.tensor
-    expected = sequential_evaluate(stmt, {out.name: DenseTensor(out.dims), **inputs})
+    inputs = {out.name: DenseTensor(out.dims), **inputs}
+    expected = sequential_evaluate(stmt, inputs)
     got = result.output
     if expected.dims != got.dims:
         raise VerifyFail(f"output dims {got.dims} != reference {expected.dims}")
@@ -646,6 +674,17 @@ def verify_result(stmt, inputs: dict, result: RunResult) -> None:
     if not np.array_equal(nan, np.isnan(got.data)):
         raise VerifyFail("output NaNs differ from the reference's")
     off = ~nan & (expected.data != got.data)
-    err = float(np.max(np.abs(expected.data[off] - got.data[off]))) if off.any() else 0.0
-    if err > TOLERANCE:
-        raise VerifyFail(f"max deviation {err} above {TOLERANCE}")
+    if not off.any():
+        return
+    magnitude = sequential_evaluate(
+        replace(stmt, rhs=_magnitudes(stmt.rhs)),
+        {name: DenseTensor(t.dims, np.abs(t.data)) for name, t in inputs.items()})
+    k = math.prod(stmt.extents[v] for v in stmt.reduction_vars) + _operations(stmt.rhs)
+    gamma = k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+    err = np.abs(expected.data[off] - got.data[off])
+    bound = 2 * gamma * magnitude.data[off]
+    bad = ~(np.isfinite(err) & (err <= bound))
+    if bad.any():
+        worst = int(np.argmax(np.where(bad, err - bound, -np.inf)))
+        raise VerifyFail(f"max deviation {float(err[worst])} above its bound "
+                         f"{float(bound[worst])}")

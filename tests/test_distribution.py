@@ -284,6 +284,26 @@ def test_describe_round_trips_through_parse_distribution():
     assert TensorDistribution((), grid(2), [((), (0,))]).describe() == "-> 0"
 
 
+@pytest.mark.parametrize("machine", [grid(12), grid(3, 12)], ids=str)
+def test_fixed_coordinates_of_any_width_round_trip(machine):
+    # a fixed coordinate from 10 up is written in parentheses; single digits
+    # keep their bare form
+    for c in range(12):
+        levels = [(("x",), (c,))] if len(machine.flat_dims) == 1 else \
+            [(("x", "y"), (c % 3, c)), (("x", "y"), ("x", c))]
+        for level in levels:
+            d = TensorDistribution((24,) * len(level[0]), machine, [level])
+            text = d.describe()
+            assert ("(" in text) == (c > 9)
+            assert TensorDistribution(d.tensor_dims, machine,
+                                      parse_distribution(f"T: {text}")[1]) == d
+    assert parse_distribution("A: xy -> (10)(2)")[1] == [(("x", "y"), (10, 2))]
+    assert parse_distribution("A: xy -> 00")[1] == [(("x", "y"), (0, 0))]
+    for bad in ("x -> (10", "x -> 10)", "x -> ()"):
+        with pytest.raises(ConfigError):
+            parse_distribution(bad)
+
+
 def test_piece_table_matches_block_range_cascade():
     rng = random.Random(11)
     names = "xyz"

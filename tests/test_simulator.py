@@ -215,6 +215,44 @@ def test_stats_schema_and_consistency():
     assert "levels" not in stats  # single-level machine
 
 
+def test_events_are_values_that_replace_and_compare():
+    # what the benchmark's tampered-event self-test needs of the event type
+    stmt, machine, dists, inputs, sched = _gemm_setup()
+    trace = run_statement(stmt, machine, dists, inputs, sched).trace
+    again = run_statement(stmt, machine, dists, inputs, sched).trace
+    assert trace.events == again.events
+    rows, per_edge = trace.canonical_rows(), trace.stats()["per_edge"]
+    first = trace.events[0]
+    other = next(e.src for e in trace.events if e.src not in (first.src, first.dst))
+    trace.events[0] = replace(first, src=other)
+    assert trace.events[0].src == other and first.src != other
+    assert trace.events[0].rect == first.rect and trace.events[1:] == again.events[1:]
+    assert trace.events != again.events
+    assert trace.canonical_rows() != rows
+    assert trace.stats()["per_edge"] != per_edge
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_verify_bound_scales_with_the_data(name):
+    # correct runs on standard-normal inputs verify at every scale, summed
+    # in any order; a relative 1e-6 change to the output element of largest
+    # magnitude fails at every scale
+    bundle = bundle_from_config(name)
+    stmt = bundle.statement
+    out = stmt.lhs.tensor.name
+    rng = np.random.default_rng(7)
+    for scale in (1e-12, 1.0, 1e4, 1e8):
+        inputs = {t: DenseTensor(v.dims, rng.standard_normal(v.dims) * scale)
+                  for t, v in stmt.tensors().items() if t != out}
+        result, _ = bundle.run(inputs=inputs)
+        verify_result(stmt, inputs, result)
+        data = result.output.data
+        at = np.unravel_index(np.argmax(np.abs(data)), data.shape)
+        data[at] *= 1 + 1e-6
+        with pytest.raises(VerifyFail):
+            verify_result(stmt, inputs, result)
+
+
 def test_stats_hands_out_copies_of_the_launches():
     stmt, machine, dists, inputs, sched = _gemm_setup()
     trace = run_statement(stmt, machine, dists, inputs, sched).trace
