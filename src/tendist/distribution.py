@@ -49,7 +49,10 @@ from .machine import Machine
 BROADCAST = "*"
 
 
-@dataclass(frozen=True)
+# slotted and built by plain stores, as every intersect builds one (a frozen
+# dataclass builds through object.__setattr__ at over twice the cost); rects
+# still compare and hash by value, and nothing assigns a field
+@dataclass(slots=True, unsafe_hash=True)
 class HyperRect:
     """Half-open box [lo, hi) per dimension; () is the scalar box."""
 

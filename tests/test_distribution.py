@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from tendist.errors import (
     UnboundMachineName,
 )
 from tendist.ir import TensorVar
-from tendist.simulator import _task_rects, lower_to_tasks
+from tendist.simulator import CommEvent, TaskInfo, _task_rects, lower_to_tasks
 
 
 def points(rect):
@@ -72,6 +73,24 @@ def test_rect_intersect_contains():
     assert a.contains(b) is False
     assert a.contains(HyperRect((1, 1), (3, 3)))
     assert a.contains(a)
+
+
+def test_rects_events_and_tasks_are_slotted_value_records():
+    # the write-back memo and the residency check key and search by value
+    for lo, hi in [((0, 2), (2, 5)), ((), ()), ((3,), (3,))]:
+        a, b = HyperRect(lo, hi), HyperRect(tuple(list(lo)), tuple(list(hi)))
+        assert a == b and hash(a) == hash(b)
+        other = HyperRect((0,), (1,))
+        assert other != a and other not in [a] and b in [other, a]
+        assert {a: "held", other: "not"}[b] == "held"
+        c = replace(a)
+        assert c == a and c is not a and hash(c) == hash(a)
+    assert HyperRect((0,), (2,)) != HyperRect((0,), (3,))
+    assert replace(HyperRect((0,), (2,)), hi=(3,)) == HyperRect((0,), (3,))
+    rect = HyperRect((0,), (1,))
+    event = CommEvent(0, (0,), (1,), "A", rect, 1, "copy", "compute")
+    for record in (rect, event, TaskInfo((0,), rect)):
+        assert not hasattr(record, "__dict__"), type(record).__name__
 
 
 def test_rect_minus_is_exact_partition():

@@ -232,6 +232,43 @@ def test_events_are_values_that_replace_and_compare():
     assert trace.stats()["per_edge"] != per_edge
 
 
+def same_step_relays(rows) -> int:
+    """Rows whose sender received a containing rect of the same tensor
+    earlier in the same timestep, counted from the rows alone."""
+    received, relays = {}, 0
+    for step, src, dst, tensor, lo, hi, *_ in rows:
+        held = received.get((step, tuple(src), tensor), ())
+        relays += any(all(a <= c and d <= b for a, b, c, d in zip(hlo, hhi, lo, hi))
+                      for hlo, hhi in held)
+        received.setdefault((step, tuple(dst), tensor), []).append((lo, hi))
+    return relays
+
+
+def test_same_step_relays_needs_a_containing_receipt_of_that_step_and_tensor():
+    home = [0, [0], [1], "A", [0], [4], 4, "copy", "compute"]
+    relay = [0, [1], [2], "A", [1], [3], 2, "copy", "compute"]
+    assert same_step_relays([home, relay]) == 1
+    assert same_step_relays([relay, home]) == 0
+    assert same_step_relays([home, [1] + relay[1:]]) == 0
+    assert same_step_relays([home, relay[:3] + ["B"] + relay[4:]]) == 0
+    assert same_step_relays([home, relay[:4] + [[3], [5]] + relay[6:]]) == 0
+
+
+@pytest.mark.parametrize("name, machine, n, relays, events", [
+    ("summa", (8, 8), 16, 384, 1344),
+    ("johnson", (4, 4, 4), 16, 64, 144),
+    ("pumma", (4, 4), 16, 32, 96),
+    ("cosma-like", (4, 4, 2), 16, 16, 64),
+    ("cannon", (8, 8), 32, 0, 896),
+    ("solomonik", (4, 4, 2), 16, 0, 112),
+])
+def test_same_step_relays_stay_pinned(name, machine, n, relays, events):
+    # the relay rule that a ledger checker must decide is pinned at what the
+    # replay does today
+    rows = bundle_from_config(name, grid(*machine), (n,) * 3).run()[0].trace.canonical_rows()
+    assert (same_step_relays(rows), len(rows)) == (relays, events)
+
+
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_verify_bound_scales_with_the_data(name):
     # correct runs on standard-normal inputs verify at every scale, summed
